@@ -10,11 +10,14 @@
 // exchange account.
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/money.h"
+#include "market/audit.h"
+#include "market/clock.h"
+#include "market/identity.h"
 #include "market/ledger.h"
 #include "obs/metrics.h"
 
@@ -22,10 +25,14 @@ namespace fnda {
 
 class EscrowService {
  public:
-  explicit EscrowService(CashLedger& cash) : cash_(cash) {}
+  /// Deposits live in a flat vector on `lattice`'s slots, so pass the
+  /// lattice of the registry that mints the identities posting here.
+  explicit EscrowService(CashLedger& cash, IdentityLattice lattice = {})
+      : cash_(cash), lattice_(lattice) {}
 
   /// Moves `amount` from `payer`'s cash into escrow for `identity`.
-  /// Additional posts accumulate.
+  /// Additional posts accumulate.  Throws std::out_of_range for an
+  /// identity off the lattice or too far along it to index.
   void post(IdentityId identity, AccountId payer, Money amount);
 
   /// Returns the full deposit to `payee`'s cash.
@@ -34,29 +41,41 @@ class EscrowService {
   /// Seizes the full deposit for the exchange.  Returns the amount seized.
   Money confiscate(IdentityId identity, AccountId exchange);
 
-  Money held(IdentityId identity) const;
-  Money total_held() const;
+  /// Market close: one pass in ascending identity order that returns each
+  /// non-zero deposit to the account behind its identity and logs it as a
+  /// deposit-refunded record stamped `now`.  Returns the total refunded.
+  /// Throws std::out_of_range (from `registry.owner`) for an unminted
+  /// holder.
+  Money refund_all(const IdentityRegistry& registry, AuditLog& audit,
+                   SimTime now);
 
-  /// Identities currently holding a non-zero deposit (market-close sweep).
+  Money held(IdentityId identity) const;
+  Money total_held() const { return held_total_; }
+
+  /// Identities currently holding a non-zero deposit, ascending.
   std::vector<IdentityId> identities_with_deposits() const;
+  /// How many identities hold a non-zero deposit.
+  std::size_t holder_count() const;
 
   /// Registers deposit-flow counters (posts, refunds, seizures — counts
   /// and micros) plus a snapshot-time gauge over total_held().
   void bind_metrics(obs::MetricsRegistry& registry);
 
  private:
+  /// Moves slot `slot`'s whole deposit to `to` and zeroes it.
+  void release(std::size_t slot, AccountId to);
+
   CashLedger& cash_;
-  std::unordered_map<IdentityId, Money> deposits_;
+  IdentityLattice lattice_;
+  /// Deposit per lattice slot; slot i belongs to identity lattice_.at(i).
+  std::vector<Money> deposits_;
+  /// Sum of deposits_, kept exact on every post and release.
+  Money held_total_;
 
   obs::Counter* posted_counter_ = nullptr;
   obs::Counter* refunded_counter_ = nullptr;
   obs::Counter* seized_counter_ = nullptr;
   obs::Counter* seized_micros_counter_ = nullptr;
-  /// Escrow is itself a cash holder; use a dedicated pseudo-account so the
-  /// CashLedger's conservation invariant covers posted deposits too.
-  static constexpr AccountId escrow_account() {
-    return AccountId{static_cast<std::uint64_t>(-2)};
-  }
 };
 
 }  // namespace fnda

@@ -1,17 +1,6 @@
 #include "market/exchange.h"
 
-#include <sstream>
 #include <stdexcept>
-
-namespace {
-
-std::string identity_detail(fnda::IdentityId identity, fnda::Money amount) {
-  std::ostringstream os;
-  os << identity << ' ' << amount;
-  return os.str();
-}
-
-}  // namespace
 
 namespace fnda {
 
@@ -20,7 +9,7 @@ ExchangeSimulation::ExchangeSimulation(const DoubleAuctionProtocol& protocol,
     : config_(config) {
   Rng root(config_.seed);
   bus_ = std::make_unique<MessageBus>(queue_, config_.bus, root.split());
-  escrow_ = std::make_unique<EscrowService>(cash_);
+  escrow_ = std::make_unique<EscrowService>(cash_, registry_.lattice());
   settlement_ = std::make_unique<SettlementEngine>(registry_, cash_, goods_,
                                                    *escrow_);
   server_ = std::make_unique<AuctionServer>(
@@ -58,16 +47,7 @@ Money ExchangeSimulation::close_market() {
   if (server_->round_open()) {
     throw std::logic_error("close_market: a round is still open");
   }
-  Money refunded;
-  for (IdentityId identity : escrow_->identities_with_deposits()) {
-    const Money amount = escrow_->held(identity);
-    escrow_->refund(identity, registry_.owner(identity));
-    refunded += amount;
-    audit_.append(queue_.now(), RoundId::invalid(),
-                  AuditKind::kDepositRefunded,
-                  identity_detail(identity, amount));
-  }
-  return refunded;
+  return escrow_->refund_all(registry_, audit_, queue_.now());
 }
 
 double ExchangeSimulation::settled_utility(const TradingClient& client) const {

@@ -9,25 +9,24 @@ AccountId IdentityRegistry::create_account() {
 }
 
 IdentityId IdentityRegistry::register_identity(AccountId account) {
-  const IdentityId identity{next_identity_};
-  next_identity_ += identity_stride_;
-  owners_.emplace(identity, account);
+  const IdentityId identity = lattice_.at(owners_.size());
+  owners_.push_back(account);
   return identity;
 }
 
 AccountId IdentityRegistry::owner(IdentityId identity) const {
-  auto it = owners_.find(identity);
-  if (it == owners_.end()) {
+  const std::optional<std::size_t> slot = lattice_.slot_of(identity);
+  if (!slot || *slot >= owners_.size()) {
     throw std::out_of_range("IdentityRegistry::owner: unknown identity");
   }
-  return it->second;
+  return owners_[*slot];
 }
 
 std::vector<IdentityId> IdentityRegistry::identities_of(
     AccountId account) const {
   std::vector<IdentityId> result;
-  for (const auto& [identity, owner] : owners_) {
-    if (owner == account) result.push_back(identity);
+  for (std::size_t slot = 0; slot < owners_.size(); ++slot) {
+    if (owners_[slot] == account) result.push_back(lattice_.at(slot));
   }
   return result;
 }

@@ -9,12 +9,33 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/ids.h"
 
 namespace fnda {
+
+/// The identity ids one registry mints: first, first + stride, first +
+/// 2*stride, ...  Every per-identity table (owners, escrow deposits) is a
+/// flat vector indexed by the dense slot this lattice assigns an id.
+struct IdentityLattice {
+  std::uint64_t first = 0;
+  std::uint64_t stride = 1;
+
+  /// (id - first) / stride, or nullopt for an id below `first` or off the
+  /// stride.  Says nothing about whether the id has been minted yet.
+  std::optional<std::size_t> slot_of(IdentityId identity) const {
+    if (identity.value() < first) return std::nullopt;
+    const std::uint64_t offset = identity.value() - first;
+    if (offset % stride != 0) return std::nullopt;
+    return static_cast<std::size_t>(offset / stride);
+  }
+  IdentityId at(std::size_t slot) const {
+    return IdentityId{first + slot * stride};
+  }
+};
 
 class IdentityRegistry {
  public:
@@ -28,8 +49,7 @@ class IdentityRegistry {
   /// not depend on what other shards do, which keeps parallel runs
   /// bit-identical.
   IdentityRegistry(std::uint64_t first_identity, std::uint64_t identity_stride)
-      : next_identity_(first_identity),
-        identity_stride_(identity_stride == 0 ? 1 : identity_stride) {}
+      : lattice_{first_identity, identity_stride == 0 ? 1 : identity_stride} {}
 
   /// Opens a fresh trader account.
   AccountId create_account();
@@ -39,20 +59,24 @@ class IdentityRegistry {
   IdentityId register_identity(AccountId account);
 
   /// The account behind an identity.  Settlement-time only.
-  /// Throws std::out_of_range for unknown identities.
+  /// Throws std::out_of_range for identities this registry never minted
+  /// (unminted yet, or off its lattice).
   AccountId owner(IdentityId identity) const;
 
-  /// All identities minted by one account (audit views).
+  /// All identities minted by one account, ascending (audit views).
   std::vector<IdentityId> identities_of(AccountId account) const;
+
+  /// The id namespace this registry mints from.
+  const IdentityLattice& lattice() const { return lattice_; }
 
   std::size_t account_count() const { return next_account_ - 1; }
   std::size_t identity_count() const { return owners_.size(); }
 
  private:
-  std::unordered_map<IdentityId, AccountId> owners_;
+  IdentityLattice lattice_;
+  /// Owner per lattice slot; slot i holds identity lattice_.at(i).
+  std::vector<AccountId> owners_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange
-  std::uint64_t next_identity_ = 0;
-  std::uint64_t identity_stride_ = 1;
 };
 
 }  // namespace fnda

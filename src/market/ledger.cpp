@@ -7,42 +7,32 @@ void CashLedger::grant(AccountId account, Money amount) {
 }
 
 void CashLedger::transfer(AccountId from, AccountId to, Money amount) {
+  // Two statements: touching `to` may grow the table and move `from`.
   balances_[from] -= amount;
   balances_[to] += amount;
 }
 
 Money CashLedger::balance(AccountId account) const {
-  auto it = balances_.find(account);
-  return it == balances_.end() ? Money{} : it->second;
+  return balances_.get(account);
 }
 
-Money CashLedger::total() const {
-  Money sum;
-  for (const auto& [account, balance] : balances_) sum += balance;
-  return sum;
-}
+Money CashLedger::total() const { return balances_.sum(); }
 
 void GoodsLedger::grant(AccountId account, std::size_t units) {
   units_[account] += units;
 }
 
 bool GoodsLedger::transfer_unit(AccountId from, AccountId to) {
-  auto it = units_.find(from);
-  if (it == units_.end() || it->second == 0) return false;
-  --it->second;
+  if (units_.get(from) == 0) return false;
+  --units_[from];
   ++units_[to];
   return true;
 }
 
 std::size_t GoodsLedger::units(AccountId account) const {
-  auto it = units_.find(account);
-  return it == units_.end() ? 0 : it->second;
+  return units_.get(account);
 }
 
-std::size_t GoodsLedger::total() const {
-  std::size_t sum = 0;
-  for (const auto& [account, units] : units_) sum += units;
-  return sum;
-}
+std::size_t GoodsLedger::total() const { return units_.sum(); }
 
 }  // namespace fnda

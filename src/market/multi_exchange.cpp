@@ -1,21 +1,10 @@
 #include "market/multi_exchange.h"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "common/sweep_kernel.h"
-
-namespace {
-
-std::string identity_detail(fnda::IdentityId identity, fnda::Money amount) {
-  std::ostringstream os;
-  os << identity << ' ' << amount;
-  return os.str();
-}
-
-}  // namespace
 
 namespace fnda {
 
@@ -58,7 +47,8 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
                                              *fabric_,
                                              static_cast<std::uint32_t>(s));
     shard.registry = IdentityRegistry(s, config_.shards);
-    shard.escrow = std::make_unique<EscrowService>(shard.cash);
+    shard.escrow =
+        std::make_unique<EscrowService>(shard.cash, shard.registry.lattice());
     shard.settlement = std::make_unique<SettlementEngine>(
         shard.registry, shard.cash, shard.goods, *shard.escrow);
     shard.server = std::make_unique<AuctionServer>(
@@ -230,14 +220,8 @@ Money MultiServerExchange::close_market() {
   }
   Money refunded;
   for (Shard& shard : shards_) {
-    for (IdentityId identity : shard.escrow->identities_with_deposits()) {
-      const Money amount = shard.escrow->held(identity);
-      shard.escrow->refund(identity, shard.registry.owner(identity));
-      refunded += amount;
-      shard.audit.append(shard.queue.now(), RoundId::invalid(),
-                         AuditKind::kDepositRefunded,
-                         identity_detail(identity, amount));
-    }
+    refunded += shard.escrow->refund_all(shard.registry, shard.audit,
+                                         shard.queue.now());
   }
   return refunded;
 }

@@ -6,35 +6,6 @@
 #include "common/logging.h"
 
 namespace fnda {
-namespace {
-
-// Audit-detail formatting runs once per accepted/rejected bid, squarely on
-// the submission hot path.  Each overload appends exactly what the
-// corresponding operator<< would stream (ids are prefix + decimal, Money
-// is Money::to_string), so detail lines are byte-identical to the old
-// ostringstream path without paying its locale machinery per call.
-inline void append_part(std::string& out, char c) { out += c; }
-inline void append_part(std::string& out, const char* s) { out += s; }
-inline void append_part(std::string& out, const std::string& s) { out += s; }
-inline void append_part(std::string& out, Money m) { out += m.to_string(); }
-inline void append_part(std::string& out, std::size_t v) {
-  out += std::to_string(v);
-}
-template <typename Tag>
-void append_part(std::string& out, TypedId<Tag> id) {
-  out += Tag::prefix();
-  out += std::to_string(id.value());
-}
-
-/// Concatenates every argument into a string (audit-log detail lines).
-template <typename... Parts>
-std::string fmt(const Parts&... parts) {
-  std::string out;
-  (append_part(out, parts), ...);
-  return out;
-}
-
-}  // namespace
 
 void AuctionServer::SubmittedTable::reset(MonotonicArena& arena,
                                           std::size_t expected_entries) {
@@ -244,8 +215,8 @@ void AuctionServer::on_batch(const Envelope* const* envelopes,
 void AuctionServer::reject(const Envelope& envelope, const SubmitBidMsg& msg,
                            const std::string& reason) {
   audit_.append(queue_.now(), msg.round, AuditKind::kBidRejected,
-                fmt(msg.identity, ' ', to_string(msg.side), '@', msg.value,
-                    ": ", reason));
+                audit_detail(msg.identity, ' ', to_string(msg.side), '@',
+                             msg.value, ": ", reason));
   bus_.send(address_id_, envelope.from,
             BidAckMsg{msg.round, msg.identity, false, reason});
 }
@@ -285,7 +256,8 @@ void AuctionServer::handle_submit(const Envelope& envelope,
   round.submitted.insert(msg.identity,
                          SubmittedBid{envelope.from, msg.side, msg.value});
   audit_.append(queue_.now(), msg.round, AuditKind::kBidAccepted,
-                fmt(msg.identity, ' ', to_string(msg.side), '@', msg.value));
+                audit_detail(msg.identity, ' ', to_string(msg.side), '@',
+                             msg.value));
   bus_.send(address_id_, envelope.from,
             BidAckMsg{msg.round, msg.identity, true, ""});
 }
@@ -311,8 +283,8 @@ void AuctionServer::clear_round() {
   last_round_bids_ = round.submitted.size();
 
   audit_.append(queue_.now(), round.id, AuditKind::kRoundCleared,
-                fmt(outcome.trade_count(), " trades, revenue ",
-                    outcome.auctioneer_revenue()));
+                audit_detail(outcome.trade_count(), " trades, revenue ",
+                             outcome.auctioneer_revenue()));
 
   for (const Fill& fill : outcome.fills()) {
     const SubmittedBid* submitted = round.submitted.find(fill.identity);
@@ -330,14 +302,14 @@ void AuctionServer::clear_round() {
   for (const Delivery& delivery : report.deliveries) {
     if (delivery.delivered) {
       audit_.append(queue_.now(), round.id, AuditKind::kDelivery,
-                    fmt(delivery.seller, " -> ", delivery.buyer));
+                    audit_detail(delivery.seller, " -> ", delivery.buyer));
       continue;
     }
     audit_.append(queue_.now(), round.id, AuditKind::kDeliveryFailed,
-                  fmt(delivery.seller));
+                  audit_detail(delivery.seller));
     if (delivery.confiscated > Money{}) {
       audit_.append(queue_.now(), round.id, AuditKind::kDepositConfiscated,
-                    fmt(delivery.seller, ' ', delivery.confiscated));
+                    audit_detail(delivery.seller, ' ', delivery.confiscated));
     }
     const SubmittedBid* seller = round.submitted.find(delivery.seller);
     if (seller != nullptr) {

@@ -257,7 +257,7 @@ Reply ConsoleSession::cmd_escrow_show(const Invocation&) {
     const EscrowService& escrow = exchange_->escrow(s);
     builder.row("  shard " + std::to_string(s) + ": held=" +
                 escrow.total_held().to_string() + " identities=" +
-                std::to_string(escrow.identities_with_deposits().size()));
+                std::to_string(escrow.holder_count()));
   }
   return builder.build();
 }

@@ -350,6 +350,55 @@ TEST(ParallelExchangeTest, SingleShardMatchesExchangeSimulation) {
   // amounts, order.
   EXPECT_EQ(actual.audit(0).dump(), expected.audit().dump());
   EXPECT_EQ(actual.close_market(), expected.close_market());
+  // ... and so must the market-close refund records that follow.
+  EXPECT_EQ(actual.audit(0).dump(), expected.audit().dump());
+}
+
+// Market close refunds each shard's deposits in ascending identity order —
+// a property of the escrow's dense slot order, not of any hash table.
+TEST(ParallelExchangeTest, CloseMarketRefundsInAscendingIdentityOrderPerShard) {
+  const TpdProtocol tpd(money(50));
+  MultiExchangeConfig config;
+  config.shards = 4;
+  config.threads = 2;
+  config.seed = 5;
+  config.server.domain = ValueDomain{money(0), money(100)};
+  MultiServerExchange exchange(tpd, config);
+  for (std::size_t i = 0; i < 48; ++i) {
+    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
+    exchange.add_trader(role, money(role == Side::kBuyer
+                                        ? 40 + static_cast<std::int64_t>(i)
+                                        : 5 + static_cast<std::int64_t>(i)));
+  }
+  exchange.run_round();
+  exchange.run_round();
+
+  std::vector<std::size_t> holders;
+  for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+    holders.push_back(exchange.escrow(s).holder_count());
+  }
+  const Money held = exchange.escrow_total_held();
+  const Money cash_before = exchange.cash_total();
+  EXPECT_EQ(exchange.close_market(), held);
+  EXPECT_EQ(exchange.escrow_total_held(), Money{});
+  EXPECT_EQ(exchange.cash_total(), cash_before);
+
+  for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+    std::vector<std::uint64_t> refunded_ids;
+    for (const AuditRecord& record : exchange.audit(s).records()) {
+      if (record.kind != AuditKind::kDepositRefunded) continue;
+      ASSERT_EQ(record.detail.rfind("id-", 0), 0u) << record.detail;
+      refunded_ids.push_back(std::stoull(record.detail.substr(3)));
+    }
+    EXPECT_EQ(refunded_ids.size(), holders[s]) << "shard " << s;
+    EXPECT_GT(refunded_ids.size(), 0u) << "shard " << s;
+    EXPECT_TRUE(std::is_sorted(refunded_ids.begin(), refunded_ids.end()));
+    EXPECT_EQ(std::adjacent_find(refunded_ids.begin(), refunded_ids.end()),
+              refunded_ids.end());
+    for (const std::uint64_t id : refunded_ids) {
+      EXPECT_EQ(id % exchange.shard_count(), s);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
