@@ -198,7 +198,7 @@ struct LegacyPingServer : legacy::Endpoint {
   void on_message(const legacy::Envelope& e) override {
     if (const auto* msg = std::get_if<fnda::SubmitBidMsg>(&e.payload)) {
       bus->send(address, e.from,
-                fnda::BidAckMsg{msg->round, msg->identity, true, ""});
+                fnda::BidAckMsg{msg->round, msg->identity});
     }
   }
 };
@@ -267,7 +267,7 @@ struct FastPingServer : fnda::Endpoint {
   void on_message(const fnda::Envelope& e) override {
     if (const auto* msg = std::get_if<fnda::SubmitBidMsg>(&e.payload)) {
       bus->send(address, e.from,
-                fnda::BidAckMsg{msg->round, msg->identity, true, ""});
+                fnda::BidAckMsg{msg->round, msg->identity});
     }
   }
 };

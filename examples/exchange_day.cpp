@@ -4,6 +4,7 @@
 //
 //   $ ./build/examples/exchange_day
 #include <iostream>
+#include <string>
 
 #include "market/exchange.h"
 #include "protocols/tpd.h"
@@ -55,8 +56,9 @@ int main() {
 
   std::cout << "\n--- audit trail (first round) ---\n";
   for (const AuditRecord& record : exchange.audit().for_round(RoundId{0})) {
-    std::cout << "t=" << record.at.micros << "us " << to_string(record.kind)
-              << ' ' << record.detail << '\n';
+    std::string line;
+    append_line(record, line);
+    std::cout << line << '\n';
   }
 
   std::cout << "\nbus stats: sent=" << exchange.bus().stats().sent

@@ -76,7 +76,7 @@ void TradingClient::on_message(const Envelope& envelope) {
       // Idempotent server acks can arrive for retransmissions; count each
       // identity's resolution once.
       if (!self.acked_.insert(msg.identity.value())) return;
-      (msg.accepted ? self.accepted_ : self.rejected_) += 1;
+      (msg.accepted() ? self.accepted_ : self.rejected_) += 1;
     }
     void operator()(const FillNoticeMsg& msg) {
       self.fills_.push_back(msg);

@@ -68,8 +68,8 @@ Money EscrowService::refund_all(const IdentityRegistry& registry,
     release(slot, registry.owner(identity));
     if (refunded_counter_ != nullptr) refunded_counter_->add();
     refunded += amount;
-    audit.append(now, RoundId::invalid(), AuditKind::kDepositRefunded,
-                 audit_detail(identity, ' ', amount));
+    audit.append(now, RoundId::invalid(),
+                 AuditDetail::deposit_refunded(identity, amount));
   }
   return refunded;
 }

@@ -6,7 +6,8 @@
 // loss exercise the server's idempotency logic.
 #pragma once
 
-#include <string>
+#include <cstddef>
+#include <cstdint>
 #include <variant>
 
 #include "common/ids.h"
@@ -30,12 +31,35 @@ struct SubmitBidMsg {
   Money value;
 };
 
-/// Server -> client: bid accepted or rejected (with reason).
+/// Why the server refused a declaration (kNone: it did not).
+enum class RejectReason : std::uint8_t {
+  kNone,
+  kRoundNotOpen,
+  kIdentityAlreadyBid,
+  kInsufficientDeposit,
+  kValueOutsideDomain,
+};
+
+/// The reason as the audit trail spells it ("insufficient deposit").
+constexpr const char* to_string(RejectReason reason) {
+  switch (reason) {
+    case RejectReason::kNone: return "none";
+    case RejectReason::kRoundNotOpen: return "round not open";
+    case RejectReason::kIdentityAlreadyBid:
+      return "identity already bid this round";
+    case RejectReason::kInsufficientDeposit: return "insufficient deposit";
+    case RejectReason::kValueOutsideDomain: return "value outside domain";
+  }
+  return "?";
+}
+
+/// Server -> client: bid accepted, or rejected for `reason`.
 struct BidAckMsg {
   RoundId round;
   IdentityId identity;
-  bool accepted = false;
-  std::string reason;
+  RejectReason reason = RejectReason::kNone;
+
+  bool accepted() const { return reason == RejectReason::kNone; }
 };
 
 /// Server -> client: one unit filled for `identity` at `price`.

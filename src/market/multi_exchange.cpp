@@ -272,6 +272,35 @@ std::vector<AuditRecord> MultiServerExchange::merged_audit() const {
   return merged;
 }
 
+std::vector<AuditRecord> MultiServerExchange::merged_audit_tail(
+    std::size_t n) const {
+  // Backward k-way merge under merged_audit()'s order: the later record
+  // is the one with the larger timestamp, then the larger shard index
+  // (each shard log is chronological, so its own order breaks the rest).
+  std::vector<std::size_t> remaining;
+  remaining.reserve(shards_.size());
+  for (const Shard& shard : shards_) {
+    remaining.push_back(shard.audit.records().size());
+  }
+  std::vector<AuditRecord> tail;
+  while (tail.size() < n) {
+    std::size_t latest = shards_.size();
+    SimTime latest_at{};
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      if (remaining[s] == 0) continue;
+      const SimTime at = shards_[s].audit.records()[remaining[s] - 1].at;
+      if (latest == shards_.size() || at >= latest_at) {
+        latest = s;
+        latest_at = at;
+      }
+    }
+    if (latest == shards_.size()) break;
+    tail.push_back(shards_[latest].audit.records()[--remaining[latest]]);
+  }
+  std::reverse(tail.begin(), tail.end());
+  return tail;
+}
+
 std::size_t MultiServerExchange::audit_count(AuditKind kind) const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) total += shard.audit.count(kind);

@@ -161,6 +161,9 @@ class MultiServerExchange {
   LiveBookStats book_stats() const;
   /// All shards' audit records, stably merged by (timestamp, shard).
   std::vector<AuditRecord> merged_audit() const;
+  /// The last `n` records of merged_audit(), in the same order, read
+  /// backwards off the shard logs without materializing the merge.
+  std::vector<AuditRecord> merged_audit_tail(std::size_t n) const;
   std::size_t audit_count(AuditKind kind) const;
   Money cash_balance(AccountId account) const;
   Money cash_total() const;

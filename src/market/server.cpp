@@ -161,7 +161,7 @@ RoundId AuctionServer::open_round(SimTime open_for) {
   round_arena_.reset();
   open_round_.emplace(OpenRound{id, close_at, queue_.now(), rng_(), {}});
   open_round_->submitted.reset(round_arena_, last_round_bids_);
-  audit_.append(queue_.now(), id, AuditKind::kRoundOpened, "");
+  audit_.append(queue_.now(), id, AuditDetail::round_opened());
 
   announce_round(*open_round_);
   schedule_announcements(id);
@@ -213,19 +213,19 @@ void AuctionServer::on_batch(const Envelope* const* envelopes,
 }
 
 void AuctionServer::reject(const Envelope& envelope, const SubmitBidMsg& msg,
-                           const std::string& reason) {
-  audit_.append(queue_.now(), msg.round, AuditKind::kBidRejected,
-                audit_detail(msg.identity, ' ', to_string(msg.side), '@',
-                             msg.value, ": ", reason));
+                           RejectReason reason) {
+  audit_.append(queue_.now(), msg.round,
+                AuditDetail::bid_rejected(msg.identity, msg.side, msg.value,
+                                          reason));
   bus_.send(address_id_, envelope.from,
-            BidAckMsg{msg.round, msg.identity, false, reason});
+            BidAckMsg{msg.round, msg.identity, reason});
 }
 
 void AuctionServer::handle_submit(const Envelope& envelope,
                                   const SubmitBidMsg& msg,
                                   EscrowCache& cache) {
   if (!open_round_.has_value() || open_round_->id != msg.round) {
-    reject(envelope, msg, "round not open");
+    reject(envelope, msg, RejectReason::kRoundNotOpen);
     return;
   }
   OpenRound& round = *open_round_;
@@ -233,9 +233,9 @@ void AuctionServer::handle_submit(const Envelope& envelope,
     if (existing->side == msg.side && existing->value == msg.value) {
       // Identical retransmission (at-least-once client): ack idempotently.
       bus_.send(address_id_, envelope.from,
-                BidAckMsg{msg.round, msg.identity, true, ""});
+                BidAckMsg{msg.round, msg.identity});
     } else {
-      reject(envelope, msg, "identity already bid this round");
+      reject(envelope, msg, RejectReason::kIdentityAlreadyBid);
     }
     return;
   }
@@ -244,22 +244,21 @@ void AuctionServer::handle_submit(const Envelope& envelope,
     cache.held = escrow_.held(msg.identity);
   }
   if (cache.held < config_.min_deposit) {
-    reject(envelope, msg, "insufficient deposit");
+    reject(envelope, msg, RejectReason::kInsufficientDeposit);
     return;
   }
   if (msg.value < config_.domain.lowest || msg.value > config_.domain.highest) {
-    reject(envelope, msg, "value outside domain");
+    reject(envelope, msg, RejectReason::kValueOutsideDomain);
     return;
   }
 
   live_book_.add(msg.side, msg.identity, msg.value);
   round.submitted.insert(msg.identity,
                          SubmittedBid{envelope.from, msg.side, msg.value});
-  audit_.append(queue_.now(), msg.round, AuditKind::kBidAccepted,
-                audit_detail(msg.identity, ' ', to_string(msg.side), '@',
-                             msg.value));
+  audit_.append(queue_.now(), msg.round,
+                AuditDetail::bid_accepted(msg.identity, msg.side, msg.value));
   bus_.send(address_id_, envelope.from,
-            BidAckMsg{msg.round, msg.identity, true, ""});
+            BidAckMsg{msg.round, msg.identity});
 }
 
 void AuctionServer::clear_round() {
@@ -282,9 +281,9 @@ void AuctionServer::clear_round() {
   expect_valid_outcome(ranked, outcome, validation_scratch_);
   last_round_bids_ = round.submitted.size();
 
-  audit_.append(queue_.now(), round.id, AuditKind::kRoundCleared,
-                audit_detail(outcome.trade_count(), " trades, revenue ",
-                             outcome.auctioneer_revenue()));
+  audit_.append(queue_.now(), round.id,
+                AuditDetail::round_cleared(outcome.trade_count(),
+                                           outcome.auctioneer_revenue()));
 
   for (const Fill& fill : outcome.fills()) {
     const SubmittedBid* submitted = round.submitted.find(fill.identity);
@@ -301,15 +300,16 @@ void AuctionServer::clear_round() {
   SettlementReport report = settlement_.settle(round.id, outcome);
   for (const Delivery& delivery : report.deliveries) {
     if (delivery.delivered) {
-      audit_.append(queue_.now(), round.id, AuditKind::kDelivery,
-                    audit_detail(delivery.seller, " -> ", delivery.buyer));
+      audit_.append(queue_.now(), round.id,
+                    AuditDetail::delivery(delivery.seller, delivery.buyer));
       continue;
     }
-    audit_.append(queue_.now(), round.id, AuditKind::kDeliveryFailed,
-                  audit_detail(delivery.seller));
+    audit_.append(queue_.now(), round.id,
+                  AuditDetail::delivery_failed(delivery.seller));
     if (delivery.confiscated > Money{}) {
-      audit_.append(queue_.now(), round.id, AuditKind::kDepositConfiscated,
-                    audit_detail(delivery.seller, ' ', delivery.confiscated));
+      audit_.append(queue_.now(), round.id,
+                    AuditDetail::deposit_confiscated(delivery.seller,
+                                                     delivery.confiscated));
     }
     const SubmittedBid* seller = round.submitted.find(delivery.seller);
     if (seller != nullptr) {

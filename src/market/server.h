@@ -224,7 +224,7 @@ class AuctionServer : public Endpoint {
   void schedule_announcements(RoundId id);
   void clear_round();
   void reject(const Envelope& envelope, const SubmitBidMsg& msg,
-              const std::string& reason);
+              RejectReason reason);
 
   std::string address_;
   AddressId address_id_;

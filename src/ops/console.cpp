@@ -264,18 +264,17 @@ Reply ConsoleSession::cmd_escrow_show(const Invocation&) {
 
 Reply ConsoleSession::cmd_audit_tail(const Invocation& invocation) {
   const std::int64_t count = invocation.get_int("count");
-  const std::vector<AuditRecord> merged = exchange_->merged_audit();
-  const std::size_t take =
-      std::min(static_cast<std::size_t>(count), merged.size());
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < exchange_->shard_count(); ++s) {
+    total += exchange_->audit(s).records().size();
+  }
   ReplyBuilder builder;
-  builder.field("total", static_cast<std::uint64_t>(merged.size()));
-  for (std::size_t i = merged.size() - take; i < merged.size(); ++i) {
-    const AuditRecord& record = merged[i];
-    std::ostringstream row;
-    row << "  t=" << record.at.micros << ' ' << record.round << ' '
-        << to_string(record.kind);
-    if (!record.detail.empty()) row << ' ' << record.detail;
-    builder.row(row.str());
+  builder.field("total", total);
+  for (const AuditRecord& record :
+       exchange_->merged_audit_tail(static_cast<std::size_t>(count))) {
+    std::string row = "  ";
+    append_line(record, row);
+    builder.row(std::move(row));
   }
   return builder.build();
 }

@@ -201,9 +201,9 @@ std::string audit_to_json(const AuditLog& log) {
     w.key("round");
     w.value(record.round.value());
     w.key("kind");
-    w.value(to_string(record.kind));
+    w.value(to_string(record.kind()));
     w.key("detail");
-    w.value(record.detail);
+    w.value(record.detail.str());
     w.end_object();
   }
   w.end_array();

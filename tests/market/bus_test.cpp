@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 namespace fnda {
@@ -134,6 +135,11 @@ TEST(MessageBusTest, StochasticLossRateRoughlyMatches) {
   EXPECT_EQ(bus.stats().delivered + bus.stats().dropped,
             static_cast<std::size_t>(kMessages));
 }
+
+// Every payload is plain data (the reject reason is an enum, not text), so
+// bus slab slots and cross-shard envelopes copy without touching the heap.
+static_assert(std::is_trivially_copyable_v<Message>);
+static_assert(sizeof(Envelope) <= 80);
 
 TEST(MessageKindTest, CoversEveryVariant) {
   EXPECT_STREQ(message_kind(RoundOpenMsg{}), "round-open");

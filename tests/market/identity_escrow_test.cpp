@@ -243,10 +243,10 @@ TEST_F(StridedEscrowTest, RefundAllPaysOwnersInAscendingIdentityOrder) {
   EXPECT_EQ(escrow_.refund_all(registry_, audit, SimTime{7}), money(35));
   std::vector<std::string> details;
   for (const AuditRecord& record : audit.records()) {
-    EXPECT_EQ(record.kind, AuditKind::kDepositRefunded);
+    EXPECT_EQ(record.kind(), AuditKind::kDepositRefunded);
     EXPECT_EQ(record.at, SimTime{7});
     EXPECT_FALSE(record.round.is_valid());
-    details.push_back(record.detail);
+    details.push_back(record.detail.str());
   }
   // ids 2, 10, 14 on the shard-2-of-4 lattice; detail is "<id> <amount>".
   EXPECT_EQ(details,

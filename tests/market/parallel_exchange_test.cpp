@@ -206,9 +206,10 @@ SessionDigest run_lossy_session(std::size_t threads) {
     }
   }
   for (const AuditRecord& record : exchange.merged_audit()) {
-    digest.audit_dump.push_back(std::to_string(record.at.micros) + "|" +
-                                std::to_string(record.round.value()) + "|" +
-                                to_string(record.kind) + "|" + record.detail);
+    digest.audit_dump.push_back(
+        std::to_string(record.at.micros) + "|" +
+        std::to_string(record.round.value()) + "|" +
+        to_string(record.kind()) + "|" + record.detail.str());
   }
   for (const BusStats& stats : exchange.shard_bus_stats()) {
     digest.shard_delivered.push_back(stats.delivered);
@@ -386,9 +387,10 @@ TEST(ParallelExchangeTest, CloseMarketRefundsInAscendingIdentityOrderPerShard) {
   for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
     std::vector<std::uint64_t> refunded_ids;
     for (const AuditRecord& record : exchange.audit(s).records()) {
-      if (record.kind != AuditKind::kDepositRefunded) continue;
-      ASSERT_EQ(record.detail.rfind("id-", 0), 0u) << record.detail;
-      refunded_ids.push_back(std::stoull(record.detail.substr(3)));
+      if (record.kind() != AuditKind::kDepositRefunded) continue;
+      const std::string detail = record.detail.str();
+      ASSERT_EQ(detail.rfind("id-", 0), 0u) << detail;
+      refunded_ids.push_back(std::stoull(detail.substr(3)));
     }
     EXPECT_EQ(refunded_ids.size(), holders[s]) << "shard " << s;
     EXPECT_GT(refunded_ids.size(), 0u) << "shard " << s;
@@ -472,6 +474,42 @@ PairDigest run_ping_pong(std::size_t threads, std::size_t mailbox_capacity,
   digest.stats_a = bus_a.stats();
   digest.stats_b = bus_b.stats();
   return digest;
+}
+
+// The console's `audit tail N` reads merged_audit_tail; it must equal the
+// last N of the full merge, including its (time, shard, in-shard order)
+// tie rule.  Jitter 0 makes every shard log records at the same instants.
+TEST(ParallelExchangeTest, MergedAuditTailMatchesMergedAuditSuffix) {
+  const TpdProtocol tpd(money(50));
+  MultiServerExchange exchange = make_golden_exchange(tpd, 2);
+  exchange.run_round();
+  exchange.run_round();
+  exchange.close_market();
+
+  // Instants at which more than one shard logged: the tie rule matters.
+  std::vector<std::pair<SimTime, std::size_t>> stamps;
+  for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+    for (const AuditRecord& record : exchange.audit(s).records()) {
+      stamps.emplace_back(record.at, s);
+    }
+  }
+  std::sort(stamps.begin(), stamps.end());
+  stamps.erase(std::unique(stamps.begin(), stamps.end()), stamps.end());
+  std::size_t shared_instants = 0;
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    if (stamps[i].first == stamps[i - 1].first) ++shared_instants;
+  }
+  ASSERT_GT(shared_instants, 10u);
+
+  const std::vector<AuditRecord> merged = exchange.merged_audit();
+
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{5}, merged.size(),
+        merged.size() + 3}) {
+    const std::size_t take = std::min(n, merged.size());
+    const std::vector<AuditRecord> expected(merged.end() - take, merged.end());
+    EXPECT_EQ(exchange.merged_audit_tail(n), expected) << "n = " << n;
+  }
 }
 
 TEST(ParallelExchangeTest, CrossShardPingPongDeterministicAcrossThreads) {

@@ -117,9 +117,19 @@ TEST_F(ServerFixture, RejectsWithoutDeposit) {
   const auto records = audit_.for_round(round);
   bool found = false;
   for (const auto& r : records) {
-    found |= r.detail.find("insufficient deposit") != std::string::npos;
+    found |= r.detail.str().find("insufficient deposit") != std::string::npos;
   }
   EXPECT_TRUE(found);
+  // The reason travels on the wire too.
+  bool acked = false;
+  for (const Envelope& e : probe_.received) {
+    if (const auto* ack = std::get_if<BidAckMsg>(&e.payload)) {
+      EXPECT_FALSE(ack->accepted());
+      EXPECT_EQ(ack->reason, RejectReason::kInsufficientDeposit);
+      acked = true;
+    }
+  }
+  EXPECT_TRUE(acked);
 }
 
 TEST_F(ServerFixture, RejectsLateBid) {

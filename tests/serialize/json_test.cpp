@@ -85,7 +85,8 @@ TEST(OutcomeJsonTest, SerializesFills) {
 
 TEST(AuditJsonTest, SerializesRecords) {
   AuditLog log;
-  log.append(SimTime{12}, RoundId{0}, AuditKind::kBidAccepted, "id-1 buyer@9");
+  log.append(SimTime{12}, RoundId{0},
+             AuditDetail::bid_accepted(IdentityId{1}, Side::kBuyer, money(9)));
   const std::string json = audit_to_json(log);
   EXPECT_EQ(json,
             R"([{"t_micros":12,"round":0,"kind":"bid-accepted",)"
