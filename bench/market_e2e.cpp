@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "common/statistics.h"
-#include "market/exchange.h"
+#include "market/multi_exchange.h"
 #include "protocols/pmd.h"
 #include "protocols/tpd.h"
 #include "sim/table.h"
@@ -29,9 +29,10 @@ struct RoundStats {
 /// price (the Example 1 pattern); otherwise it plays truthfully.
 RoundStats run_round(const DoubleAuctionProtocol& protocol, bool attack,
                      std::uint64_t seed) {
-  ExchangeConfig config;
+  MultiExchangeConfig config;
+  config.shards = 1;
   config.seed = seed;
-  ExchangeSimulation exchange(protocol, config);
+  MultiServerExchange exchange(protocol, config);
   Rng rng(seed * 977 + 1);
 
   constexpr std::size_t kSize = 20;
@@ -59,10 +60,10 @@ RoundStats run_round(const DoubleAuctionProtocol& protocol, bool attack,
     stats.honest_surplus += exchange.settled_utility(*trader);
   }
   const RoundId round{0};
-  if (const auto* settlement = exchange.server().settlement_of(round)) {
+  if (const auto* settlement = exchange.server(0).settlement_of(round)) {
     stats.confiscated = settlement->confiscated_total.to_double();
   }
-  if (const auto* outcome = exchange.server().outcome_of(round)) {
+  if (const auto* outcome = exchange.server(0).outcome_of(round)) {
     stats.trades = static_cast<double>(outcome->trade_count());
   }
   return stats;

@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "core/surplus.h"
-#include "market/exchange.h"
+#include "market/multi_exchange.h"
 #include "protocols/tpd.h"
 #include "sim/adaptive_threshold.h"
 #include "sim/table.h"
@@ -28,9 +28,10 @@ int main() {
 
   for (int session = 0; session < 10; ++session) {
     const TpdProtocol protocol(policy.current());
-    ExchangeConfig config;
+    MultiExchangeConfig config;
+    config.shards = 1;
     config.seed = 1000 + static_cast<std::uint64_t>(session);
-    ExchangeSimulation exchange(protocol, config);
+    MultiServerExchange exchange(protocol, config);
     for (int i = 0; i < 25; ++i) {
       exchange.add_trader(Side::kBuyer,
                           population.uniform_money(money(30), money(110)));
@@ -38,8 +39,8 @@ int main() {
                           population.uniform_money(money(30), money(110)));
     }
 
-    const RoundId round = exchange.run_round(SimTime::millis(50));
-    const Outcome* outcome = exchange.server().outcome_of(round);
+    const RoundId round = exchange.run_round(SimTime::millis(50))[0];
+    const Outcome* outcome = exchange.server(0).outcome_of(round);
 
     // Score the session against its Pareto bound.
     double realized = 0.0;

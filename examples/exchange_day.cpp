@@ -6,18 +6,19 @@
 #include <iostream>
 #include <string>
 
-#include "market/exchange.h"
+#include "market/multi_exchange.h"
 #include "protocols/tpd.h"
 
 int main() {
   using namespace fnda;
 
   const TpdProtocol tpd(money(50));
-  ExchangeConfig config;
+  MultiExchangeConfig config;
+  config.shards = 1;
   config.seed = 20010416;
   config.bus.base_latency = SimTime::millis(2);
   config.bus.jitter = SimTime::millis(1);
-  ExchangeSimulation exchange(tpd, config);
+  MultiServerExchange exchange(tpd, config);
 
   // Honest traders: five buyers, five sellers.
   for (double value : {92.0, 81.0, 66.0, 54.0, 35.0}) {
@@ -37,10 +38,10 @@ int main() {
   attacker.set_strategy(attack);
 
   for (int day_round = 0; day_round < 3; ++day_round) {
-    const RoundId round = exchange.run_round(SimTime::millis(50));
-    const Outcome* outcome = exchange.server().outcome_of(round);
+    const RoundId round = exchange.run_round(SimTime::millis(50))[0];
+    const Outcome* outcome = exchange.server(0).outcome_of(round);
     const SettlementReport* settlement =
-        exchange.server().settlement_of(round);
+        exchange.server(0).settlement_of(round);
     std::cout << "round " << day_round << ": " << outcome->trade_count()
               << " trades, auctioneer revenue "
               << outcome->auctioneer_revenue() << ", failed deliveries "
@@ -50,18 +51,18 @@ int main() {
 
   std::cout << "\nattacker settled utility across the day: "
             << exchange.settled_utility(attacker) << " ("
-            << exchange.audit().count(AuditKind::kDepositConfiscated)
+            << exchange.audit(0).count(AuditKind::kDepositConfiscated)
             << " deposits confiscated in total, incl. honest sellers "
                "re-bidding after their unit sold)\n";
 
   std::cout << "\n--- audit trail (first round) ---\n";
-  for (const AuditRecord& record : exchange.audit().for_round(RoundId{0})) {
+  for (const AuditRecord& record : exchange.audit(0).for_round(RoundId{0})) {
     std::string line;
     append_line(record, line);
     std::cout << line << '\n';
   }
 
-  std::cout << "\nbus stats: sent=" << exchange.bus().stats().sent
-            << " delivered=" << exchange.bus().stats().delivered << '\n';
+  std::cout << "\nbus stats: sent=" << exchange.bus_stats().sent
+            << " delivered=" << exchange.bus_stats().delivered << '\n';
   return 0;
 }

@@ -75,20 +75,13 @@ inline PriceBracket k_double_auction_bracket(const SortedBook& ranked,
 
 /// Abstract discrete-time (call-market) double-auction protocol.
 ///
-/// There are two entry points.  `clear` takes a raw book and is what the
-/// market server and one-off callers use; `clear_sorted` consumes a book
-/// that has ALREADY been rank-ordered (tie-breaking included) and is the
-/// hot path for the Monte-Carlo experiment runners, which build one
-/// SortedBook per instance and share it across every registered protocol
-/// instead of re-sorting P times.
-///
-/// Each default delegates to the other — `clear` ranks the book and
-/// forwards, `clear_sorted` falls back through the raw-book path — so a
-/// subclass must override AT LEAST ONE of them (overriding neither would
-/// recurse).  Protocols whose rule is a pure function of the ranking
-/// should override `clear_sorted`; the inherited `clear` then stays a
-/// thin sort-and-forward wrapper, and both entry points yield identical
-/// outcomes for identical rng streams.
+/// Every protocol implements one clearing rule, `clear_sorted`, over a
+/// book that has ALREADY been rank-ordered (tie-breaking included).  The
+/// Monte-Carlo experiment runners build one SortedBook per instance and
+/// share it across every registered protocol instead of re-sorting P
+/// times.  `clear` is the raw-book convenience the market server and
+/// one-off callers use: it ranks the book and forwards, so both entry
+/// points yield identical outcomes for identical rng streams.
 class DoubleAuctionProtocol {
  public:
   virtual ~DoubleAuctionProtocol() = default;
@@ -96,7 +89,7 @@ class DoubleAuctionProtocol {
   /// Clears one round.  `rng` supplies tie-breaking (and, for randomized
   /// protocols, allocation randomness); passing the same book and rng
   /// state reproduces the same outcome exactly.
-  virtual Outcome clear(const OrderBook& book, Rng& rng) const {
+  Outcome clear(const OrderBook& book, Rng& rng) const {
     const SortedBook sorted(book, rng);
     return clear_sorted(sorted, rng);
   }
@@ -105,48 +98,7 @@ class DoubleAuctionProtocol {
   /// `book`'s ranking; `rng` only supplies protocol-internal randomness
   /// (e.g. the randomized-threshold lottery) and is untouched by the
   /// deterministic protocols.
-  virtual Outcome clear_sorted(const SortedBook& book, Rng& rng) const {
-    // Fallback for subclasses that only implement the raw-book path:
-    // reconstitute an equivalent OrderBook (same entries, rank order),
-    // run it through `clear`, and translate the fills back to the
-    // original bid IDs (OrderBook::add assigns fresh ones).
-    OrderBook raw(book.domain());
-    for (const BidEntry& entry : book.buyers()) {
-      raw.add_buyer(entry.identity, entry.value);
-    }
-    for (const BidEntry& entry : book.sellers()) {
-      raw.add_seller(entry.identity, entry.value);
-    }
-    const Outcome cleared = clear(raw, rng);
-
-    const std::size_t buyer_count = book.buyer_count();
-    Outcome remapped;
-    for (const Fill& fill : cleared.fills()) {
-      // Raw IDs are sequential in insertion order: buyers first.
-      const std::size_t index = fill.bid.value();
-      const BidEntry& original = fill.side == Side::kBuyer
-                                     ? book.buyers()[index]
-                                     : book.sellers()[index - buyer_count];
-      if (fill.side == Side::kBuyer) {
-        remapped.add_buy(original.id, original.identity, fill.price);
-      } else {
-        remapped.add_sell(original.id, original.identity, fill.price);
-      }
-    }
-    for (const BidEntry& entry : book.buyers()) {
-      const Money rebate = cleared.rebate_of(entry.identity);
-      if (rebate > Money{} && remapped.rebate_of(entry.identity) == Money{}) {
-        remapped.add_rebate(entry.identity, rebate);
-      }
-    }
-    for (const BidEntry& entry : book.sellers()) {
-      const Money rebate = cleared.rebate_of(entry.identity);
-      if (rebate > Money{} && remapped.rebate_of(entry.identity) == Money{}) {
-        remapped.add_rebate(entry.identity, rebate);
-      }
-    }
-    return remapped;
-  }
+  virtual Outcome clear_sorted(const SortedBook& book, Rng& rng) const = 0;
 
   /// Sound price bounds over every book reachable from `ranked` by
   /// inserting at most `extra_declarations` additional declarations (on

@@ -100,7 +100,7 @@ void EpochDriver::inject_phase() noexcept {
     try {
       std::vector<RemoteEnvelope>& inbox = lane.inbox;
       inbox.clear();
-      fabric_.mailbox(s).drain(inbox);
+      fabric_.drain(s, inbox);
       if (!inbox.empty()) {
         // Ring order depends on producer interleaving; (deliver_at,
         // source_shard, sequence) is a total order over one epoch's

@@ -129,7 +129,10 @@ std::size_t ShardMailbox::drain(std::vector<RemoteEnvelope>& out) {
   return drained;
 }
 
-Fabric::Fabric(std::size_t shards, std::size_t mailbox_capacity) {
+Fabric::Fabric(std::size_t shards, ShardTopology topology,
+               std::size_t mailbox_capacity)
+    : topology_(topology) {
+  if (topology_ == ShardTopology::kIsolated) return;
   mailboxes_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     mailboxes_.push_back(std::make_unique<ShardMailbox>(mailbox_capacity));

@@ -9,13 +9,13 @@
 //     the owning shard of every attached address.  Interning and claiming
 //     are mutex-guarded (setup-time operations); the owner lookup on the
 //     send hot path is a lock-free chunked-atomic read.
-//   * ShardMailbox — one fixed-capacity MPSC ring per shard carrying
-//     cross-shard messages (client -> server routing by account hash,
-//     server -> client replies).  Senders push during an epoch; the
-//     destination drains at the epoch barrier, sorts by
+//   * ShardMailbox — on a kAllToAll fabric, one fixed-capacity MPSC ring
+//     per shard carrying cross-shard messages.  Senders push during an
+//     epoch; the destination drains at the epoch barrier, sorts by
 //     (deliver_at, source_shard, sequence), and injects — so the merge
 //     order is bit-identical for every thread count and every ring
-//     interleaving.
+//     interleaving.  A kIsolated fabric (the exchange's declaration)
+//     carries no cross-shard traffic and allocates no rings.
 //
 // Backpressure: a full mailbox rejects the push.  The sending bus accounts
 // the message as dropped (plus a mailbox_overflow counter), which is
@@ -145,43 +145,47 @@ class ShardMailbox {
 };
 
 /// Declared communication structure between shards.  The epoch driver
-/// derives its causal window bound from this: kAllToAll is the
-/// conservative default (any shard may message any other, so the window
-/// is bounded by the cross-shard latency floor); kIsolated declares that
-/// no cross-shard traffic exists — the identity-partitioned deployment,
-/// where every client trades on its account's home shard — letting the
-/// driver run shards to quiescence independently between barriers.  The
-/// declaration is enforced, not trusted: under kIsolated a cross-shard
-/// send throws at the sender, deterministically, instead of silently
-/// breaking the window math.
+/// derives its causal window bound from this: kAllToAll lets any shard
+/// message any other, so the window is bounded by the cross-shard latency
+/// floor; kIsolated declares that no cross-shard traffic exists — the
+/// identity-partitioned deployment, where every client trades on its
+/// account's home shard — letting the driver run shards to quiescence
+/// independently between barriers.  The declaration is enforced, not
+/// trusted: under kIsolated a cross-shard send throws at the sender,
+/// deterministically, instead of silently breaking the window math.
 enum class ShardTopology : std::uint8_t { kAllToAll, kIsolated };
 
-/// The shared substrate of a sharded exchange: one address space and one
-/// inbound mailbox per shard.
+/// The shared substrate of a sharded exchange: one address space and, for
+/// a kAllToAll fabric, one inbound mailbox per shard.
 class Fabric {
  public:
-  Fabric(std::size_t shards, std::size_t mailbox_capacity);
+  /// Only kAllToAll can carry cross-shard traffic, so only it allocates
+  /// the inbound rings (`mailbox_capacity` slots each).  The declaration
+  /// is fixed for the fabric's lifetime: workers read it unsynchronized.
+  Fabric(std::size_t shards, ShardTopology topology,
+         std::size_t mailbox_capacity = 0);
 
   AddressSpace& addresses() { return addresses_; }
   const AddressSpace& addresses() const { return addresses_; }
 
   /// Stages `envelope` for `dest_shard`; false if its mailbox is full.
+  /// kAllToAll only: an isolated fabric's buses throw before forwarding.
   bool forward(std::uint32_t dest_shard, RemoteEnvelope&& envelope) {
     return mailboxes_[dest_shard]->push(std::move(envelope));
   }
 
-  ShardMailbox& mailbox(std::size_t shard) { return *mailboxes_[shard]; }
-  std::size_t shard_count() const { return mailboxes_.size(); }
+  /// Appends `shard`'s staged inbound traffic to `out`; returns the count
+  /// (always 0 when isolated).
+  std::size_t drain(std::size_t shard, std::vector<RemoteEnvelope>& out) {
+    return mailboxes_.empty() ? 0 : mailboxes_[shard]->drain(out);
+  }
 
-  /// Wiring-time declaration (set before workers spawn; read-only during
-  /// epochs, so a plain field is safe).
-  void set_topology(ShardTopology topology) { topology_ = topology; }
   ShardTopology topology() const { return topology_; }
 
  private:
   AddressSpace addresses_;
   std::vector<std::unique_ptr<ShardMailbox>> mailboxes_;
-  ShardTopology topology_ = ShardTopology::kAllToAll;
+  ShardTopology topology_;
 };
 
 }  // namespace fnda

@@ -4,19 +4,13 @@
 #include <chrono>
 #include <unordered_map>
 
+#include "common/fnv.h"
 #include "market/attack_scheduler.h"
 #include "market/multi_exchange.h"
 #include "obs/metrics.h"
 
 namespace fnda {
 namespace {
-
-void fold(std::uint64_t& hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (byte * 8)) & 0xffu;
-    hash *= 1099511628211ull;
-  }
-}
 
 std::uint64_t wall_ns_since(
     const std::chrono::steady_clock::time_point& start) {
@@ -59,13 +53,9 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   // scheduler snapshots it at the barrier, but the co-sim tests also
   // replay it), so retain at least two.
   mx.server.retained_rounds = std::max<std::size_t>(config.retained_rounds, 2);
-  // Deposits: one identity per declaration per round; attackers mint up
-  // to max_declarations of them.  Endow enough cash that escrow never
-  // drives balances negative.
-  mx.initial_cash = Money::from_units(
-      static_cast<std::int64_t>(config.rounds + 1) * 10 *
-          static_cast<std::int64_t>(config.max_declarations + 1) +
-      1'000);
+  // Attackers mint up to max_declarations identities per round.
+  mx.initial_cash = MultiServerExchange::zi_endowment(
+      config.rounds, config.max_declarations + 1);
   mx.seed = config.seed;
   mx.adaptive_epochs = config.adaptive;
   mx.telemetry = config.telemetry;
@@ -75,16 +65,8 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   // Honest ZI population first, attackers after: account ids — and with
   // them shard placement and every downstream id stream — do not depend
   // on the attack configuration knobs.
-  Rng values(Rng(config.seed ^ 0x5eedu).split());
-  for (std::size_t i = 0; i < config.honest; ++i) {
-    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
-    const Money value = Money::from_units(
-        values.uniform_int(config.value_low, config.value_high));
-    TradingClient& trader = exchange.add_trader(role, value);
-    if (role == Side::kSeller && config.rounds > 1) {
-      exchange.grant_goods(trader.account(), config.rounds - 1);
-    }
-  }
+  exchange.add_zi_traders(config.honest, config.value_low, config.value_high,
+                          config.rounds);
 
   AttackSchedulerConfig sched;
   sched.search.max_declarations = config.max_declarations;
@@ -156,7 +138,7 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   result.threads = exchange.thread_count();
   result.search_threads = std::max<std::size_t>(config.search_threads, 1);
 
-  std::uint64_t digest = 1469598103934665603ull;
+  std::uint64_t digest = kFnvOffsetBasis;
   std::int64_t realized_micros = 0;
   const SimTime margin{config.open_for.micros / 2};
 
@@ -182,18 +164,12 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
     scheduler.apply_and_submit();
     exchange.drive_to_quiescence();
 
+    result.trades += exchange.fold_rounds(digest, rounds);
     for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
       const Outcome* outcome = exchange.server(s).outcome_of(rounds[s]);
       if (outcome == nullptr) continue;
-      result.trades += outcome->trade_count();
-      fold(digest, s);
-      fold(digest, rounds[s].value());
-      fold(digest, outcome->trade_count());
       const IdentityRegistry& registry = exchange.registry(s);
       for (const Fill& fill : outcome->fills()) {
-        fold(digest, fill.side == Side::kBuyer ? 1 : 2);
-        fold(digest, fill.identity.value());
-        fold(digest, static_cast<std::uint64_t>(fill.price.micros()));
         const AccountId owner = registry.owner(fill.identity);
         const auto it = value_of_account.find(owner.value());
         if (it == value_of_account.end()) continue;
@@ -215,15 +191,12 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   for (const auto& trader : exchange.traders()) {
     result.bids_accepted += trader->bids_accepted();
     const AccountPosition& position = trader->position();
-    fold(digest, position.bought);
-    fold(digest, position.sold);
-    fold(digest, static_cast<std::uint64_t>(position.paid.micros()));
-    fold(digest, static_cast<std::uint64_t>(position.received.micros()));
+    fnv1a_fold(digest, position.bought);
+    fnv1a_fold(digest, position.sold);
+    fnv1a_fold(digest, static_cast<std::uint64_t>(position.paid.micros()));
+    fnv1a_fold(digest, static_cast<std::uint64_t>(position.received.micros()));
   }
-  fold(digest, static_cast<std::uint64_t>(exchange.cash_total().micros()));
-  fold(digest, exchange.goods_total());
-  fold(digest,
-       static_cast<std::uint64_t>(exchange.escrow_total_held().micros()));
+  exchange.fold_ledger_totals(digest);
 
   result.sim_time = exchange.now();
   result.bus = exchange.bus_stats();

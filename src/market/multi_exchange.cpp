@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/fnv.h"
 #include "common/sweep_kernel.h"
 
 namespace fnda {
@@ -24,16 +25,15 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   }
   threads_ = std::min(threads_, config_.shards);
 
-  fabric_ = std::make_unique<Fabric>(config_.shards, config_.mailbox_capacity);
-  fabric_->set_topology(config_.topology);
+  fabric_ = std::make_unique<Fabric>(config_.shards, ShardTopology::kIsolated);
 
   // RNG derivation order is part of the replay contract.  The seed root
   // hands out one stream for the bus layer, then one server stream per
   // shard in shard order — exactly the draws the shared-queue engine
   // made, so equal seeds reproduce the pre-sharding clearing seeds.  The
-  // bus layer stream is the single bus's RNG when shards == 1 (making
-  // that case bit-identical to ExchangeSimulation) and the parent of one
-  // sub-stream per shard bus otherwise.
+  // bus layer stream is the single bus's RNG when shards == 1 (the
+  // single-server draw order the recorded single-shard digest pins) and
+  // the parent of one sub-stream per shard bus otherwise.
   Rng root(config_.seed);
   Rng bus_master = root.split();
   for (std::size_t s = 0; s < config_.shards; ++s) {
@@ -224,6 +224,76 @@ Money MultiServerExchange::close_market() {
                                          shard.queue.now());
   }
   return refunded;
+}
+
+double MultiServerExchange::settled_utility(
+    const TradingClient& client) const {
+  const AccountId account = client.account();
+  const Shard& home = shards_[shard_of(account)];
+  // Wealth = spendable cash + deposits still in escrow (they remain the
+  // account's money unless confiscated) + the valued unit, if held.
+  Money escrowed;
+  for (IdentityId identity : client.identities()) {
+    escrowed += home.escrow->held(identity);
+  }
+  const double cash_now = (home.cash.balance(account) + escrowed).to_double();
+  const double cash_initial = config_.initial_cash.to_double();
+
+  const std::size_t units = home.goods.units(account);
+  const double value = client.true_value().to_double();
+  const double goods_now = units > 0 ? value : 0.0;  // one unit is valued
+  const double goods_initial = client.role() == Side::kSeller ? value : 0.0;
+
+  return (cash_now - cash_initial) + (goods_now - goods_initial);
+}
+
+Money MultiServerExchange::zi_endowment(std::size_t rounds,
+                                        std::size_t identities_per_round) {
+  return Money::from_units(static_cast<std::int64_t>(rounds + 1) * 10 *
+                               static_cast<std::int64_t>(identities_per_round) +
+                           1'000);
+}
+
+void MultiServerExchange::add_zi_traders(std::size_t count,
+                                         std::int64_t value_low,
+                                         std::int64_t value_high,
+                                         std::size_t rounds) {
+  Rng values(Rng(config_.seed ^ 0x5eedu).split());
+  for (std::size_t i = 0; i < count; ++i) {
+    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
+    const Money value =
+        Money::from_units(values.uniform_int(value_low, value_high));
+    TradingClient& trader = add_trader(role, value);
+    if (role == Side::kSeller && rounds > 1) {
+      grant_goods(trader.account(), rounds - 1);
+    }
+  }
+}
+
+std::size_t MultiServerExchange::fold_rounds(
+    std::uint64_t& digest, const std::vector<RoundId>& rounds) const {
+  std::size_t trades = 0;
+  for (std::size_t s = 0; s < rounds.size(); ++s) {
+    if (rounds[s] == RoundId::invalid()) continue;  // paused shard
+    const Outcome* outcome = shards_[s].server->outcome_of(rounds[s]);
+    if (outcome == nullptr) continue;
+    trades += outcome->trade_count();
+    fnv1a_fold(digest, s);
+    fnv1a_fold(digest, rounds[s].value());
+    fnv1a_fold(digest, outcome->trade_count());
+    for (const Fill& fill : outcome->fills()) {
+      fnv1a_fold(digest, fill.side == Side::kBuyer ? 1 : 2);
+      fnv1a_fold(digest, fill.identity.value());
+      fnv1a_fold(digest, static_cast<std::uint64_t>(fill.price.micros()));
+    }
+  }
+  return trades;
+}
+
+void MultiServerExchange::fold_ledger_totals(std::uint64_t& digest) const {
+  fnv1a_fold(digest, static_cast<std::uint64_t>(cash_total().micros()));
+  fnv1a_fold(digest, goods_total());
+  fnv1a_fold(digest, static_cast<std::uint64_t>(escrow_total_held().micros()));
 }
 
 SimTime MultiServerExchange::now() const {

@@ -8,16 +8,21 @@
 // unlike the PR 2 logical partition, gives each shard a *complete*
 // private world: its own EventQueue, MessageBus (envelope slab included),
 // identity registry, ledgers, escrow, settlement engine, and audit log.
-// Nothing mutable is shared on the hot path; shards are stitched together
-// by a Fabric (shared address space + per-shard MPSC mailboxes) and
-// driven to quiescence by an EpochDriver on `threads` workers.
+// Nothing mutable is shared on the hot path; shards share one Fabric (the
+// global address space) and are driven to quiescence by an EpochDriver on
+// `threads` workers.
 //
 // Determinism: results are bit-identical for every `threads` value —
-// per-shard RNG streams, strided id namespaces (messages and identities),
-// and the epoch barrier's canonical mailbox merge remove every source of
-// cross-thread nondeterminism.  With shards == 1 the exchange reproduces
-// the single-server ExchangeSimulation's output exactly, RNG draw for
-// RNG draw.
+// per-shard RNG streams and strided id namespaces (messages and
+// identities) remove every source of cross-thread nondeterminism.  With
+// shards == 1 this is the single-server call market; its output is pinned
+// RNG draw for RNG draw by a recorded digest
+// (ParallelExchangeTest.SingleShardMatchesRecordedDigest).
+//
+// Every client is wired to its account's home-shard server, so no message
+// crosses shards: the fabric is declared ShardTopology::kIsolated (shards
+// run to quiescence independently between barriers; no cross-shard
+// mailbox is reserved), and a cross-shard send throws at the sender.
 #pragma once
 
 #include <deque>
@@ -40,19 +45,6 @@ struct MultiExchangeConfig {
   /// above `shards` are clamped (a shard is owned by one thread).  Every
   /// setting produces bit-identical results.
   std::size_t threads = 1;
-  /// Capacity of each shard's inbound cross-shard mailbox (rounded up to
-  /// a power of two).  A full mailbox drops the message, deterministically,
-  /// at the sender (BusStats::mailbox_overflow).
-  std::size_t mailbox_capacity = std::size_t{1} << 16;
-  /// Declared cross-shard communication structure.  The default,
-  /// kIsolated, encodes the identity-partitioned deployment contract:
-  /// every client is wired to its account's home-shard server and every
-  /// server replies to its own shard's clients, so no message ever
-  /// crosses shards — which lets the adaptive epoch driver run shards to
-  /// quiescence independently between barriers.  The declaration is
-  /// enforced (a cross-shard send throws at the sender); a deployment
-  /// that routes traffic between shards must declare kAllToAll.
-  ShardTopology topology = ShardTopology::kIsolated;
   /// Adaptive epoch windows (see EpochDriver): widen the window to the
   /// true causal bound when shard head times prove it safe, cutting
   /// barrier crossings.  Off forces the fixed-lookahead schedule.
@@ -105,8 +97,36 @@ class MultiServerExchange {
   /// Drives every shard to quiescence (the tail of run_round).
   void drive_to_quiescence();
 
-  /// Refunds every remaining deposit (see ExchangeSimulation).
+  /// Ends the trading day: every remaining deposit is returned to the
+  /// account behind its identity (confiscated deposits are already gone).
+  /// Returns the total refunded.  Throws std::logic_error while a round
+  /// is still open on any shard.
   Money close_market();
+
+  /// Settlement-truth utility of a trader, read off its home shard:
+  /// change in cash plus change in valued goods (at most one unit
+  /// counts), relative to its endowment.  Confiscated deposits and
+  /// cancelled trades are all reflected here.
+  double settled_utility(const TradingClient& client) const;
+
+  // --- ZI session set-up and digest (throughput, live attack, console) --
+  /// Cash covering `rounds` rounds of default deposits (10 each) for
+  /// `identities_per_round` fresh identities per round.
+  static Money zi_endowment(std::size_t rounds,
+                            std::size_t identities_per_round = 1);
+  /// Adds `count` truthful ZI traders, buyer/seller alternating, valued
+  /// uniformly in [value_low, value_high] units off the stream
+  /// Rng(config().seed ^ 0x5eed).split(); sellers get a unit per round.
+  void add_zi_traders(std::size_t count, std::int64_t value_low,
+                      std::int64_t value_high, std::size_t rounds);
+  /// FNV-1a folds one round id per shard (as open_rounds returned) into
+  /// `digest`: shard, round id, trade count, then each fill's side,
+  /// identity and price; paused or evicted rounds are skipped.  Returns
+  /// the trades folded.
+  std::size_t fold_rounds(std::uint64_t& digest,
+                          const std::vector<RoundId>& rounds) const;
+  /// FNV-1a folds the merged ledger totals: cash, goods, escrow held.
+  void fold_ledger_totals(std::uint64_t& digest) const;
 
   // --- operator control plane (console / future gateway) ----------------
   /// Runtime-versioned server config.  stage() changes through it at any
@@ -148,7 +168,6 @@ class MultiServerExchange {
   GoodsLedger& goods(std::size_t shard) { return shards_[shard].goods; }
   EscrowService& escrow(std::size_t shard) { return *shards_[shard].escrow; }
   AuditLog& audit(std::size_t shard) { return shards_[shard].audit; }
-  Fabric& fabric() { return *fabric_; }
 
   // --- merged views (session-end reporting; never on the hot path) -----
   /// Latest shard clock (every shard quiesces at its own last event).

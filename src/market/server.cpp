@@ -114,10 +114,6 @@ void AuctionServer::bind_telemetry(obs::ShardTelemetry& telemetry,
   }
 }
 
-void AuctionServer::subscribe(const std::string& address) {
-  subscribers_.push_back(bus_.intern(address));
-}
-
 void AuctionServer::subscribe(AddressId address) {
   subscribers_.push_back(address);
 }

@@ -59,7 +59,6 @@ class AuctionServer : public Endpoint {
                 ServerConfig config = {});
 
   /// Registers a client address for round-open/round-closed broadcasts.
-  void subscribe(const std::string& address);
   void subscribe(AddressId address);
 
   /// Swaps the clearing protocol for subsequent rounds (e.g. a TPD with a

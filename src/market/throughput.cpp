@@ -16,26 +16,14 @@ ThroughputResult run_throughput_session(const DoubleAuctionProtocol& protocol,
   mx.server.domain =
       ValueDomain{Money::from_units(0), Money::from_units(config.value_high)};
   mx.server.retained_rounds = config.retained_rounds;
-  // One fresh identity per trader per round, each posting the default
-  // deposit; endow enough cash that escrow never drives balances negative.
-  mx.initial_cash = Money::from_units(
-      static_cast<std::int64_t>(config.rounds + 1) * 10 + 1'000);
+  mx.initial_cash = MultiServerExchange::zi_endowment(config.rounds);
   mx.seed = config.seed;
   mx.adaptive_epochs = config.adaptive;
   mx.telemetry = config.telemetry;
 
   MultiServerExchange exchange(protocol, mx);
-  Rng values(Rng(config.seed ^ 0x5eedu).split());
-  for (std::size_t i = 0; i < config.clients; ++i) {
-    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
-    const Money value = Money::from_units(
-        values.uniform_int(config.value_low, config.value_high));
-    TradingClient& trader = exchange.add_trader(role, value);
-    if (role == Side::kSeller && config.rounds > 1) {
-      // Sellers re-enter every round; stock them so settlement delivers.
-      exchange.grant_goods(trader.account(), config.rounds - 1);
-    }
-  }
+  exchange.add_zi_traders(config.clients, config.value_low, config.value_high,
+                          config.rounds);
 
   ThroughputResult result;
   result.clients = config.clients;

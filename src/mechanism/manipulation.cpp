@@ -11,6 +11,8 @@
 #include <thread>
 #include <utility>
 
+#include "common/fnv.h"
+
 namespace fnda {
 namespace {
 
@@ -869,13 +871,8 @@ namespace {
 /// against the live book before the cached result is trusted.
 std::uint64_t warm_config_key(const DeviationEvaluator& evaluator,
                               const SearchConfig& config) {
-  std::uint64_t hash = 1469598103934665603ull;
-  auto fold = [&hash](std::uint64_t word) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (word >> (byte * 8)) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  };
+  std::uint64_t hash = kFnvOffsetBasis;
+  auto fold = [&hash](std::uint64_t word) { fnv1a_fold(hash, word); };
   const EvalConfig& eval = evaluator.eval_config();
   fold(eval.seed);
   fold(eval.replicates);

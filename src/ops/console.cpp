@@ -10,13 +10,6 @@
 namespace fnda::ops {
 namespace {
 
-void fold(std::uint64_t& hash, std::uint64_t word) {
-  for (int byte = 0; byte < 8; ++byte) {
-    hash ^= (word >> (byte * 8)) & 0xffu;
-    hash *= 1099511628211ull;
-  }
-}
-
 std::string hex_digest(std::uint64_t digest) {
   constexpr char kHex[] = "0123456789abcdef";
   std::string out = "0x";
@@ -45,11 +38,7 @@ ConsoleSession::ConsoleSession(const DoubleAuctionProtocol& protocol,
   mx.bus.duplicate_probability = config_.duplicate_probability;
   mx.server.domain = ValueDomain{Money::from_units(config_.value_low),
                                  Money::from_units(config_.value_high)};
-  // One fresh identity per trader per round, each posting the default
-  // deposit; endow enough cash for max_rounds of deposits (same sizing as
-  // run_throughput_session).
-  mx.initial_cash = Money::from_units(
-      static_cast<std::int64_t>(config_.max_rounds + 1) * 10 + 1'000);
+  mx.initial_cash = MultiServerExchange::zi_endowment(config_.max_rounds);
   mx.seed = config_.seed;
   mx.telemetry = config_.telemetry;
   exchange_ = std::make_unique<MultiServerExchange>(protocol, mx);
@@ -74,16 +63,8 @@ ConsoleSession::ConsoleSession(const DoubleAuctionProtocol& protocol,
     watchdog_->bind_metrics(telemetry->driver().metrics);
   }
 
-  Rng values(Rng(config_.seed ^ 0x5eedu).split());
-  for (std::size_t i = 0; i < config_.clients; ++i) {
-    const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
-    const Money value = Money::from_units(
-        values.uniform_int(config_.value_low, config_.value_high));
-    TradingClient& trader = exchange_->add_trader(role, value);
-    if (role == Side::kSeller && config_.max_rounds > 1) {
-      exchange_->grant_goods(trader.account(), config_.max_rounds - 1);
-    }
-  }
+  exchange_->add_zi_traders(config_.clients, config_.value_low,
+                            config_.value_high, config_.max_rounds);
 
   register_commands();
 }
@@ -108,10 +89,7 @@ Reply ConsoleSession::execute(const std::string& line) {
 
 std::uint64_t ConsoleSession::digest() const {
   std::uint64_t digest = round_digest_;
-  fold(digest, static_cast<std::uint64_t>(exchange_->cash_total().micros()));
-  fold(digest, exchange_->goods_total());
-  fold(digest,
-       static_cast<std::uint64_t>(exchange_->escrow_total_held().micros()));
+  exchange_->fold_ledger_totals(digest);
   return digest;
 }
 
@@ -122,21 +100,7 @@ Reply ConsoleSession::cmd_run(const Invocation& invocation) {
   for (std::int64_t r = 0; r < rounds; ++r) {
     const std::vector<RoundId> ids = exchange_->open_rounds(config_.open_for);
     exchange_->drive_to_quiescence();
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-      if (ids[s] == RoundId::invalid()) continue;  // paused shard
-      const Outcome* outcome = exchange_->server(s).outcome_of(ids[s]);
-      if (outcome == nullptr) continue;
-      trades += outcome->trade_count();
-      fold(round_digest_, s);
-      fold(round_digest_, ids[s].value());
-      fold(round_digest_, outcome->trade_count());
-      for (const Fill& fill : outcome->fills()) {
-        fold(round_digest_, fill.side == Side::kBuyer ? 1 : 2);
-        fold(round_digest_, fill.identity.value());
-        fold(round_digest_,
-             static_cast<std::uint64_t>(fill.price.micros()));
-      }
-    }
+    trades += exchange_->fold_rounds(round_digest_, ids);
     ++rounds_run_;
     // One watchdog evaluation per round boundary, on the quiescent merged
     // snapshot — the epoch-cadence SLO check.

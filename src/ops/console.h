@@ -18,6 +18,7 @@
 #include <memory>
 #include <string>
 
+#include "common/fnv.h"
 #include "market/multi_exchange.h"
 #include "ops/command.h"
 #include "ops/health.h"
@@ -93,7 +94,7 @@ class ConsoleSession {
   std::unique_ptr<MultiServerExchange> exchange_;
   std::unique_ptr<HealthWatchdog> watchdog_;
   CommandTable commands_;
-  std::uint64_t round_digest_ = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t round_digest_ = kFnvOffsetBasis;
   std::uint64_t rounds_run_ = 0;
   bool done_ = false;
 };

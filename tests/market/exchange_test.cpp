@@ -1,6 +1,6 @@
 // End-to-end integration: the paper's examples replayed over the full
 // message-based exchange, with settlement-truth utilities.
-#include "market/exchange.h"
+#include "market/multi_exchange.h"
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,7 @@ namespace {
 
 /// Adds the Example 1/3 population (buyers 9,8,7,4; sellers 2,3,4,5) and
 /// returns the seller with true value 4 (the paper's manipulator).
-TradingClient& add_example1_population(ExchangeSimulation& exchange) {
+TradingClient& add_example1_population(MultiServerExchange& exchange) {
   exchange.add_trader(Side::kBuyer, money(9));
   exchange.add_trader(Side::kBuyer, money(8));
   exchange.add_trader(Side::kBuyer, money(7));
@@ -26,11 +26,11 @@ TradingClient& add_example1_population(ExchangeSimulation& exchange) {
 
 TEST(ExchangeTest, TruthfulExample3RoundOverTheWire) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   TradingClient& seller4 = add_example1_population(exchange);
 
-  const RoundId round = exchange.run_round();
-  const Outcome* outcome = exchange.server().outcome_of(round);
+  const RoundId round = exchange.run_round()[0];
+  const Outcome* outcome = exchange.server(0).outcome_of(round);
   ASSERT_NE(outcome, nullptr);
   EXPECT_EQ(outcome->trade_count(), 3u);
   for (const Fill& fill : outcome->fills()) {
@@ -42,9 +42,13 @@ TEST(ExchangeTest, TruthfulExample3RoundOverTheWire) {
   EXPECT_EQ(seller4.settlement_failures(), 0u);
 }
 
-TEST(ExchangeTest, SettledUtilitiesMatchAnnouncedWhenEveryoneHonest) {
+// Shard count as a parameter: with several shards settled_utility must
+// read each trader's home-shard ledgers and escrow.
+class ExchangeShardsTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(ExchangeShardsTest, SettledUtilitiesMatchAnnouncedWhenEveryoneHonest) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = GetParam()});
   add_example1_population(exchange);
   exchange.run_round();
   for (const auto& trader : exchange.traders()) {
@@ -54,12 +58,16 @@ TEST(ExchangeTest, SettledUtilitiesMatchAnnouncedWhenEveryoneHonest) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(Shards, ExchangeShardsTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{4}),
+                         ::testing::PrintToStringParamName());
+
 TEST(ExchangeTest, PmdFalseNameAttackProfitsEndToEnd) {
   // Example 1 over the wire: the trading seller (value 4) submits its real
   // seller bid plus a fake buyer bid at 4.8 under a second identity.
   // Under PMD the clearing price rises to 4.9 and the attack pays.
   const PmdProtocol pmd;
-  ExchangeSimulation exchange(pmd);
+  MultiServerExchange exchange(pmd, {.shards = 1});
   TradingClient& attacker = add_example1_population(exchange);
   Strategy attack;
   attack.declarations = {Declaration{Side::kSeller, money(4)},
@@ -75,7 +83,7 @@ TEST(ExchangeTest, TpdSameAttackGainsNothingEndToEnd) {
   // Example 3: the same attack under TPD leaves the attacker at its
   // truthful utility (sellers still receive exactly the threshold).
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   TradingClient& attacker = add_example1_population(exchange);
   Strategy attack;
   attack.declarations = {Declaration{Side::kSeller, money(4)},
@@ -91,7 +99,7 @@ TEST(ExchangeTest, BuyerFakeSellerBidGetsConfiscatedEndToEnd) {
   // fails, the deposit is confiscated, and the pair is cancelled — the
   // Section 6 penalty path, end to end.
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   exchange.add_trader(Side::kSeller, money(2));
   exchange.add_trader(Side::kBuyer, money(9));
   TradingClient& attacker = exchange.add_trader(Side::kBuyer, money(7));
@@ -102,7 +110,7 @@ TEST(ExchangeTest, BuyerFakeSellerBidGetsConfiscatedEndToEnd) {
 
   exchange.run_round();
   EXPECT_EQ(attacker.settlement_failures(), 1u);
-  EXPECT_EQ(exchange.audit().count(AuditKind::kDepositConfiscated), 1u);
+  EXPECT_EQ(exchange.audit(0).count(AuditKind::kDepositConfiscated), 1u);
   // The attacker is strictly worse off than its truthful utility would
   // have been: it lost the deposit (10) on the fake identity.
   EXPECT_LT(exchange.settled_utility(attacker), -5.0);
@@ -110,79 +118,81 @@ TEST(ExchangeTest, BuyerFakeSellerBidGetsConfiscatedEndToEnd) {
 
 TEST(ExchangeTest, ConservationAcrossAttackedRound) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   TradingClient& attacker = add_example1_population(exchange);
   Strategy attack;
   attack.declarations = {Declaration{Side::kBuyer, money(4)},
                          Declaration{Side::kSeller, money(2.5)}};
   attacker.set_strategy(attack);
 
-  const std::size_t goods_before = exchange.goods().total();
+  const std::size_t goods_before = exchange.goods(0).total();
   exchange.run_round();
-  EXPECT_EQ(exchange.goods().total(), goods_before);
+  EXPECT_EQ(exchange.goods(0).total(), goods_before);
   // All cash in the system was granted by add_trader: 8 traders x 1000.
-  EXPECT_EQ(exchange.cash().total(), money(8000));
+  EXPECT_EQ(exchange.cash(0).total(), money(8000));
 }
 
 TEST(ExchangeTest, MultipleRoundsAccumulate) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   exchange.add_trader(Side::kBuyer, money(9));
   exchange.add_trader(Side::kSeller, money(2));
-  const RoundId r0 = exchange.run_round();
-  const RoundId r1 = exchange.run_round();
+  const RoundId r0 = exchange.run_round()[0];
+  const RoundId r1 = exchange.run_round()[0];
   EXPECT_NE(r0, r1);
-  EXPECT_EQ(exchange.server().rounds_completed(), 2u);
+  EXPECT_EQ(exchange.server(0).rounds_completed(), 2u);
   // Round 0: the seller's unit moved to the buyer.  Round 1: the seller
   // has nothing left to sell but bids anyway; if matched, its delivery
   // fails.  Either way the system stays consistent.
-  EXPECT_EQ(exchange.goods().total(), 1u);
+  EXPECT_EQ(exchange.goods(0).total(), 1u);
 }
 
 TEST(ExchangeTest, AuditTrailCoversLifecycle) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeSimulation exchange(tpd);
+  MultiServerExchange exchange(tpd, {.shards = 1});
   exchange.add_trader(Side::kBuyer, money(9));
   exchange.add_trader(Side::kSeller, money(2));
-  const RoundId round = exchange.run_round();
-  EXPECT_EQ(exchange.audit().count(AuditKind::kRoundOpened), 1u);
-  EXPECT_EQ(exchange.audit().count(AuditKind::kBidAccepted), 2u);
-  EXPECT_EQ(exchange.audit().count(AuditKind::kRoundCleared), 1u);
-  EXPECT_EQ(exchange.audit().count(AuditKind::kDelivery), 1u);
-  EXPECT_FALSE(exchange.audit().for_round(round).empty());
+  const RoundId round = exchange.run_round()[0];
+  EXPECT_EQ(exchange.audit(0).count(AuditKind::kRoundOpened), 1u);
+  EXPECT_EQ(exchange.audit(0).count(AuditKind::kBidAccepted), 2u);
+  EXPECT_EQ(exchange.audit(0).count(AuditKind::kRoundCleared), 1u);
+  EXPECT_EQ(exchange.audit(0).count(AuditKind::kDelivery), 1u);
+  EXPECT_FALSE(exchange.audit(0).for_round(round).empty());
 }
 
 TEST(ExchangeTest, DeterministicAcrossIdenticalRuns) {
   auto run_once = [] {
     const TpdProtocol tpd(money(4.5));
-    ExchangeConfig config;
+    MultiExchangeConfig config;
+    config.shards = 1;
     config.seed = 77;
-    ExchangeSimulation exchange(tpd, config);
+    MultiServerExchange exchange(tpd, config);
     exchange.add_trader(Side::kBuyer, money(9));
     exchange.add_trader(Side::kBuyer, money(7));
     exchange.add_trader(Side::kSeller, money(2));
     exchange.add_trader(Side::kSeller, money(4));
-    const RoundId round = exchange.run_round();
-    return exchange.server().outcome_of(round)->fills();
+    const RoundId round = exchange.run_round()[0];
+    return exchange.server(0).outcome_of(round)->fills();
   };
   EXPECT_EQ(run_once(), run_once());
 }
 
 TEST(ExchangeTest, LossyTransportDegradesButStaysConsistent) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeConfig config;
+  MultiExchangeConfig config;
+  config.shards = 1;
   config.bus.drop_probability = 0.3;
   config.seed = 9;
-  ExchangeSimulation exchange(tpd, config);
+  MultiServerExchange exchange(tpd, config);
   TradingClient& seller4 = add_example1_population(exchange);
   (void)seller4;
-  const RoundId round = exchange.run_round();
-  const Outcome* outcome = exchange.server().outcome_of(round);
+  const RoundId round = exchange.run_round()[0];
+  const Outcome* outcome = exchange.server(0).outcome_of(round);
   ASSERT_NE(outcome, nullptr);
   // Whatever subset of bids arrived, the outcome is valid and goods are
   // conserved.
   EXPECT_LE(outcome->trade_count(), 3u);
-  EXPECT_EQ(exchange.goods().total(), 4u);
+  EXPECT_EQ(exchange.goods(0).total(), 4u);
 }
 
 }  // namespace

@@ -14,8 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "market/epoch.h"
-#include "market/exchange.h"
 #include "market/fabric.h"
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
@@ -49,14 +49,11 @@ constexpr GoldenRound kGoldenRounds[4] = {
 
 MultiServerExchange make_golden_exchange(const TpdProtocol& tpd,
                                          std::size_t threads,
-                                         bool adaptive = true,
-                                         std::size_t mailbox_capacity =
-                                             std::size_t{1} << 16) {
+                                         bool adaptive = true) {
   MultiExchangeConfig config;
   config.shards = 4;
   config.threads = threads;
   config.adaptive_epochs = adaptive;
-  config.mailbox_capacity = mailbox_capacity;
   config.seed = 42;
   config.bus.base_latency = SimTime{1000};
   config.bus.jitter = SimTime{0};
@@ -293,66 +290,54 @@ TEST(ParallelExchangeTest, ThroughputSessionIdenticalAcrossThreadCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// shards == 1 must reproduce the single-server ExchangeSimulation output
-// exactly — same RNG streams, same message ids, same audit dump — even on
-// a lossy, jittery bus.
+// shards == 1 is the single-server call market.  Its output on a lossy,
+// jittery bus — round ids, clock, bus counters, the audit dump before and
+// after market close, and the refund total — is folded into one FNV-1a
+// digest, recorded when a separate single-server exchange type still
+// existed and matched it RNG draw for RNG draw.
 
-TEST(ParallelExchangeTest, SingleShardMatchesExchangeSimulation) {
+constexpr std::uint64_t kSingleShardDigest = 0x531907b24dc32f94ull;
+
+TEST(ParallelExchangeTest, SingleShardMatchesRecordedDigest) {
   const TpdProtocol tpd(money(50));
-
-  BusConfig bus;
-  bus.jitter = SimTime{500};
-  bus.drop_probability = 0.05;
-  bus.duplicate_probability = 0.05;
-
-  ExchangeConfig single;
-  single.bus = bus;
-  single.seed = 99;
-  single.client.retry_interval = SimTime::millis(20);
-  single.server.domain = ValueDomain{money(0), money(100)};
-  ExchangeSimulation expected(tpd, single);
-
-  MultiExchangeConfig sharded;
-  sharded.shards = 1;
-  sharded.threads = 1;
-  sharded.bus = bus;
-  sharded.seed = 99;
-  sharded.client.retry_interval = SimTime::millis(20);
-  sharded.server.domain = ValueDomain{money(0), money(100)};
-  MultiServerExchange actual(tpd, sharded);
+  MultiExchangeConfig config;
+  config.shards = 1;
+  config.threads = 1;
+  config.bus.jitter = SimTime{500};
+  config.bus.drop_probability = 0.05;
+  config.bus.duplicate_probability = 0.05;
+  config.seed = 99;
+  config.client.retry_interval = SimTime::millis(20);
+  config.server.domain = ValueDomain{money(0), money(100)};
+  MultiServerExchange exchange(tpd, config);
 
   for (std::size_t i = 0; i < 60; ++i) {
     const Side role = (i % 2 == 0) ? Side::kBuyer : Side::kSeller;
     const Money value = money(role == Side::kBuyer
                                   ? 45 + static_cast<std::int64_t>(i % 50)
                                   : 1 + static_cast<std::int64_t>(i % 40));
-    expected.add_trader(role, value);
-    actual.add_trader(role, value);
+    exchange.add_trader(role, value);
   }
 
+  std::uint64_t digest = kFnvOffsetBasis;
   for (std::size_t r = 0; r < 3; ++r) {
-    const RoundId expected_round = expected.run_round();
-    const std::vector<RoundId> actual_rounds = actual.run_round();
-    ASSERT_EQ(actual_rounds.size(), 1u);
-    EXPECT_EQ(actual_rounds[0], expected_round);
+    const std::vector<RoundId> rounds = exchange.run_round();
+    ASSERT_EQ(rounds.size(), 1u);
+    fnv1a_fold(digest, rounds[0].value());
   }
-
-  EXPECT_EQ(actual.now(), expected.queue().now());
-  const BusStats& want = expected.bus().stats();
-  const BusStats got = actual.bus_stats();
-  EXPECT_EQ(got.sent, want.sent);
-  EXPECT_EQ(got.delivered, want.delivered);
-  EXPECT_EQ(got.duplicated, want.duplicated);
-  EXPECT_EQ(got.dropped, want.dropped);
-  EXPECT_EQ(got.dead_lettered, want.dead_lettered);
-  EXPECT_EQ(got.forwarded, 0u);
-
-  // The audit logs must match line for line — timestamps, identity ids,
-  // amounts, order.
-  EXPECT_EQ(actual.audit(0).dump(), expected.audit().dump());
-  EXPECT_EQ(actual.close_market(), expected.close_market());
-  // ... and so must the market-close refund records that follow.
-  EXPECT_EQ(actual.audit(0).dump(), expected.audit().dump());
+  fnv1a_fold(digest, static_cast<std::uint64_t>(exchange.now().micros));
+  const BusStats bus = exchange.bus_stats();
+  EXPECT_EQ(bus.forwarded, 0u);
+  for (const std::size_t count : {bus.sent, bus.delivered, bus.duplicated,
+                                  bus.dropped, bus.dead_lettered,
+                                  bus.forwarded}) {
+    fnv1a_fold(digest, count);
+  }
+  digest = fnv1a(exchange.audit(0).dump(), digest);
+  fnv1a_fold(digest,
+             static_cast<std::uint64_t>(exchange.close_market().micros()));
+  digest = fnv1a(exchange.audit(0).dump(), digest);
+  EXPECT_EQ(digest, kSingleShardDigest) << std::hex << "digest 0x" << digest;
 }
 
 // Market close refunds each shard's deposits in ascending identity order —
@@ -435,7 +420,7 @@ struct PairDigest {
 
 PairDigest run_ping_pong(std::size_t threads, std::size_t mailbox_capacity,
                          BusConfig bus_config) {
-  Fabric fabric(2, mailbox_capacity);
+  Fabric fabric(2, ShardTopology::kAllToAll, mailbox_capacity);
   EventQueue queue_a;
   EventQueue queue_b;
   BusConfig config_a = bus_config;
@@ -555,7 +540,7 @@ struct FloodSource : Endpoint {
 
 TEST(ParallelExchangeTest, MailboxBackpressureDropsDeterministically) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 4);  // tiny ring: 4 slots
+    Fabric fabric(2, ShardTopology::kAllToAll, 4);  // tiny ring: 4 slots
     EventQueue queue_a;
     EventQueue queue_b;
     MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
@@ -594,7 +579,7 @@ TEST(ParallelExchangeTest, MailboxBackpressureDropsDeterministically) {
 
 TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 64);
+    Fabric fabric(2, ShardTopology::kAllToAll, 64);
     EventQueue queue_a;
     EventQueue queue_b;
     MessageBus bus_a(queue_a, BusConfig{}, Rng(5), fabric, 0);
@@ -620,7 +605,7 @@ TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
 
 // Drive after a failed drive keeps working (errors are per-drive state).
 TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
-  Fabric fabric(1, 64);
+  Fabric fabric(1, ShardTopology::kAllToAll, 64);
   EventQueue queue;
   MessageBus bus(queue, BusConfig{}, Rng(8), fabric, 0);
   queue.schedule_at(SimTime{1}, [] { throw std::logic_error("boom"); });
@@ -685,8 +670,7 @@ TEST(ParallelExchangeTest, EpochStatsThreadInvariantAndAdaptiveCutsBarriers) {
 
 TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    Fabric fabric(2, 64);
-    fabric.set_topology(ShardTopology::kIsolated);
+    Fabric fabric(2, ShardTopology::kIsolated);
     EventQueue queue_a;
     EventQueue queue_b;
     MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
@@ -713,8 +697,7 @@ TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
 // lookahead-sized windows across the event horizon.
 
 TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
-  Fabric fabric(2, 64);
-  fabric.set_topology(ShardTopology::kIsolated);
+  Fabric fabric(2, ShardTopology::kIsolated);
   EventQueue queue_a;
   EventQueue queue_b;
   MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);
@@ -750,7 +733,7 @@ TEST(ParallelExchangeTest, AdaptiveWindowWidensAcrossIdleGaps) {
   EpochStats stats[2];
   std::vector<std::int64_t> ran[2];
   for (const bool adaptive : {false, true}) {
-    Fabric fabric(2, 64);  // kAllToAll: cross-shard traffic stays legal
+    Fabric fabric(2, ShardTopology::kAllToAll, 64);
     EventQueue queue_a;
     EventQueue queue_b;
     MessageBus bus_a(queue_a, BusConfig{}, Rng(3), fabric, 0);

@@ -37,8 +37,7 @@ class ServerFixture : public ::testing::Test {
     server_ = std::make_unique<AuctionServer>(
         "server", queue_, *bus_, tpd_, *escrow_, *settlement_, audit_, Rng(3),
         ServerConfig{});
-    bus_->attach("probe", probe_);
-    server_->subscribe("probe");
+    server_->subscribe(bus_->attach("probe", probe_));
   }
 
   /// Creates a funded, deposited identity.

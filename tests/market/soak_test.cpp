@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/surplus.h"
-#include "market/exchange.h"
+#include "market/multi_exchange.h"
 #include "protocols/tpd.h"
 #include "sim/adaptive_threshold.h"
 
@@ -21,14 +21,15 @@ TEST(SoakTest, ThirtyRoundAdaptiveDayUnderAttackAndLoss) {
   for (int session = 0; session < 30; ++session) {
     // One exchange per session: fresh traders, same value distribution.
     TpdProtocol protocol(policy.current());
-    ExchangeConfig config;
+    MultiExchangeConfig config;
+    config.shards = 1;
     config.seed = 7000 + static_cast<std::uint64_t>(session);
     config.bus.drop_probability = 0.15;
     config.bus.duplicate_probability = 0.15;
     config.client.retry_interval = SimTime::millis(5);
     config.client.max_retries = 5;
     config.server.announce_interval = SimTime::millis(10);
-    ExchangeSimulation exchange(protocol, config);
+    MultiServerExchange exchange(protocol, config);
 
     for (int i = 0; i < 12; ++i) {
       exchange.add_trader(Side::kBuyer,
@@ -44,28 +45,28 @@ TEST(SoakTest, ThirtyRoundAdaptiveDayUnderAttackAndLoss) {
                            Declaration{Side::kSeller, money(30)}};
     attacker.set_strategy(attack);
 
-    const std::size_t goods_before = exchange.goods().total();
-    const Money cash_before = exchange.cash().total();
+    const std::size_t goods_before = exchange.goods(0).total();
+    const Money cash_before = exchange.cash(0).total();
 
-    const RoundId round = exchange.run_round(SimTime::millis(80));
+    const RoundId round = exchange.run_round(SimTime::millis(80))[0];
 
     // Invariants after every session.
-    ASSERT_NE(exchange.server().outcome_of(round), nullptr);
-    EXPECT_EQ(exchange.goods().total(), goods_before);
-    EXPECT_EQ(exchange.cash().total(), cash_before);
-    const auto replayed = exchange.server().replay_round(round);
+    ASSERT_NE(exchange.server(0).outcome_of(round), nullptr);
+    EXPECT_EQ(exchange.goods(0).total(), goods_before);
+    EXPECT_EQ(exchange.cash(0).total(), cash_before);
+    const auto replayed = exchange.server(0).replay_round(round);
     ASSERT_TRUE(replayed.has_value());
     EXPECT_EQ(replayed->fills(),
-              exchange.server().outcome_of(round)->fills());
+              exchange.server(0).outcome_of(round)->fills());
 
     const SettlementReport* settlement =
-        exchange.server().settlement_of(round);
+        exchange.server(0).settlement_of(round);
     ASSERT_NE(settlement, nullptr);
     confiscations += settlement->failed;
     attacker_total_utility += exchange.settled_utility(attacker);
 
     exchange.close_market();
-    EXPECT_EQ(exchange.escrow().total_held(), Money{});
+    EXPECT_EQ(exchange.escrow(0).total_held(), Money{});
 
     // Adapt from the session's true valuations (== declared, by
     // dominance) for the next session.

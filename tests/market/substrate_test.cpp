@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "market/bus.h"
-#include "market/exchange.h"
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
 #include "protocols/tpd.h"
@@ -133,23 +132,24 @@ TEST(DedupFilterTest, GenerationRolloverForgetsOldIds) {
 
 TEST(ServerTest, RetainedRoundsEvictsOldestCompletedRounds) {
   const TpdProtocol tpd(money(4.5));
-  ExchangeConfig config;
+  MultiExchangeConfig config;
+  config.shards = 1;
   config.seed = 7;
   config.server.retained_rounds = 2;
-  ExchangeSimulation exchange(tpd, config);
+  MultiServerExchange exchange(tpd, config);
   exchange.add_trader(Side::kBuyer, money(9));
   exchange.add_trader(Side::kSeller, money(2));
 
   std::vector<RoundId> rounds;
-  for (int i = 0; i < 3; ++i) rounds.push_back(exchange.run_round());
+  for (int i = 0; i < 3; ++i) rounds.push_back(exchange.run_round()[0]);
 
-  EXPECT_EQ(exchange.server().rounds_completed(), 3u);
-  EXPECT_EQ(exchange.server().outcome_of(rounds[0]), nullptr)
+  EXPECT_EQ(exchange.server(0).rounds_completed(), 3u);
+  EXPECT_EQ(exchange.server(0).outcome_of(rounds[0]), nullptr)
       << "oldest round should have been evicted";
-  EXPECT_FALSE(exchange.server().replay_round(rounds[0]).has_value());
+  EXPECT_FALSE(exchange.server(0).replay_round(rounds[0]).has_value());
   for (int i = 1; i < 3; ++i) {
-    ASSERT_NE(exchange.server().outcome_of(rounds[i]), nullptr);
-    EXPECT_NE(exchange.server().settlement_of(rounds[i]), nullptr);
+    ASSERT_NE(exchange.server(0).outcome_of(rounds[i]), nullptr);
+    EXPECT_NE(exchange.server(0).settlement_of(rounds[i]), nullptr);
   }
 }
 

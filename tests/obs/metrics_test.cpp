@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fnv.h"
 #include "market/throughput.h"
 #include "mechanism/search_telemetry.h"
 #include "obs/export.h"
@@ -17,15 +18,6 @@
 
 namespace fnda::obs {
 namespace {
-
-[[maybe_unused]] std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 TEST(MetricsRegistry, FindOrCreateReturnsStableInstruments) {
   MetricsRegistry registry;

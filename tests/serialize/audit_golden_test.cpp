@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "market/multi_exchange.h"
 #include "protocols/tpd.h"
 #include "serialize/json.h"
@@ -21,14 +22,6 @@ namespace {
 constexpr std::uint64_t kGoldenAuditText = 0x9e7fc713c9715f75ull;
 
 Money money(std::int64_t units) { return Money::from_units(units); }
-
-std::uint64_t fnv1a(std::uint64_t hash, const std::string& text) {
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 /// Sends hand-made submissions to its shard's server; ignores replies.
 class SubmitProbe : public Endpoint {
@@ -47,7 +40,7 @@ struct AuditText {
   std::vector<std::size_t> kind_counts;
   std::vector<std::string> dumps;
   std::vector<std::string> json;
-  std::uint64_t digest = 1469598103934665603ull;
+  std::uint64_t digest = kFnvOffsetBasis;
 };
 
 AuditText run_session(std::size_t threads) {
@@ -125,8 +118,8 @@ AuditText run_session(std::size_t threads) {
   for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
     text.dumps.push_back(exchange.audit(s).dump());
     text.json.push_back(audit_to_json(exchange.audit(s)));
-    text.digest = fnv1a(text.digest, text.dumps.back());
-    text.digest = fnv1a(text.digest, text.json.back());
+    text.digest = fnv1a(text.dumps.back(), text.digest);
+    text.digest = fnv1a(text.json.back(), text.digest);
   }
   return text;
 }

@@ -245,63 +245,6 @@ TEST(SharedSortTest, LegacyPathMatchesSharedMeansForDeterministicProtocols) {
   EXPECT_DOUBLE_EQ(a.pareto.mean(), b.pareto.mean());
 }
 
-/// Old-style protocol that overrides ONLY the raw-book entry point, to
-/// exercise the inherited clear_sorted fallback (reconstitute a raw book,
-/// clear it, translate fills back to the original bid IDs).  Trades the
-/// efficient pairs at the marginal midpoint — enough structure to catch a
-/// bad ID remap.
-class LegacyOnlyProtocol final : public DoubleAuctionProtocol {
- public:
-  Outcome clear(const OrderBook& book, Rng& rng) const override {
-    const SortedBook sorted(book, rng);
-    Outcome outcome;
-    const std::size_t k = sorted.efficient_trade_count();
-    if (k == 0) return outcome;
-    const Money price =
-        Money::midpoint(sorted.buyer_value(k), sorted.seller_value(k));
-    for (std::size_t rank = 1; rank <= k; ++rank) {
-      outcome.add_buy(sorted.buyer(rank).id, sorted.buyer(rank).identity,
-                      price);
-      outcome.add_sell(sorted.seller(rank).id, sorted.seller(rank).identity,
-                       price);
-    }
-    return outcome;
-  }
-  std::string name() const override { return "legacy-only"; }
-};
-
-TEST(SharedSortTest, FallbackPreservesOriginalBidIds) {
-  const LegacyOnlyProtocol protocol;
-  Rng book_rng(0xfa11bac);
-  for (int trial = 0; trial < 20; ++trial) {
-    const OrderBook book = random_book(book_rng, trial % 2 == 0);
-    Rng rng(trial);
-    const SortedBook sorted(book, rng);
-    const Outcome outcome = protocol.clear_sorted(sorted, rng);
-
-    // Every fill must reference a bid that exists in the ORIGINAL book,
-    // with its original identity (the raw reconstituted book assigns
-    // fresh sequential IDs; the fallback must translate them back).
-    for (const Fill& fill : outcome.fills()) {
-      const auto& lane =
-          fill.side == Side::kBuyer ? book.buyers() : book.sellers();
-      bool found = false;
-      for (const BidEntry& entry : lane) {
-        if (entry.id == fill.bid) {
-          EXPECT_EQ(entry.identity, fill.identity);
-          found = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(found) << "fill references a bid id not in the book";
-    }
-    // And the outcome must pass full validation against the original book.
-    if (outcome.trade_count() > 0) {
-      EXPECT_TRUE(validate_outcome(book, outcome, {}).empty());
-    }
-  }
-}
-
 /// Deliberately broken protocol: reports a buy fill with no matching sell
 /// fill, which expect_valid_outcome rejects.
 class UnbalancedProtocol final : public DoubleAuctionProtocol {
