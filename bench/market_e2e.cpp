@@ -56,7 +56,7 @@ RoundStats run_round(const DoubleAuctionProtocol& protocol, bool attack,
   RoundStats stats;
   stats.attacker_utility = exchange.settled_utility(attacker);
   for (const auto& trader : exchange.traders()) {
-    if (trader.get() == &attacker) continue;
+    if (trader == &attacker) continue;
     stats.honest_surplus += exchange.settled_utility(*trader);
   }
   const RoundId round{0};

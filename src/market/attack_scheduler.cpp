@@ -28,16 +28,14 @@ AttackScheduler::~AttackScheduler() {
   }
 }
 
-void AttackScheduler::add_attacker(TradingClient& client) {
+void AttackScheduler::add_attacker(TradingClient client) {
   if (inflight_) {
     throw std::logic_error("add_attacker: searches in flight");
   }
   client.set_deferred(true);
-  Attacker attacker;
-  attacker.client = &client;
+  Attacker& attacker = attackers_.emplace_back(client);
   attacker.shard = exchange_.shard_of(client.account());
   attacker.planned = Strategy::truthful(client.role(), client.true_value());
-  attackers_.push_back(std::move(attacker));
 }
 
 void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
@@ -117,7 +115,7 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
 void AttackScheduler::search_one(Attacker& attacker) {
   const auto started = std::chrono::steady_clock::now();
   const ShardSnapshot& snap = snapshots_[attacker.shard];
-  const AccountId account = attacker.client->account();
+  const AccountId account = attacker.client.account();
 
   // Residual view: the shard's ranked lanes minus this account's own
   // declarations, order preserved (erasing entries keeps a sorted lane
@@ -143,7 +141,7 @@ void AttackScheduler::search_one(Attacker& attacker) {
   eval.utility = config_.utility;
   const DeviationEvaluator evaluator(
       exchange_.protocol(), exchange_.config().server.domain,
-      attacker.client->role(), attacker.client->true_value(), residual_buyers,
+      attacker.client.role(), attacker.client.true_value(), residual_buyers,
       residual_sellers, eval);
 
   const SearchResult result =
@@ -206,9 +204,9 @@ std::size_t AttackScheduler::apply_and_submit() {
     if (attacker.planned.declarations.size() < attacker.applied_declarations) {
       ++counters_.withdrawals;
     }
-    attacker.client->set_strategy(attacker.planned);
+    attacker.client.set_strategy(attacker.planned);
     attacker.applied_declarations = attacker.planned.declarations.size();
-    submitted += attacker.client->submit_pending();
+    submitted += attacker.client.submit_pending();
   }
   return submitted;
 }

@@ -2,7 +2,7 @@
 //
 // The adversarial co-simulation's control plane: a population of
 // false-name attacker accounts lives inside a MultiServerExchange (as
-// deferred TradingClients), and this scheduler re-plans each attacker's
+// deferred traders), and this scheduler re-plans each attacker's
 // strategy via the manipulation-search engine against the *current* book
 // every round, without stalling the exchange:
 //
@@ -76,7 +76,7 @@ class AttackScheduler {
 
   /// Registers an attacker account and switches its client to deferred
   /// submission.  Call in account order, before the first round.
-  void add_attacker(TradingClient& client);
+  void add_attacker(TradingClient client);
 
   /// Snapshots each shard's cleared book for `rounds` (one RoundId per
   /// shard) and launches this round's searches on the background pool.
@@ -116,7 +116,9 @@ class AttackScheduler {
   };
 
   struct Attacker {
-    TradingClient* client = nullptr;
+    explicit Attacker(TradingClient trader) : client(trader) {}
+
+    TradingClient client;
     std::size_t shard = 0;
     SearchState state;
     /// Strategy to install at the next apply (initially the client's

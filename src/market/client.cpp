@@ -2,99 +2,151 @@
 
 namespace fnda {
 
-TradingClient::TradingClient(std::string address, AccountId account,
-                             Side role, Money true_value, EventQueue& queue,
-                             MessageBus& bus, IdentityRegistry& registry,
-                             EscrowService& escrow,
-                             std::string server_address, ClientConfig config)
-    : address_(std::move(address)),
-      account_(account),
-      role_(role),
-      true_value_(true_value),
-      queue_(queue),
+TraderPopulation::TraderPopulation(EventQueue& queue, MessageBus& bus,
+                                   IdentityRegistry& registry,
+                                   EscrowService& escrow, AddressId server,
+                                   ClientConfig config)
+    : queue_(queue),
       bus_(bus),
       registry_(registry),
       escrow_(escrow),
-      server_id_(bus.intern(server_address)),
-      config_(config),
-      strategy_(Strategy::truthful(role, true_value)) {
-  address_id_ = bus_.attach(address_, *this);
+      server_(server),
+      config_(config) {}
+
+std::uint32_t TraderPopulation::add(const std::string& address,
+                                    AccountId account, Side role,
+                                    Money true_value) {
+  const auto slot = static_cast<std::uint32_t>(traders_.size());
+  Trader& trader = traders_.emplace_back();
+  trader.account = account;
+  trader.true_value = true_value;
+  trader.role = role;
+  trader.address = bus_.attach(address, *this);
+  const std::size_t index = trader.address.value();
+  if (index >= slot_of_address_.size()) {
+    slot_of_address_.resize(index + 1, kNone);
+  }
+  slot_of_address_[index] = slot;
+  return slot;
 }
 
-void TradingClient::on_round_open(const RoundOpenMsg& msg) {
-  // Heartbeat re-announcements repeat the same round; bid once per round.
-  if (!rounds_bid_.insert(msg.round.value())) return;
-  ++rounds_seen_;
-  if (deferred_) {
-    pending_ = msg;
+TraderPopulation::Custom& TraderPopulation::custom(std::uint32_t slot) {
+  Trader& trader = traders_[slot];
+  if (trader.custom == kNone) {
+    trader.custom = static_cast<std::uint32_t>(customs_.size());
+    customs_.emplace_back().strategy =
+        Strategy::truthful(trader.role, trader.true_value);
+  }
+  return customs_[trader.custom];
+}
+
+void TraderPopulation::on_round_open(std::uint32_t slot,
+                                     const RoundOpenMsg& msg) {
+  Trader& trader = traders_[slot];
+  if (trader.last_round_bid.is_valid() && msg.round <= trader.last_round_bid) {
     return;
   }
-  submit_round(msg);
+  trader.last_round_bid = msg.round;
+  ++trader.rounds_seen;
+  if (trader.custom != kNone && customs_[trader.custom].deferred) {
+    customs_[trader.custom].pending = msg;
+    return;
+  }
+  submit_round(slot, msg);
 }
 
-void TradingClient::submit_round(const RoundOpenMsg& msg) {
-  for (const Declaration& declaration : strategy_.declarations) {
-    // A fresh pseudonym per declaration per round: identities are
-    // disposable in the false-name threat model.
-    const IdentityId identity = registry_.register_identity(account_);
-    identities_.push_back(identity);
-    escrow_.post(identity, account_, config_.deposit_per_identity);
-    submit_with_retry(SubmitBidMsg{msg.round, identity, declaration.side,
-                                   declaration.value},
-                      msg.close_at, config_.max_retries);
+void TraderPopulation::submit_round(std::uint32_t slot,
+                                    const RoundOpenMsg& msg) {
+  const Trader& trader = traders_[slot];
+  if (trader.custom == kNone) {
+    submit(slot, msg, Declaration{trader.role, trader.true_value});
+    return;
+  }
+  for (const Declaration& declaration :
+       customs_[trader.custom].strategy.declarations) {
+    submit(slot, msg, declaration);
   }
 }
 
-std::size_t TradingClient::submit_pending() {
-  if (!pending_.has_value()) return 0;
-  const RoundOpenMsg msg = *pending_;
-  pending_.reset();
-  submit_round(msg);
-  return strategy_.declarations.size();
+void TraderPopulation::submit(std::uint32_t slot, const RoundOpenMsg& msg,
+                              const Declaration& declaration) {
+  // A fresh pseudonym per declaration per round: identities are
+  // disposable in the false-name threat model.
+  Trader& trader = traders_[slot];
+  const IdentityId identity = registry_.register_identity(trader.account);
+  identities_.append(trader.identities, identity);
+  escrow_.post(identity, trader.account, config_.deposit_per_identity);
+  submit_with_retry(slot,
+                    SubmitBidMsg{msg.round, identity, declaration.side,
+                                 declaration.value},
+                    msg.close_at, config_.max_retries);
 }
 
-void TradingClient::submit_with_retry(const SubmitBidMsg& msg,
-                                      SimTime deadline,
-                                      std::size_t retries_left) {
-  bus_.send(address_id_, server_id_, msg);
+std::size_t TraderPopulation::submit_pending(std::uint32_t slot) {
+  const std::uint32_t index = traders_[slot].custom;
+  if (index == kNone || !customs_[index].pending.has_value()) return 0;
+  const RoundOpenMsg msg = *customs_[index].pending;
+  customs_[index].pending.reset();
+  submit_round(slot, msg);
+  return customs_[index].strategy.declarations.size();
+}
+
+void TraderPopulation::submit_with_retry(std::uint32_t slot,
+                                         const SubmitBidMsg& msg,
+                                         SimTime deadline,
+                                         std::size_t retries_left) {
+  bus_.send(traders_[slot].address, server_, msg);
   if (config_.retry_interval.micros <= 0 || retries_left == 0) return;
-  queue_.schedule_after(config_.retry_interval, [this, msg, deadline,
+  queue_.schedule_after(config_.retry_interval, [this, slot, msg, deadline,
                                                  retries_left] {
-    if (acked_.contains(msg.identity.value())) return;
+    const std::optional<std::size_t> identity = identity_slot(msg.identity);
+    if (identity && acked_.test(*identity)) return;
     if (queue_.now() >= deadline) return;  // round closed; no point
-    ++retransmissions_;
-    submit_with_retry(msg, deadline, retries_left - 1);
+    ++traders_[slot].retransmissions;
+    submit_with_retry(slot, msg, deadline, retries_left - 1);
   });
 }
 
-void TradingClient::on_message(const Envelope& envelope) {
-  if (!dedup_.fresh(envelope.id)) return;
+void TraderPopulation::on_message(const Envelope& envelope) {
+  const std::uint32_t slot = slot_of_address_[envelope.to.value()];
   struct Visitor {
-    TradingClient& self;
-    void operator()(const RoundOpenMsg& msg) { self.on_round_open(msg); }
+    TraderPopulation& self;
+    std::uint32_t slot;
+    void operator()(const RoundOpenMsg& msg) { self.on_round_open(slot, msg); }
     void operator()(const BidAckMsg& msg) {
       // Idempotent server acks can arrive for retransmissions; count each
       // identity's resolution once.
-      if (!self.acked_.insert(msg.identity.value())) return;
-      (msg.accepted() ? self.accepted_ : self.rejected_) += 1;
+      const std::optional<std::size_t> identity =
+          self.identity_slot(msg.identity);
+      if (!identity || !self.acked_.set(*identity)) return;
+      Trader& trader = self.traders_[slot];
+      (msg.accepted() ? trader.accepted : trader.rejected) += 1;
     }
     void operator()(const FillNoticeMsg& msg) {
-      self.fills_.push_back(msg);
+      const std::optional<std::size_t> identity =
+          self.identity_slot(msg.identity);
+      if (!identity || !self.filled_.set(*identity)) return;
+      Trader& trader = self.traders_[slot];
+      self.fills_.append(trader.fills, msg);
       if (msg.side == Side::kBuyer) {
-        self.position_.bought += 1;
-        self.position_.paid += msg.price;
+        trader.position.bought += 1;
+        trader.position.paid += msg.price;
       } else {
-        self.position_.sold += 1;
-        self.position_.received += msg.price;
+        trader.position.sold += 1;
+        trader.position.received += msg.price;
       }
     }
     void operator()(const RoundClosedMsg&) {}
     void operator()(const SettlementNoticeMsg& msg) {
-      if (!msg.delivered) self.settlement_failures_ += 1;
+      if (msg.delivered) return;
+      const std::optional<std::size_t> identity =
+          self.identity_slot(msg.identity);
+      if (!identity || !self.settlement_failed_.set(*identity)) return;
+      self.traders_[slot].settlement_failures += 1;
     }
     void operator()(const SubmitBidMsg&) {}  // server-bound; ignore
   };
-  std::visit(Visitor{*this}, envelope.payload);
+  std::visit(Visitor{*this, slot}, envelope.payload);
 }
 
 }  // namespace fnda

@@ -190,7 +190,7 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
 
   for (const auto& trader : exchange.traders()) {
     result.bids_accepted += trader->bids_accepted();
-    const AccountPosition& position = trader->position();
+    const AccountPosition position = trader->position();
     fnv1a_fold(digest, position.bought);
     fnv1a_fold(digest, position.sold);
     fnv1a_fold(digest, static_cast<std::uint64_t>(position.paid.micros()));

@@ -1,6 +1,7 @@
 #include "market/multi_exchange.h"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <thread>
 
@@ -55,6 +56,9 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
         "exchange-" + std::to_string(s), shard.queue, *shard.bus, protocol,
         *shard.escrow, *shard.settlement, shard.audit, root.split(),
         config_.server);
+    shard.traders = std::make_unique<TraderPopulation>(
+        shard.queue, *shard.bus, shard.registry, *shard.escrow,
+        shard.server->address_id(), config_.client);
   }
 
   std::vector<EpochShard> loops;
@@ -125,11 +129,6 @@ std::size_t MultiServerExchange::shard_of(AccountId account) const {
 }
 
 TradingClient& MultiServerExchange::add_trader(Side role, Money true_value) {
-  return add_trader(role, true_value, Strategy::truthful(role, true_value));
-}
-
-TradingClient& MultiServerExchange::add_trader(Side role, Money true_value,
-                                               Strategy strategy) {
   // Account ids come from one exchange-level counter (matching the old
   // shared registry), so shard_of and the account/shard assignment are
   // unchanged; everything behind the id lives on the home shard.
@@ -138,14 +137,23 @@ TradingClient& MultiServerExchange::add_trader(Side role, Money true_value,
   home.cash.grant(account, config_.initial_cash);
   if (role == Side::kSeller) home.goods.grant(account, 1);
 
-  const std::string address = "trader-" + std::to_string(next_client_++);
-  auto client = std::make_unique<TradingClient>(
-      address, account, role, true_value, home.queue, *home.bus,
-      home.registry, *home.escrow, home.server->address(), config_.client);
-  client->set_strategy(std::move(strategy));
-  home.server->subscribe(client->address_id());
-  traders_.push_back(std::move(client));
-  return *traders_.back();
+  const std::uint32_t slot =
+      home.traders->add("trader-" + std::to_string(next_client_++), account,
+                        role, true_value);
+  TradingClient& trader = traders_.emplace_back(*home.traders, slot);
+  home.server->subscribe(trader.address_id());
+  return trader;
+}
+
+TradingClient& MultiServerExchange::add_trader(Side role, Money true_value,
+                                               Strategy strategy) {
+  TradingClient& trader = add_trader(role, true_value);
+  // Only traders that deviate from truth-telling need side state.
+  const bool truthful =
+      strategy.is_single_bid() &&
+      strategy.declarations.front() == Declaration{role, true_value};
+  if (!truthful) trader.set_strategy(std::move(strategy));
+  return trader;
 }
 
 std::vector<RoundId> MultiServerExchange::run_round(SimTime open_for) {
@@ -164,6 +172,14 @@ std::vector<RoundId> MultiServerExchange::open_rounds(SimTime open_for) {
     }
   }
   ++next_round_stamp_;
+  // Traders bid once per round through a last-round-bid word, which
+  // needs every announcement of a round delivered before the next round
+  // opens: rounds open only on a quiescent exchange.
+#ifndef NDEBUG
+  for (const Shard& shard : shards_) {
+    assert(shard.queue.pending() == 0 && "open_rounds: exchange not quiescent");
+  }
+#endif
   std::vector<RoundId> rounds;
   rounds.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {

@@ -19,10 +19,11 @@
 // RNG draw for RNG draw by a recorded digest
 // (ParallelExchangeTest.SingleShardMatchesRecordedDigest).
 //
-// Every client is wired to its account's home-shard server, so no message
-// crosses shards: the fabric is declared ShardTopology::kIsolated (shards
-// run to quiescence independently between barriers; no cross-shard
-// mailbox is reserved), and a cross-shard send throws at the sender.
+// Every trader lives in its account's home shard's TraderPopulation and
+// is wired to that shard's server, so no message crosses shards: the
+// fabric is declared ShardTopology::kIsolated (shards run to quiescence
+// independently between barriers; no cross-shard mailbox is reserved),
+// and a cross-shard send throws at the sender.
 #pragma once
 
 #include <deque>
@@ -67,8 +68,8 @@ class MultiServerExchange {
   explicit MultiServerExchange(const DoubleAuctionProtocol& protocol,
                                MultiExchangeConfig config = {});
 
-  /// Adds a truthful trader on the shard its account hashes to.  Sellers
-  /// are endowed with one unit of the good.
+  /// Adds a truthful trader to the population of the shard its account
+  /// hashes to.  Sellers are endowed with one unit of the good.
   TradingClient& add_trader(Side role, Money true_value);
   TradingClient& add_trader(Side role, Money true_value, Strategy strategy);
 
@@ -194,9 +195,35 @@ class MultiServerExchange {
   void grant_cash(AccountId account, Money amount);
   void grant_goods(AccountId account, std::size_t units);
 
-  const std::deque<std::unique_ptr<TradingClient>>& traders() const {
-    return traders_;
-  }
+  /// Every trader in add order.  Iterating yields `const TradingClient*`,
+  /// so range-for elements support `->` and `*`.
+  class TraderList {
+   public:
+    class iterator {
+     public:
+      explicit iterator(std::deque<TradingClient>::const_iterator at)
+          : at_(at) {}
+      const TradingClient* operator*() const { return &*at_; }
+      iterator& operator++() {
+        ++at_;
+        return *this;
+      }
+      bool operator==(const iterator& other) const { return at_ == other.at_; }
+
+     private:
+      std::deque<TradingClient>::const_iterator at_;
+    };
+
+    explicit TraderList(const std::deque<TradingClient>& traders)
+        : traders_(&traders) {}
+    iterator begin() const { return iterator(traders_->begin()); }
+    iterator end() const { return iterator(traders_->end()); }
+    std::size_t size() const { return traders_->size(); }
+
+   private:
+    const std::deque<TradingClient>* traders_;
+  };
+  TraderList traders() const { return TraderList(traders_); }
   /// Epoch/injection counters from the most recent drive.
   const EpochStats& last_drive() const { return last_drive_; }
   /// Epoch counters accumulated across every drive of this exchange —
@@ -222,6 +249,7 @@ class MultiServerExchange {
     std::unique_ptr<SettlementEngine> settlement;
     AuditLog audit;
     std::unique_ptr<AuctionServer> server;
+    std::unique_ptr<TraderPopulation> traders;
   };
 
   MultiExchangeConfig config_;
@@ -238,7 +266,9 @@ class MultiServerExchange {
   std::unique_ptr<Fabric> fabric_;
   std::deque<Shard> shards_;
   std::unique_ptr<EpochDriver> driver_;
-  std::deque<std::unique_ptr<TradingClient>> traders_;
+  /// Views into the shard populations, in add order; a deque so the
+  /// references add_trader returns stay valid.
+  std::deque<TradingClient> traders_;
   EpochStats last_drive_;
   EpochStats epoch_totals_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange

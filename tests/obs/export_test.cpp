@@ -12,6 +12,7 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "snapshot_values.h"
 
 namespace fnda::obs {
 namespace {
@@ -63,55 +64,36 @@ TEST(MetricsRegistry, ThrowingCounterFnPropagatesFromSnapshot) {
 }
 
 TEST(SnapshotQuantile, ExactAtBucketUpperBounds) {
-  MetricsRegistry registry;
-  Histogram& hist = registry.histogram("h");
   // Values 0..7 are exact unit buckets; each is its own upper bound.
-  for (std::int64_t v = 0; v < 8; ++v) hist.record(v);
-  const MetricsSnapshot snap = registry.snapshot();
-  const MetricValue* value = snap.find("h");
-  ASSERT_NE(value, nullptr);
+  const MetricValue value = histogram_metric(
+      {{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}, {7, 1}});
   // Nearest rank over 8 samples: rank ceil(q*8) picks sample index
   // rank-1, and every sample sits on its bucket's upper bound, so the
   // readout is exact.
-  EXPECT_EQ(snapshot_quantile(*value, 0.125), 0u);  // rank 1 -> value 0
-  EXPECT_EQ(snapshot_quantile(*value, 0.5), 3u);    // rank 4 -> value 3
-  EXPECT_EQ(snapshot_quantile(*value, 0.625), 4u);  // rank 5 -> value 4
-  EXPECT_EQ(snapshot_quantile(*value, 0.99), 7u);   // rank 8 -> value 7
+  EXPECT_EQ(snapshot_quantile(value, 0.125), 0u);  // rank 1 -> value 0
+  EXPECT_EQ(snapshot_quantile(value, 0.5), 3u);    // rank 4 -> value 3
+  EXPECT_EQ(snapshot_quantile(value, 0.625), 4u);  // rank 5 -> value 4
+  EXPECT_EQ(snapshot_quantile(value, 0.99), 7u);   // rank 8 -> value 7
 }
 
 TEST(SnapshotQuantile, OctaveBucketBoundsReadBackExactly) {
-  MetricsRegistry registry;
-  Histogram& hist = registry.histogram("h");
   // 17 is a native upper bound in the msb-4 octave (buckets span two
   // values there: 16-17, 18-19, ...).  A sample recorded exactly at the
   // bound reads back exactly; one recorded at 16 rounds up to 17.
-  hist.record(17);
-  const MetricsSnapshot at_bound = registry.snapshot();
-  EXPECT_EQ(snapshot_quantile(*at_bound.find("h"), 0.5), 17u);
-
-  MetricsRegistry registry2;
-  registry2.histogram("h").record(16);
-  const MetricsSnapshot below = registry2.snapshot();
-  EXPECT_EQ(snapshot_quantile(*below.find("h"), 0.5), 17u);
+  EXPECT_EQ(snapshot_quantile(histogram_metric({{17, 1}}), 0.5), 17u);
+  EXPECT_EQ(snapshot_quantile(histogram_metric({{16, 1}}), 0.5), 17u);
 }
 
 TEST(SnapshotQuantile, DegenerateInputs) {
-  MetricsRegistry registry;
-  registry.histogram("empty");
-  registry.counter("scalar").add(9);
-  const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snapshot_quantile(*snap.find("empty"), 0.5), 0u);
-  EXPECT_EQ(snapshot_quantile(*snap.find("scalar"), 0.5), 0u);
+  EXPECT_EQ(snapshot_quantile(histogram_metric({}), 0.5), 0u);
+  EXPECT_EQ(snapshot_quantile(counter_metric(9), 0.5), 0u);
 
-  MetricsRegistry registry2;
-  Histogram& hist = registry2.histogram("h");
-  hist.record(100);
-  const MetricsSnapshot one = registry2.snapshot();
+  const MetricValue one = histogram_metric({{100, 1}});
   // q >= 1 returns the true recorded max, not a bucket bound.
-  EXPECT_EQ(snapshot_quantile(*one.find("h"), 1.0), 100u);
-  EXPECT_EQ(snapshot_quantile(*one.find("h"), 2.0), 100u);
+  EXPECT_EQ(snapshot_quantile(one, 1.0), 100u);
+  EXPECT_EQ(snapshot_quantile(one, 2.0), 100u);
   // q <= 0 clamps to rank 1.
-  EXPECT_EQ(snapshot_quantile(*one.find("h"), 0.0),
+  EXPECT_EQ(snapshot_quantile(one, 0.0),
             Histogram::bucket_upper_bound(Histogram::bucket_index(100)));
 }
 

@@ -12,19 +12,22 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "../obs/snapshot_values.h"
 
 namespace fnda::ops {
 namespace {
 
+using obs::counter_metric;
+using obs::gauge_metric;
+using obs::histogram_metric;
+using obs::snapshot_of;
+
 obs::MetricsSnapshot sample_snapshot() {
-  obs::MetricsRegistry registry;
-  registry.counter("fnda_events_total").add(42);
-  registry.gauge("fnda_depth").set(-5);
-  obs::Histogram& hist = registry.histogram("fnda_latency_us");
-  hist.record(3);
-  hist.record(3);
-  hist.record(900);
-  return registry.snapshot();
+  // Two samples at 3 and one at 900.
+  return snapshot_of(
+      {{"fnda_events_total", counter_metric(42)},
+       {"fnda_depth", gauge_metric(-5)},
+       {"fnda_latency_us", histogram_metric({{3, 2}, {900, 1}})}});
 }
 
 TEST(RenderMetricsTable, AlignsAndShowsEveryKind) {

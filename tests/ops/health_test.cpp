@@ -10,9 +10,15 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
+#include "../obs/snapshot_values.h"
 
 namespace fnda::ops {
 namespace {
+
+using obs::counter_metric;
+using obs::gauge_metric;
+using obs::histogram_metric;
+using obs::snapshot_of;
 
 SloRule parse_ok(const std::string& text) {
   SloRule rule;
@@ -72,16 +78,16 @@ TEST(SloRule, RejectsMalformedDeclarations) {
 }
 
 TEST(HealthWatchdog, ValueMaxReadsEveryMetricKind) {
-  obs::MetricsRegistry registry;
-  registry.counter("c").add(7);
-  registry.gauge("g").set(-3);  // negative gauges clamp to 0 for ceilings
-  obs::Histogram& hist = registry.histogram("h");
-  hist.record(40);
+  // Negative gauges clamp to 0 for ceilings.
+  const obs::MetricsSnapshot snapshot =
+      snapshot_of({{"c", counter_metric(7)},
+                   {"g", gauge_metric(-3)},
+                   {"h", histogram_metric({{40, 1}})}});
 
   HealthWatchdog watchdog({parse_ok("rc max(c) <= 5"),
                            parse_ok("rg max(g) <= 0"),
                            parse_ok("rh max(h) <= 39")});
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 2u);  // c and h breach
+  EXPECT_EQ(watchdog.evaluate(snapshot), 2u);  // c and h breach
   EXPECT_EQ(watchdog.states()[0].last_value, 7u);
   EXPECT_TRUE(watchdog.states()[0].last_breached);
   EXPECT_EQ(watchdog.states()[1].last_value, 0u);
@@ -91,72 +97,67 @@ TEST(HealthWatchdog, ValueMaxReadsEveryMetricKind) {
 }
 
 TEST(HealthWatchdog, QuantileRuleUsesNearestRankBuckets) {
-  obs::MetricsRegistry registry;
-  obs::Histogram& hist = registry.histogram("h");
-  for (int i = 0; i < 99; ++i) hist.record(1);
-  hist.record(1000);
+  const obs::MetricsSnapshot snapshot =
+      snapshot_of({{"h", histogram_metric({{1, 99}, {1000, 1}})}});
 
   HealthWatchdog tight({parse_ok("r p99(h) <= 0")});
-  EXPECT_EQ(tight.evaluate(registry.snapshot()), 1u);
+  EXPECT_EQ(tight.evaluate(snapshot), 1u);
   // rank ceil(0.99 * 100) = 99 lands in the bucket of the 1-valued
   // samples, so the observed p99 is exactly 1.
   EXPECT_EQ(tight.states()[0].last_value, 1u);
 
   HealthWatchdog loose({parse_ok("r p999(h) <= 2000")});
-  EXPECT_EQ(loose.evaluate(registry.snapshot()), 0u);
+  EXPECT_EQ(loose.evaluate(snapshot), 0u);
 }
 
 TEST(HealthWatchdog, RatioIsIntegerFixedPoint) {
-  obs::MetricsRegistry registry;
-  registry.counter("num").add(1);
-  registry.counter("den").add(3);
+  const obs::MetricsSnapshot snapshot =
+      snapshot_of({{"num", counter_metric(1)}, {"den", counter_metric(3)}});
 
   HealthWatchdog watchdog({parse_ok("r ratio(num,den) <= 0.4")});
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 0u);
+  EXPECT_EQ(watchdog.evaluate(snapshot), 0u);
   // 1/3 in micros fixed-point: 333333, never a float on the path.
   EXPECT_EQ(watchdog.states()[0].last_value, 333333u);
 
   HealthWatchdog strict({parse_ok("r ratio(num,den) <= 0.333333")});
-  EXPECT_EQ(strict.evaluate(registry.snapshot()), 0u);  // 333333 <= 333333
+  EXPECT_EQ(strict.evaluate(snapshot), 0u);  // 333333 <= 333333
   HealthWatchdog stricter({parse_ok("r ratio(num,den) <= 0.333332")});
-  EXPECT_EQ(stricter.evaluate(registry.snapshot()), 1u);
+  EXPECT_EQ(stricter.evaluate(snapshot), 1u);
 }
 
 TEST(HealthWatchdog, AbsentMetricNeverBreaches) {
-  obs::MetricsRegistry registry;
-  registry.counter("present").add(100);
+  const obs::MetricsSnapshot snapshot =
+      snapshot_of({{"present", counter_metric(100)}});
 
   HealthWatchdog watchdog({parse_ok("r1 max(absent) <= 1"),
                            parse_ok("r2 ratio(present,also_absent) <= 0.1")});
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 0u);
+  EXPECT_EQ(watchdog.evaluate(snapshot), 0u);
   EXPECT_FALSE(watchdog.states()[0].last_present);
   EXPECT_FALSE(watchdog.states()[1].last_present);
   EXPECT_EQ(watchdog.total_breaches(), 0u);
 }
 
 TEST(HealthWatchdog, BreachCountersAccumulateAcrossEvaluations) {
-  obs::MetricsRegistry registry;
-  obs::Counter& counter = registry.counter("c");
+  const obs::MetricsSnapshot before = snapshot_of({{"c", counter_metric(0)}});
+  const obs::MetricsSnapshot after = snapshot_of({{"c", counter_metric(5)}});
 
   HealthWatchdog watchdog({parse_ok("r max(c) <= 1")});
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 0u);
-  counter.add(5);
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 1u);
-  EXPECT_EQ(watchdog.evaluate(registry.snapshot()), 1u);
+  EXPECT_EQ(watchdog.evaluate(before), 0u);
+  EXPECT_EQ(watchdog.evaluate(after), 1u);
+  EXPECT_EQ(watchdog.evaluate(after), 1u);
   EXPECT_EQ(watchdog.evaluations(), 3u);
   EXPECT_EQ(watchdog.total_breaches(), 2u);
   EXPECT_EQ(watchdog.states()[0].breaches, 2u);
 }
 
 TEST(HealthWatchdog, BindMetricsExposesCounters) {
-  obs::MetricsRegistry session;
-  obs::Counter& counter = session.counter("c");
   HealthWatchdog watchdog({parse_ok("r max(c) <= 0")});
 
+  // The watchdog binds callback counters, which read its own state and
+  // so stay live when the instruments are compiled out.
   obs::MetricsRegistry exposition;
   watchdog.bind_metrics(exposition);
-  counter.add(1);
-  watchdog.evaluate(session.snapshot());
+  watchdog.evaluate(snapshot_of({{"c", counter_metric(1)}}));
 
   const obs::MetricsSnapshot snap = exposition.snapshot();
   ASSERT_NE(snap.find("fnda_health_evaluations_total"), nullptr);
