@@ -16,6 +16,7 @@
 
 #include "common/ids.h"
 #include "common/money.h"
+#include "common/segmented.h"
 #include "core/bid.h"
 #include "market/clock.h"
 #include "market/messages.h"
@@ -139,7 +140,7 @@ class AuditLog {
     records_.push_back(AuditRecord{at, round, detail});
   }
 
-  const std::vector<AuditRecord>& records() const { return records_; }
+  const SegmentedColumn<AuditRecord>& records() const { return records_; }
   std::size_t count(AuditKind kind) const;
   std::vector<AuditRecord> for_round(RoundId round) const;
 
@@ -147,7 +148,7 @@ class AuditLog {
   std::string dump() const;
 
  private:
-  std::vector<AuditRecord> records_;
+  SegmentedColumn<AuditRecord> records_;
 };
 
 }  // namespace fnda

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/segmented.h"
 #include "market/bus.h"
 #include "market/clock.h"
 #include "market/escrow.h"
@@ -87,7 +88,7 @@ class ThreadedColumn {
    public:
     class iterator {
      public:
-      iterator(const std::vector<Row>* rows, std::uint32_t at)
+      iterator(const SegmentedColumn<Row>* rows, std::uint32_t at)
           : rows_(rows), at_(at) {}
       const T& operator*() const { return (*rows_)[at_].value; }
       iterator& operator++() {
@@ -97,11 +98,11 @@ class ThreadedColumn {
       bool operator==(const iterator& other) const { return at_ == other.at_; }
 
      private:
-      const std::vector<Row>* rows_;
+      const SegmentedColumn<Row>* rows_;
       std::uint32_t at_;
     };
 
-    Range(const std::vector<Row>& rows, Thread thread)
+    Range(const SegmentedColumn<Row>& rows, Thread thread)
         : rows_(&rows), thread_(thread) {}
     iterator begin() const { return iterator(rows_, thread_.head); }
     iterator end() const { return iterator(rows_, kEnd); }
@@ -110,7 +111,7 @@ class ThreadedColumn {
     const T& back() const { return (*rows_)[thread_.tail].value; }
 
    private:
-    const std::vector<Row>* rows_;
+    const SegmentedColumn<Row>* rows_;
     Thread thread_;
   };
 
@@ -128,7 +129,7 @@ class ThreadedColumn {
   Range range(Thread thread) const { return Range(rows_, thread); }
 
  private:
-  std::vector<Row> rows_;
+  SegmentedColumn<Row> rows_;
 };
 
 /// Every trader of one shard, as a single bus endpoint.

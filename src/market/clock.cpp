@@ -45,11 +45,15 @@ void EventQueue::push(Entry entry) {
   if (bucket > cursor_) {
     if (bucket < horizon()) {
       const auto slot_index = static_cast<std::size_t>(bucket) & kWheelMask;
-      wheel_[slot_index].push_back(entry);
+      std::vector<Entry>& slot = wheel_[slot_index];
+      if (slot.capacity() == 0) take_spare(slot);
+      slot.push_back(entry);
       mark_occupied(slot_index);
       ++wheel_count_;
     } else {
-      overflow_[bucket].push_back(entry);
+      std::vector<Entry>& later = overflow_[bucket];
+      if (later.capacity() == 0) take_spare(later);
+      later.push_back(entry);
     }
     return;
   }
@@ -69,6 +73,12 @@ void EventQueue::push(Entry entry) {
   // (after a partial run_until), so it stays ahead of everything already
   // executed.  Splice into the sorted early buffer.
   insert_early(entry);
+}
+
+void EventQueue::take_spare(std::vector<Entry>& bucket) {
+  if (spare_buckets_.empty()) return;
+  bucket = std::move(spare_buckets_.back());
+  spare_buckets_.pop_back();
 }
 
 void EventQueue::insert_early(const Entry& entry) {
@@ -167,6 +177,7 @@ bool EventQueue::ensure_ready() {
     instant_occupied_[offset >> 6] |= std::uint64_t{1} << (offset & 63);
   }
   bucket.clear();
+  spare_buckets_.push_back(std::move(bucket));
   return true;
 }
 

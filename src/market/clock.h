@@ -148,6 +148,8 @@ class EventQueue {
   }
 
   void push(Entry entry);
+  /// Hands a bucket that owns no buffer the most recently drained one.
+  void take_spare(std::vector<Entry>& bucket);
   std::uint32_t acquire_action(Action action);
   /// True if something is ready to execute; advances the cursor to the
   /// next non-empty bucket and distributes it into the per-offset
@@ -175,6 +177,12 @@ class EventQueue {
   std::vector<Action> actions_;          // side slab for callbacks
   std::vector<std::uint32_t> action_free_;
   std::array<std::vector<Entry>, kWheelSlots> wheel_;
+  // Buffers of drained buckets, reused last-in first-out by pushes that
+  // open a bucket (on the wheel or in the overflow calendar).  Without
+  // them every wheel slot would keep the largest bucket it ever held;
+  // with them the queue holds about as many buffers as there are buckets
+  // occupied at once, and pushes land in memory that is still warm.
+  std::vector<std::vector<Entry>> spare_buckets_;
   std::array<std::uint64_t, kBitmapWords> occupied_{};
   std::map<std::int64_t, std::vector<Entry>> overflow_;
   // The bucket at cursor_ is drained through one list per microsecond

@@ -15,6 +15,7 @@
 
 #include "common/ids.h"
 #include "common/money.h"
+#include "common/segmented.h"
 #include "market/audit.h"
 #include "market/clock.h"
 #include "market/identity.h"
@@ -25,7 +26,7 @@ namespace fnda {
 
 class EscrowService {
  public:
-  /// Deposits live in a flat vector on `lattice`'s slots, so pass the
+  /// Deposits live in a segmented column on `lattice`'s slots, so pass the
   /// lattice of the registry that mints the identities posting here.
   explicit EscrowService(CashLedger& cash, IdentityLattice lattice = {})
       : cash_(cash), lattice_(lattice) {}
@@ -68,7 +69,7 @@ class EscrowService {
   CashLedger& cash_;
   IdentityLattice lattice_;
   /// Deposit per lattice slot; slot i belongs to identity lattice_.at(i).
-  std::vector<Money> deposits_;
+  SegmentedColumn<Money> deposits_;
   /// Sum of deposits_, kept exact on every post and release.
   Money held_total_;
 

@@ -14,12 +14,13 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/segmented.h"
 
 namespace fnda {
 
 /// The identity ids one registry mints: first, first + stride, first +
 /// 2*stride, ...  Every per-identity table (owners, escrow deposits) is a
-/// flat vector indexed by the dense slot this lattice assigns an id.
+/// segmented column indexed by the dense slot this lattice assigns an id.
 struct IdentityLattice {
   std::uint64_t first = 0;
   std::uint64_t stride = 1;
@@ -75,7 +76,7 @@ class IdentityRegistry {
  private:
   IdentityLattice lattice_;
   /// Owner per lattice slot; slot i holds identity lattice_.at(i).
-  std::vector<AccountId> owners_;
+  SegmentedColumn<AccountId> owners_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange
 };
 

@@ -18,12 +18,15 @@ SettlementReport SettlementEngine::settle(RoundId round,
 
   std::vector<const Fill*> buys;
   std::vector<const Fill*> sells;
+  buys.reserve(outcome.fills().size());
+  sells.reserve(outcome.fills().size());
   for (const Fill& fill : outcome.fills()) {
     (fill.side == Side::kBuyer ? buys : sells).push_back(&fill);
   }
 
   const AccountId exchange = IdentityRegistry::exchange_account();
   const std::size_t pairs = std::min(buys.size(), sells.size());
+  report.deliveries.reserve(pairs);
   for (std::size_t t = 0; t < pairs; ++t) {
     Delivery delivery;
     delivery.buyer = buys[t]->identity;

@@ -235,6 +235,29 @@ std::vector<Money> candidate_values(const SingleUnitInstance& instance,
   return {grid.begin(), grid.end()};
 }
 
+namespace {
+
+constexpr std::int64_t kSlackMax = std::numeric_limits<std::int64_t>::max();
+
+/// a + b for the non-negative bound-slack sums, pinned at the int64
+/// maximum instead of overflowing: a long search over wide value domains
+/// can pile up more slack than int64 micros can hold.
+std::int64_t add_slack(std::int64_t a, std::int64_t b) {
+  return a > kSlackMax - b ? kSlackMax : a + b;
+}
+
+/// One leaf's bound slack in micro-units.  A negative (or NaN) gap counts
+/// as zero, and a gap past the int64 range is pinned before rounding.
+std::int64_t slack_micros(double gap) {
+  // The largest double below 2^63, so llround stays in range.
+  constexpr double kLargest = 9223372036854774784.0;
+  const double micros = gap * 1e6;
+  if (!(micros > 0)) return 0;
+  return micros >= kLargest ? kSlackMax : std::llround(micros);
+}
+
+}  // namespace
+
 void SearchStats::merge_from(const SearchStats& other) {
   strategies_enumerated += other.strategies_enumerated;
   strategies_evaluated += other.strategies_evaluated;
@@ -244,7 +267,7 @@ void SearchStats::merge_from(const SearchStats& other) {
   dedup_skipped += other.dedup_skipped;
   clears_performed += other.clears_performed;
   fast_positions += other.fast_positions;
-  bound_slack_micros += other.bound_slack_micros;
+  bound_slack_micros = add_slack(bound_slack_micros, other.bound_slack_micros);
   bound_slack_samples += other.bound_slack_samples;
   // wall_time_ns and threads_used describe the whole run, not a part;
   // the engine sets them once after the merge.
@@ -491,9 +514,8 @@ class BlockWorker {
         const double utility = evaluate_leaf(size);
         ++out_->stats.strategies_evaluated;
         if (ctx_.bracket_usable) {
-          const std::int64_t slack =
-              std::llround((bound - utility) * 1e6);
-          out_->stats.bound_slack_micros += std::max<std::int64_t>(0, slack);
+          out_->stats.bound_slack_micros = add_slack(
+              out_->stats.bound_slack_micros, slack_micros(bound - utility));
           ++out_->stats.bound_slack_samples;
         }
         if (utility > incumbent_) {

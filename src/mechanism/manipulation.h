@@ -201,6 +201,7 @@ struct SearchStats {
   /// Prune-bound tightness: sum over evaluated candidates (with a valid
   /// bracket) of bound minus achieved utility, in micro-units, plus the
   /// sample count.  Mean slack = bound_slack_micros / bound_slack_samples.
+  /// The sum saturates at the int64 maximum rather than overflowing.
   std::int64_t bound_slack_micros = 0;
   std::size_t bound_slack_samples = 0;
   /// Wall time of the whole search (enumeration + merge), and the number

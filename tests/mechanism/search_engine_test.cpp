@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.h"
 #include "mechanism/multi_manipulation.h"
 #include "protocols/efficient.h"
@@ -172,6 +175,55 @@ TEST(SearchEngineTest, StatsAreThreadInvariant) {
     EXPECT_EQ(many.stats.fast_positions, one.stats.fast_positions);
     EXPECT_EQ(many.stats.bound_slack_micros, one.stats.bound_slack_micros);
     EXPECT_EQ(many.stats.bound_slack_samples, one.stats.bound_slack_samples);
+  }
+}
+
+TEST(SearchStatsTest, BoundSlackSumSaturatesAtInt64Max) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  SearchStats total;
+  total.bound_slack_micros = kMax - 10;
+  SearchStats part;
+  part.bound_slack_micros = 7;
+  total.merge_from(part);
+  EXPECT_EQ(total.bound_slack_micros, kMax - 3);
+  part.bound_slack_micros = kMax - 1;
+  total.merge_from(part);
+  EXPECT_EQ(total.bound_slack_micros, kMax);
+  total.merge_from(part);
+  EXPECT_EQ(total.bound_slack_micros, kMax);
+}
+
+TEST(SearchStatsTest, BoundSlackSaturatesOverAWideValueDomain) {
+  // Values up to 2^60 micros: one leaf's slack is a sizeable fraction of
+  // the int64 range (while any sum of two values still fits), so
+  // thousands of leaves must pin the sum at the maximum instead of
+  // wrapping it, on the serial and the block path.
+  constexpr std::int64_t kTop = std::int64_t{1} << 60;
+  constexpr std::int64_t kStep = std::int64_t{1} << 38;
+  SingleUnitInstance instance;
+  Rng rng(11);
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto buyer = static_cast<std::int64_t>(rng.below(1u << 20));
+    const auto seller = static_cast<std::int64_t>(rng.below(1u << 20));
+    instance.buyer_values.push_back(
+        Money::from_micros(kTop / 2 + buyer * kStep));
+    instance.seller_values.push_back(Money::from_micros(seller * kStep));
+  }
+  instance.domain = ValueDomain{Money{}, Money::from_micros(kTop)};
+  static const TpdProtocol tpd(Money::from_micros(kTop / 2));
+  // A penalty above the price bracket keeps the utility bound usable.
+  EvalConfig eval;
+  eval.utility = UtilityModel(Money::from_micros(kTop));
+  const DeviationEvaluator evaluator(tpd, instance, {Side::kBuyer, 0}, eval);
+  for (const std::size_t threads : {1u, 4u}) {
+    SearchConfig config;
+    config.threads = threads;
+    config.prune = false;  // evaluate (and sample) every leaf
+    const SearchResult result = find_best_deviation(evaluator, config);
+    EXPECT_GT(result.stats.bound_slack_samples, 1'000u);
+    EXPECT_EQ(result.stats.bound_slack_micros,
+              std::numeric_limits<std::int64_t>::max())
+        << threads << " threads";
   }
 }
 
