@@ -1,13 +1,9 @@
 // Market-substrate throughput benchmark.
 //
-// Measures three things at a configurable client count:
-//   1. legacy_substrate_roundtrip — the pre-change substrate (the seed's
-//      comparison-heap EventQueue plus the string-keyed bus with a
-//      heap-allocated envelope closure per delivery), kept here verbatim
-//      as the baseline the ISSUE's ≥5x criterion is judged against;
-//   2. market_substrate_roundtrip — the same open→submit→ack workload on
-//      the interned/slab/calendar-queue MessageBus;
-//   3. market_session — the full stack (MultiServerExchange, real
+// Measures two things at a configurable client count:
+//   1. market_substrate_roundtrip — an open→submit→ack workload on the
+//      interned/slab/calendar-queue MessageBus;
+//   2. market_session — the full stack (MultiServerExchange, real
 //      AuctionServers, escrow, settlement, audit) driven by ZI traders.
 // Results go to BENCH_market_throughput.json (google-benchmark shape).
 //
@@ -44,12 +40,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <iostream>
 #include <memory>
-#include <queue>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_util.h"
@@ -61,126 +54,6 @@
 #include "obs/metrics.h"
 #include "protocols/tpd.h"
 
-namespace legacy {
-
-// The seed's EventQueue: a comparison heap of std::function entries.
-class EventQueue {
- public:
-  using Action = std::function<void()>;
-
-  void schedule_at(fnda::SimTime at, Action action) {
-    queue_.push(Entry{std::max(at, now_), next_sequence_++,
-                      std::move(action)});
-  }
-
-  std::size_t run(std::size_t max_events = 1'000'000) {
-    std::size_t executed = 0;
-    while (executed < max_events && !queue_.empty()) {
-      Entry entry = queue_.top();
-      queue_.pop();
-      now_ = entry.at;
-      entry.action();
-      ++executed;
-    }
-    return executed;
-  }
-
-  fnda::SimTime now() const { return now_; }
-  std::size_t pending() const { return queue_.size(); }
-
- private:
-  struct Entry {
-    fnda::SimTime at;
-    std::uint64_t sequence;
-    Action action;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.at != b.at) return b.at < a.at;
-      return b.sequence < a.sequence;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  fnda::SimTime now_{};
-  std::uint64_t next_sequence_ = 0;
-};
-
-// The seed's bus: string-keyed endpoint map, one heap-allocated envelope
-// closure per scheduled delivery.
-struct Envelope {
-  std::uint64_t id = 0;
-  std::string from;
-  std::string to;
-  fnda::SimTime sent_at;
-  fnda::SimTime delivered_at;
-  fnda::Message payload;
-};
-
-class Endpoint {
- public:
-  virtual ~Endpoint() = default;
-  virtual void on_message(const Envelope& envelope) = 0;
-};
-
-class MessageBus {
- public:
-  MessageBus(EventQueue& queue, fnda::BusConfig config, fnda::Rng rng)
-      : queue_(queue), config_(config), rng_(rng) {}
-
-  void attach(const std::string& address, Endpoint& endpoint) {
-    endpoints_[address] = &endpoint;
-  }
-
-  std::uint64_t send(const std::string& from, const std::string& to,
-                     fnda::Message payload) {
-    const std::uint64_t id = next_message_++;
-    ++sent_;
-    Envelope envelope;
-    envelope.id = id;
-    envelope.from = from;
-    envelope.to = to;
-    envelope.sent_at = queue_.now();
-    envelope.payload = std::move(payload);
-    if (rng_.bernoulli(config_.drop_probability)) return id;
-    schedule_delivery(envelope);
-    if (rng_.bernoulli(config_.duplicate_probability)) {
-      schedule_delivery(envelope);
-    }
-    return id;
-  }
-
-  std::size_t sent() const { return sent_; }
-  std::size_t delivered() const { return delivered_; }
-
- private:
-  void schedule_delivery(Envelope envelope) {
-    fnda::SimTime latency = config_.base_latency;
-    if (config_.jitter.micros > 0) {
-      latency.micros += rng_.uniform_int(0, config_.jitter.micros - 1);
-    }
-    const fnda::SimTime deliver_at = queue_.now() + latency;
-    queue_.schedule_at(deliver_at, [this, envelope = std::move(envelope),
-                                    deliver_at]() mutable {
-      auto it = endpoints_.find(envelope.to);
-      if (it == endpoints_.end()) return;
-      envelope.delivered_at = deliver_at;
-      ++delivered_;
-      it->second->on_message(envelope);
-    });
-  }
-
-  EventQueue& queue_;
-  fnda::BusConfig config_;
-  fnda::Rng rng_;
-  std::unordered_map<std::string, Endpoint*> endpoints_;
-  std::size_t sent_ = 0;
-  std::size_t delivered_ = 0;
-  std::uint64_t next_message_ = 0;
-};
-
-}  // namespace legacy
-
 namespace {
 
 using Clock = std::chrono::steady_clock;
@@ -190,76 +63,13 @@ double seconds_since(Clock::time_point start) {
 }
 
 // ---------------------------------------------------------------------------
-// Open→submit→ack round-trip workload, pre-change substrate.
-
-struct LegacyPingServer : legacy::Endpoint {
-  legacy::MessageBus* bus = nullptr;
-  std::string address;
-  void on_message(const legacy::Envelope& e) override {
-    if (const auto* msg = std::get_if<fnda::SubmitBidMsg>(&e.payload)) {
-      bus->send(address, e.from,
-                fnda::BidAckMsg{msg->round, msg->identity});
-    }
-  }
-};
-
-struct LegacyPingClient : legacy::Endpoint {
-  legacy::MessageBus* bus = nullptr;
-  std::string address;
-  std::string server;
-  std::uint64_t identity = 0;
-  void on_message(const legacy::Envelope& e) override {
-    if (const auto* msg = std::get_if<fnda::RoundOpenMsg>(&e.payload)) {
-      bus->send(address, server,
-                fnda::SubmitBidMsg{msg->round, fnda::IdentityId{identity},
-                                   fnda::Side::kBuyer,
-                                   fnda::Money::from_units(42)});
-    }
-  }
-};
+// Open→submit→ack round-trip workload on the interned/slab/calendar-queue
+// substrate.
 
 struct RoundtripTiming {
   std::size_t messages = 0;
   double elapsed = 0.0;
 };
-
-RoundtripTiming run_legacy_roundtrips(std::size_t clients,
-                                      std::size_t rounds,
-                                      std::uint64_t seed) {
-  legacy::EventQueue queue;
-  legacy::MessageBus bus(queue, fnda::BusConfig{}, fnda::Rng(seed));
-
-  LegacyPingServer server;
-  server.bus = &bus;
-  server.address = "exchange";
-  bus.attach(server.address, server);
-
-  std::vector<std::unique_ptr<LegacyPingClient>> endpoints;
-  endpoints.reserve(clients);
-  for (std::size_t i = 0; i < clients; ++i) {
-    auto client = std::make_unique<LegacyPingClient>();
-    client->bus = &bus;
-    client->address = "trader-" + std::to_string(i);
-    client->server = server.address;
-    client->identity = i;
-    bus.attach(client->address, *client);
-    endpoints.push_back(std::move(client));
-  }
-
-  const auto start = Clock::now();
-  for (std::size_t r = 0; r < rounds; ++r) {
-    for (const auto& client : endpoints) {
-      bus.send(server.address, client->address,
-               fnda::RoundOpenMsg{fnda::RoundId{r}, queue.now()});
-    }
-    while (queue.run() > 0) {
-    }
-  }
-  return RoundtripTiming{bus.sent(), seconds_since(start)};
-}
-
-// ---------------------------------------------------------------------------
-// The same workload on the interned/slab/calendar-queue substrate.
 
 struct FastPingServer : fnda::Endpoint {
   fnda::MessageBus* bus = nullptr;
@@ -507,23 +317,8 @@ int main(int argc, char** argv) {
                  "num_cpus in the JSON.\n";
   }
 
-  // Best-of-reps for both substrates: the workload is deterministic, so
-  // repetition only filters out scheduler noise, never workload variance.
-  RoundtripTiming before = run_legacy_roundtrips(clients, rounds, seed);
-  for (std::size_t rep = 1; rep < reps; ++rep) {
-    const RoundtripTiming timing = run_legacy_roundtrips(clients, rounds, seed);
-    if (timing.elapsed < before.elapsed) before = timing;
-  }
-  const double before_rate =
-      static_cast<double>(before.messages) / before.elapsed;
-  records.push_back({"legacy_substrate_roundtrip" + size_suffix,
-                     before.elapsed * 1e9,
-                     1,
-                     before_rate,
-                     {{"messages", static_cast<double>(before.messages)}}});
-  std::cout << "legacy substrate:  " << before.messages << " messages in "
-            << before.elapsed << " s  (" << before_rate << " msg/s)\n";
-
+  // Best-of-reps: the workload is deterministic, so repetition only
+  // filters out scheduler noise, never workload variance.
   RoundtripTiming after = run_fast_roundtrips(clients, rounds, seed);
   for (std::size_t rep = 1; rep < reps; ++rep) {
     const RoundtripTiming timing = run_fast_roundtrips(clients, rounds, seed);
@@ -536,8 +331,7 @@ int main(int argc, char** argv) {
                      after_rate,
                      {{"messages", static_cast<double>(after.messages)}}});
   std::cout << "market substrate:  " << after.messages << " messages in "
-            << after.elapsed << " s  (" << after_rate << " msg/s, "
-            << after_rate / before_rate << "x)\n";
+            << after.elapsed << " s  (" << after_rate << " msg/s)\n";
 
   // Full stack: real servers, escrow, settlement, audit, ZI traders.
   fnda::TpdProtocol protocol(fnda::Money::from_units(50));

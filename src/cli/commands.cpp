@@ -1,13 +1,16 @@
 #include "cli/commands.h"
 
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
 
 #include "core/validation.h"
+#include "ops/command.h"
 #include "ops/console.h"
 #include "ops/format.h"
 #include "protocols/efficient.h"
@@ -32,24 +35,91 @@
 namespace fnda {
 namespace {
 
-/// Builds the protocol named by --protocol (default tpd); --threshold and
-/// --theta parameterize the ones that need it.
-ProtocolPtr make_protocol(const ArgParser& args) {
-  const std::string name = args.get_or("protocol", "tpd");
-  const Money threshold = money(args.get_double_or("threshold", 50.0));
+using ops::Invocation;
+using ops::ParamSpec;
+
+constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
+/// Money::from_double rounds value * 10^6 to int64 micros, so money flags
+/// stay well inside +-9.2e12.
+constexpr double kMoneyLimit = 9e12;
+
+ParamSpec count(std::string name, std::int64_t min_value,
+                std::int64_t fallback, std::string help) {
+  return ParamSpec::integer(std::move(name), min_value, kMaxInt64,
+                            std::move(help))
+      .optional(std::to_string(fallback));
+}
+
+ParamSpec toggle(std::string name, bool fallback, std::string help) {
+  return ParamSpec::integer(std::move(name), 0, 1, std::move(help))
+      .optional(fallback ? "1" : "0");
+}
+
+ParamSpec money_option(std::string name, std::string fallback,
+                       std::string help) {
+  return ParamSpec::real(std::move(name), -kMoneyLimit, kMoneyLimit,
+                         std::move(help))
+      .optional(std::move(fallback));
+}
+
+ParamSpec probability(std::string name, std::string help) {
+  return ParamSpec::real(std::move(name), 0.0, 1.0, std::move(help))
+      .optional("0");
+}
+
+ParamSpec seed_option(std::uint64_t fallback) {
+  return count("seed", 0, static_cast<std::int64_t>(fallback), "RNG seed");
+}
+
+/// A file path; absent means the command's default source or sink.
+ParamSpec path_option(std::string name, std::string help) {
+  return ParamSpec::string(std::move(name), std::move(help)).optional("");
+}
+
+ParamSpec book_option() {
+  return path_option("book", "CSV book file (default: stdin)");
+}
+
+/// --protocol, --threshold and --theta, then `more`.
+std::vector<ParamSpec> protocol_options(std::vector<ParamSpec> more) {
+  std::vector<ParamSpec> options = {
+      ParamSpec::choice("protocol",
+                        {"tpd", "pmd", "vcg", "kda", "efficient",
+                         "random-threshold"},
+                        "clearing protocol")
+          .optional("tpd"),
+      money_option("threshold", "50",
+                   "threshold price r (tpd, random-threshold)"),
+      ParamSpec::real("theta", 0.0, 1.0, "price weight (kda only)")
+          .optional("0.5")};
+  for (ParamSpec& option : more) options.push_back(std::move(option));
+  return options;
+}
+
+std::size_t get_size(const Invocation& args, std::string_view name) {
+  return static_cast<std::size_t>(args.get_int(name));
+}
+
+std::uint64_t get_seed(const Invocation& args) {
+  return static_cast<std::uint64_t>(args.get_int("seed"));
+}
+
+/// Builds the protocol named by --protocol; --threshold and --theta
+/// parameterize the ones that need it.
+ProtocolPtr make_protocol(const Invocation& args) {
+  const std::string& name = args.get("protocol");
+  if (args.has("theta") && name != "kda") {
+    throw std::invalid_argument("--theta applies only to --protocol kda");
+  }
+  const Money threshold = money(args.get_real("threshold"));
   if (name == "tpd") return std::make_unique<TpdProtocol>(threshold);
   if (name == "pmd") return std::make_unique<PmdProtocol>();
   if (name == "vcg") return std::make_unique<VcgDoubleAuction>();
   if (name == "kda") {
-    return std::make_unique<KDoubleAuction>(args.get_double_or("theta", 0.5));
+    return std::make_unique<KDoubleAuction>(args.get_real("theta"));
   }
   if (name == "efficient") return std::make_unique<EfficientClearing>();
-  if (name == "random-threshold") {
-    return std::make_unique<RandomThresholdProtocol>(threshold);
-  }
-  throw std::invalid_argument(
-      "unknown --protocol '" + name +
-      "' (tpd|pmd|vcg|kda|efficient|random-threshold)");
+  return std::make_unique<RandomThresholdProtocol>(threshold);
 }
 
 int usage_error(std::ostream& err, const std::string& message) {
@@ -58,50 +128,85 @@ int usage_error(std::ostream& err, const std::string& message) {
 }
 
 /// Reads --book FILE or stdin into a string; returns false on I/O error.
-bool slurp_book(const ArgParser& args, std::istream& in, std::ostream& err,
+bool slurp_book(const Invocation& args, std::istream& in, std::ostream& err,
                 std::string* text) {
-  if (const auto path = args.get("book"); path.has_value()) {
-    std::ifstream file(*path);
+  std::ifstream file;
+  if (args.has("book")) {
+    file.open(args.get("book"));
     if (!file) {
-      err << "error: cannot open book file '" << *path << "'\n";
+      err << "error: cannot open book file '" << args.get("book") << "'\n";
       return false;
     }
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    *text = buffer.str();
-    return true;
   }
   std::ostringstream buffer;
-  buffer << in.rdbuf();
+  buffer << (args.has("book") ? static_cast<std::istream&>(file) : in).rdbuf();
   *text = buffer.str();
   return true;
 }
 
-int check_unused(const ArgParser& args, std::ostream& err) {
-  const auto leftover = args.unused();
-  if (leftover.empty()) return 0;
-  std::string list;
-  for (const auto& flag : leftover) {
-    if (!list.empty()) list += ", ";
-    list += flag;
+/// Reads the book and takes its declarations as the participants' true
+/// values (the standard assumption when auditing an instance).  Returns
+/// false on I/O error.
+bool read_instance(const Invocation& args, std::istream& in,
+                   std::ostream& err, SingleUnitInstance* instance) {
+  std::string text;
+  if (!slurp_book(args, in, err, &text)) return false;
+  const OrderBook book = read_book_csv(text);
+  for (const BidEntry& entry : book.buyers()) {
+    instance->buyer_values.push_back(entry.value);
   }
-  return usage_error(err, "unrecognized flag(s): " + list);
+  for (const BidEntry& entry : book.sellers()) {
+    instance->seller_values.push_back(entry.value);
+  }
+  return true;
 }
 
-}  // namespace
+/// --manipulator side:index, e.g. "seller:2".  Throws
+/// std::invalid_argument on anything else; an index past the book is
+/// the evaluator's runtime error.
+ManipulatorSpec parse_manipulator(const std::string& text) {
+  const auto colon = text.find(':');
+  if (colon == std::string::npos) {
+    throw std::invalid_argument(
+        "--manipulator must be side:index, e.g. seller:2");
+  }
+  const std::string side = text.substr(0, colon);
+  if (side != "buyer" && side != "seller") {
+    throw std::invalid_argument("--manipulator side must be buyer or seller");
+  }
+  std::size_t index = 0;
+  const char* begin = text.data() + colon + 1;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(begin, end, index);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("--manipulator index must be a "
+                                "non-negative integer, got '" +
+                                text.substr(colon + 1) + "'");
+  }
+  return {side == "buyer" ? Side::kBuyer : Side::kSeller, index};
+}
 
-int cmd_clear(const ArgParser& args, std::istream& in, std::ostream& out,
+/// The closing lines shared by `attack` and `attack-search`.
+void print_verdict(std::ostream& out, const SearchResult& result) {
+  out << "truthful utility: " << format_fixed(result.truthful_utility, 4)
+      << "\n"
+      << "best deviation:   " << format_fixed(result.best_utility, 4)
+      << "  via " << result.best_strategy.to_string() << "\n"
+      << (result.profitable()
+              ? "VERDICT: manipulable (profitable deviation found)\n"
+              : "VERDICT: truthful play is optimal here\n");
+}
+
+int cmd_clear(const Invocation& args, std::istream& in, std::ostream& out,
               std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
-  const std::string format = args.get_or("format", "text");
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  const std::string& format = args.get("format");
 
   std::string text;
   if (!slurp_book(args, in, err, &text)) return 1;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const OrderBook book = read_book_csv(text);
-  Rng rng(seed);
+  Rng rng(get_seed(args));
   const Outcome outcome = protocol->clear(book, rng);
   // VCG legitimately runs a deficit; everything else must balance.
   ValidationOptions options;
@@ -112,7 +217,7 @@ int cmd_clear(const ArgParser& args, std::istream& in, std::ostream& out,
     out << write_outcome_csv(outcome);
   } else if (format == "json") {
     out << outcome_to_json(outcome) << '\n';
-  } else if (format == "text") {
+  } else {
     out << protocol->name() << ": " << outcome.trade_count()
         << " trades, auctioneer revenue " << outcome.auctioneer_revenue()
         << '\n';
@@ -121,24 +226,19 @@ int cmd_clear(const ArgParser& args, std::istream& in, std::ostream& out,
           << (fill.side == Side::kBuyer ? " pays " : " receives ")
           << fill.price << '\n';
     }
-  } else {
-    return usage_error(err, "unknown --format '" + format + "'");
   }
   return 0;
 }
 
-int cmd_clear_multi(const ArgParser& args, std::istream& in,
+int cmd_clear_multi(const Invocation& args, std::istream& in,
                     std::ostream& out, std::ostream& err) {
-  const Money threshold = money(args.get_double_or("threshold", 50.0));
-  const std::string format = args.get_or("format", "text");
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  const Money threshold = money(args.get_real("threshold"));
   std::string text;
   if (!slurp_book(args, in, err, &text)) return 1;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const MultiUnitBook book = read_multi_book_csv(text);
   const TpdMultiUnitProtocol protocol(threshold);
-  Rng rng(seed);
+  Rng rng(get_seed(args));
   const MultiUnitOutcome outcome = protocol.clear(book, rng);
   const auto errors = validate_multi_outcome(book, outcome);
   if (!errors.empty()) {
@@ -146,9 +246,9 @@ int cmd_clear_multi(const ArgParser& args, std::istream& in,
     return 1;
   }
 
-  if (format == "csv") {
+  if (args.get("format") == "csv") {
     out << write_multi_outcome_csv(outcome);
-  } else if (format == "text") {
+  } else {
     out << protocol.name() << " (r = " << threshold << "): "
         << outcome.units_traded() << " units traded, auctioneer revenue "
         << outcome.auctioneer_revenue() << '\n';
@@ -161,29 +261,23 @@ int cmd_clear_multi(const ArgParser& args, std::istream& in,
           << seller.units << " unit(s) for " << seller.total_received
           << '\n';
     }
-  } else {
-    return usage_error(err, "unknown --format '" + format +
-                                "' (clear-multi supports text|csv)");
   }
   return 0;
 }
 
-int cmd_simulate(const ArgParser& args, std::ostream& out,
-                 std::ostream& err) {
+int cmd_simulate(const Invocation& args, std::istream&, std::ostream& out,
+                 std::ostream&) {
   const ProtocolPtr protocol = make_protocol(args);
-  const auto buyers = static_cast<std::size_t>(args.get_int_or("buyers", 50));
-  const auto sellers =
-      static_cast<std::size_t>(args.get_int_or("sellers", 50));
+  const std::size_t buyers = get_size(args, "buyers");
+  const std::size_t sellers = get_size(args, "sellers");
   ExperimentConfig config;
-  config.instances =
-      static_cast<std::size_t>(args.get_int_or("instances", 1000));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
+  config.instances = get_size(args, "instances");
+  config.seed = get_seed(args);
   config.validation.allow_deficit = protocol->name() == "vcg";
-  const double low = args.get_double_or("low", 0.0);
-  const double high = args.get_double_or("high", 100.0);
-  const auto binomial = args.get_int_or("binomial", 0);
-  const auto threads = args.get_int_or("threads", 1);
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
+  const double low = args.get_real("low");
+  const double high = args.get_real("high");
+  const std::int64_t binomial = args.get_int("binomial");
+  const std::size_t threads = get_size(args, "threads");
 
   const ValueDistribution values{money(low), money(high), ValueDomain{}};
   const InstanceGenerator generator =
@@ -192,8 +286,7 @@ int cmd_simulate(const ArgParser& args, std::ostream& out,
           : fixed_count_generator(buyers, sellers, values);
   const ComparisonResult result =
       threads > 1 ? run_comparison_parallel(generator, {protocol.get()},
-                                            config,
-                                            static_cast<std::size_t>(threads))
+                                            config, threads)
                   : run_comparison(generator, {protocol.get()}, config);
   const ProtocolSummary& summary = result.protocols.front();
 
@@ -222,150 +315,70 @@ int cmd_simulate(const ArgParser& args, std::ostream& out,
   return 0;
 }
 
-int cmd_attack(const ArgParser& args, std::istream& in, std::ostream& out,
+int cmd_attack(const Invocation& args, std::istream& in, std::ostream& out,
                std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
-  const std::string manipulator_spec = args.get_or("manipulator", "");
-  const auto max_declarations =
-      static_cast<std::size_t>(args.get_int_or("max-declarations", 2));
-  std::string text;
-  if (!slurp_book(args, in, err, &text)) return 1;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-
-  // --manipulator side:index, e.g. "seller:2".
-  const auto colon = manipulator_spec.find(':');
-  if (colon == std::string::npos) {
-    return usage_error(err,
-                       "--manipulator must be side:index, e.g. seller:2");
-  }
-  const std::string side_text = manipulator_spec.substr(0, colon);
-  Side role;
-  if (side_text == "buyer") {
-    role = Side::kBuyer;
-  } else if (side_text == "seller") {
-    role = Side::kSeller;
-  } else {
-    return usage_error(err, "--manipulator side must be buyer or seller");
-  }
-  const auto index = static_cast<std::size_t>(
-      std::strtoull(manipulator_spec.c_str() + colon + 1, nullptr, 10));
-
-  // Interpret the book's declarations as the participants' true values
-  // (the standard assumption when auditing an instance).
-  const OrderBook book = read_book_csv(text);
+  const ManipulatorSpec manipulator =
+      parse_manipulator(args.get("manipulator"));
   SingleUnitInstance instance;
-  for (const BidEntry& entry : book.buyers()) {
-    instance.buyer_values.push_back(entry.value);
-  }
-  for (const BidEntry& entry : book.sellers()) {
-    instance.seller_values.push_back(entry.value);
-  }
+  if (!read_instance(args, in, err, &instance)) return 1;
 
-  const DeviationEvaluator evaluator(*protocol, instance, {role, index});
+  const DeviationEvaluator evaluator(*protocol, instance, manipulator);
   SearchConfig search;
-  search.max_declarations = max_declarations;
+  search.max_declarations = get_size(args, "max-declarations");
   const SearchResult result = find_best_deviation(evaluator, search);
 
   out << "protocol: " << protocol->name() << "\n"
-      << "manipulator: " << side_text << " #" << index << " (true value "
-      << evaluator.true_value() << ")\n"
+      << "manipulator: " << to_string(manipulator.role) << " #"
+      << manipulator.index << " (true value " << evaluator.true_value()
+      << ")\n"
       << "strategies evaluated: " << result.strategies_evaluated
-      << (result.truncated ? " (truncated)" : "") << "\n"
-      << "truthful utility: " << format_fixed(result.truthful_utility, 4)
-      << "\n"
-      << "best deviation:   " << format_fixed(result.best_utility, 4)
-      << "  via " << result.best_strategy.to_string() << "\n";
-  if (result.profitable()) {
-    out << "VERDICT: manipulable (profitable deviation found)\n";
-  } else {
-    out << "VERDICT: truthful play is optimal here\n";
-  }
+      << (result.truncated ? " (truncated)" : "") << "\n";
+  print_verdict(out, result);
   return 0;
 }
 
-int cmd_attack_search(const ArgParser& args, std::istream& in,
+int cmd_attack_search(const Invocation& args, std::istream& in,
                       std::ostream& out, std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
-  const std::string manipulator_spec = args.get_or("manipulator", "");
-  const auto max_declarations =
-      static_cast<std::size_t>(args.get_int_or("max-declarations", 2));
-  const auto threads = static_cast<std::size_t>(args.get_int_or("threads", 1));
-  const auto replicates =
-      static_cast<std::size_t>(args.get_int_or("replicates", 1));
-  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 0x5eed));
-  const bool serial = args.get_int_or("serial", 0) != 0;
-  const bool prune = args.get_int_or("prune", 1) != 0;
-  const bool json = args.get_int_or("json", 0) != 0;
-  const std::string metrics_out = args.get_or("metrics-out", "");
-  std::string text;
-  if (!slurp_book(args, in, err, &text)) return 1;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-
-  const auto colon = manipulator_spec.find(':');
-  if (colon == std::string::npos) {
-    return usage_error(err,
-                       "--manipulator must be side:index, e.g. seller:2");
-  }
-  const std::string side_text = manipulator_spec.substr(0, colon);
-  Side role;
-  if (side_text == "buyer") {
-    role = Side::kBuyer;
-  } else if (side_text == "seller") {
-    role = Side::kSeller;
-  } else {
-    return usage_error(err, "--manipulator side must be buyer or seller");
-  }
-  const auto index = static_cast<std::size_t>(
-      std::strtoull(manipulator_spec.c_str() + colon + 1, nullptr, 10));
-
-  const OrderBook book = read_book_csv(text);
+  const ManipulatorSpec manipulator =
+      parse_manipulator(args.get("manipulator"));
+  const bool serial = args.get_int("serial") != 0;
+  const char* side_text = to_string(manipulator.role);
   SingleUnitInstance instance;
-  for (const BidEntry& entry : book.buyers()) {
-    instance.buyer_values.push_back(entry.value);
-  }
-  for (const BidEntry& entry : book.sellers()) {
-    instance.seller_values.push_back(entry.value);
-  }
+  if (!read_instance(args, in, err, &instance)) return 1;
 
   EvalConfig eval;
-  eval.replicates = replicates;
-  eval.seed = seed;
-  const DeviationEvaluator evaluator(*protocol, instance, {role, index}, eval);
+  eval.replicates = get_size(args, "replicates");
+  eval.seed = get_seed(args);
+  const DeviationEvaluator evaluator(*protocol, instance, manipulator, eval);
   SearchConfig search;
-  search.max_declarations = max_declarations;
-  search.threads = threads;
-  search.prune = prune;
+  search.max_declarations = get_size(args, "max-declarations");
+  search.threads = get_size(args, "threads");
+  search.prune = args.get_int("prune") != 0;
   const SearchResult result = serial
                                   ? find_best_deviation_serial(evaluator,
                                                                search)
                                   : find_best_deviation(evaluator, search);
   const SearchStats& stats = result.stats;
 
-  if (json) {
+  if (args.get_int("json") != 0) {
     // Machine-readable record (result + stats + timings); the Prometheus
     // dump via --metrics-out still works alongside.  Wall time is the
     // only nondeterministic field.
-    auto escape = [](const std::string& text_in) {
-      std::string escaped;
-      escaped.reserve(text_in.size() + 8);
-      for (const char c : text_in) {
-        if (c == '"' || c == '\\') escaped.push_back('\\');
-        escaped.push_back(static_cast<unsigned char>(c) < 0x20 ? ' ' : c);
-      }
-      return escaped;
-    };
     out << "{\n"
-        << "  \"protocol\": \"" << escape(protocol->name()) << "\",\n"
+        << "  \"protocol\": \"" << ops::json_escape(protocol->name())
+        << "\",\n"
         << "  \"engine\": \"" << (serial ? "serial" : "parallel_pruned")
         << "\",\n"
         << "  \"manipulator\": {\"side\": \"" << side_text
-        << "\", \"index\": " << index << ", \"true_value\": \""
+        << "\", \"index\": " << manipulator.index << ", \"true_value\": \""
         << evaluator.true_value() << "\"},\n"
         << "  \"result\": {\n"
         << "    \"truthful_utility\": " << result.truthful_utility << ",\n"
         << "    \"best_utility\": " << result.best_utility << ",\n"
         << "    \"best_strategy\": \""
-        << escape(result.best_strategy.to_string()) << "\",\n"
+        << ops::json_escape(result.best_strategy.to_string()) << "\",\n"
         << "    \"profitable\": " << (result.profitable() ? "true" : "false")
         << ",\n"
         << "    \"truncated\": " << (result.truncated ? "true" : "false")
@@ -392,8 +405,8 @@ int cmd_attack_search(const ArgParser& args, std::istream& in,
     out << "protocol: " << protocol->name() << "\n"
         << "engine: " << (serial ? "serial reference" : "parallel pruned")
         << ", threads used: " << stats.threads_used << "\n"
-        << "manipulator: " << side_text << " #" << index << " (true value "
-        << evaluator.true_value() << ")\n"
+        << "manipulator: " << side_text << " #" << manipulator.index
+        << " (true value " << evaluator.true_value() << ")\n"
         << "candidates: " << stats.strategies_enumerated << " enumerated, "
         << stats.strategies_evaluated << " evaluated, "
         << stats.pruned_by_bound + stats.pruned_in_subtree << " pruned ("
@@ -410,19 +423,12 @@ int cmd_attack_search(const ArgParser& args, std::istream& in,
                           4)
           << "\n";
     }
-    out << "wall time: " << stats.wall_time_ns / 1000 << " us\n"
-        << "truthful utility: " << format_fixed(result.truthful_utility, 4)
-        << "\n"
-        << "best deviation:   " << format_fixed(result.best_utility, 4)
-        << "  via " << result.best_strategy.to_string() << "\n";
-    if (result.profitable()) {
-      out << "VERDICT: manipulable (profitable deviation found)\n";
-    } else {
-      out << "VERDICT: truthful play is optimal here\n";
-    }
+    out << "wall time: " << stats.wall_time_ns / 1000 << " us\n";
+    print_verdict(out, result);
   }
 
-  if (!metrics_out.empty()) {
+  if (const std::string& metrics_out = args.get("metrics-out");
+      !metrics_out.empty()) {
     obs::MetricsRegistry registry;
     bind_search_metrics(registry, stats);
     std::ofstream file(metrics_out);
@@ -435,28 +441,15 @@ int cmd_attack_search(const ArgParser& args, std::istream& in,
   return 0;
 }
 
-int cmd_dynamics(const ArgParser& args, std::istream& in, std::ostream& out,
+int cmd_dynamics(const Invocation& args, std::istream& in, std::ostream& out,
                  std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
-  const auto sweeps = static_cast<std::size_t>(args.get_int_or("sweeps", 6));
-  const auto max_declarations =
-      static_cast<std::size_t>(args.get_int_or("max-declarations", 2));
-  std::string text;
-  if (!slurp_book(args, in, err, &text)) return 1;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-
-  const OrderBook book = read_book_csv(text);
   SingleUnitInstance instance;
-  for (const BidEntry& entry : book.buyers()) {
-    instance.buyer_values.push_back(entry.value);
-  }
-  for (const BidEntry& entry : book.sellers()) {
-    instance.seller_values.push_back(entry.value);
-  }
+  if (!read_instance(args, in, err, &instance)) return 1;
 
   DynamicsConfig config;
-  config.max_sweeps = sweeps;
-  config.search.max_declarations = max_declarations;
+  config.max_sweeps = get_size(args, "sweeps");
+  config.search.max_declarations = get_size(args, "max-declarations");
   const DynamicsResult result =
       best_response_dynamics(*protocol, instance, config);
 
@@ -477,16 +470,13 @@ int cmd_dynamics(const ArgParser& args, std::istream& in, std::ostream& out,
   return 0;
 }
 
-int cmd_sweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
-  const auto participants =
-      static_cast<std::size_t>(args.get_int_or("participants", 500));
-  const auto step = args.get_int_or("step", 5);
+int cmd_sweep(const Invocation& args, std::istream&, std::ostream& out,
+              std::ostream&) {
+  const std::size_t participants = get_size(args, "participants");
+  const std::int64_t step = args.get_int("step");
   ExperimentConfig config;
-  config.instances =
-      static_cast<std::size_t>(args.get_int_or("instances", 200));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-  if (step <= 0) return usage_error(err, "--step must be positive");
+  config.instances = get_size(args, "instances");
+  config.seed = get_seed(args);
 
   std::vector<std::unique_ptr<TpdProtocol>> protocols;
   std::vector<const DoubleAuctionProtocol*> pointers;
@@ -508,23 +498,20 @@ int cmd_sweep(const ArgParser& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmd_optimize(const ArgParser& args, std::ostream& out,
-                 std::ostream& err) {
-  const auto buyers = static_cast<std::size_t>(args.get_int_or("buyers", 50));
-  const auto sellers =
-      static_cast<std::size_t>(args.get_int_or("sellers", 50));
-  const double low = args.get_double_or("low", 0.0);
-  const double high = args.get_double_or("high", 100.0);
+int cmd_optimize(const Invocation& args, std::istream&, std::ostream& out,
+                 std::ostream&) {
+  const std::size_t buyers = get_size(args, "buyers");
+  const std::size_t sellers = get_size(args, "sellers");
+  const double low = args.get_real("low");
+  const double high = args.get_real("high");
   ThresholdSearchConfig config;
-  config.lo = money(args.get_double_or("lo", low));
-  config.hi = money(args.get_double_or("hi", high));
-  config.instances_per_eval =
-      static_cast<std::size_t>(args.get_int_or("instances", 200));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 7));
-  if (args.get_or("objective", "total") == "traders") {
+  config.lo = money(args.has("lo") ? args.get_real("lo") : low);
+  config.hi = money(args.has("hi") ? args.get_real("hi") : high);
+  config.instances_per_eval = get_size(args, "instances");
+  config.seed = get_seed(args);
+  if (args.get("objective") == "traders") {
     config.objective = ThresholdObjective::kSurplusExceptAuctioneer;
   }
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
 
   const ThresholdSearchResult result = optimize_threshold(
       fixed_count_generator(buyers, sellers,
@@ -536,11 +523,13 @@ int cmd_optimize(const ArgParser& args, std::ostream& out,
   return 0;
 }
 
-namespace {
-
-/// Opens `path` for writing and streams `write` into it.
+/// Writes `write`'s output to the file named by option `name`, if given.
+/// Returns false (reported) when the file cannot be opened.
 template <typename WriteFn>
-bool write_file(const std::string& path, std::ostream& err, WriteFn write) {
+bool write_file(const Invocation& args, std::string_view name,
+                std::ostream& err, WriteFn write) {
+  if (!args.has(name)) return true;
+  const std::string& path = args.get(name);
   std::ofstream file(path);
   if (!file) {
     err << "error: cannot open output file '" << path << "'\n";
@@ -550,34 +539,25 @@ bool write_file(const std::string& path, std::ostream& err, WriteFn write) {
   return true;
 }
 
-}  // namespace
-
-int cmd_market_bench(const ArgParser& args, std::ostream& out,
+int cmd_market_bench(const Invocation& args, std::istream&, std::ostream& out,
                      std::ostream& err) {
   ThroughputConfig config;
-  config.clients = static_cast<std::size_t>(args.get_int_or("clients", 1000));
-  config.rounds = static_cast<std::size_t>(args.get_int_or("rounds", 3));
-  config.shards = static_cast<std::size_t>(args.get_int_or("shards", 4));
-  config.threads = static_cast<std::size_t>(args.get_int_or("threads", 1));
-  config.drop_probability = args.get_double_or("drop", 0.0);
-  config.duplicate_probability = args.get_double_or("duplicate", 0.0);
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  config.adaptive = args.get_int_or("adaptive", 1) != 0;
-  const Money threshold = money(args.get_double_or("threshold", 50.0));
-  const std::optional<std::string> metrics_out = args.get("metrics-out");
-  const std::optional<std::string> metrics_json = args.get("metrics-json");
-  const std::optional<std::string> trace_out = args.get("trace-out");
-  config.telemetry.wallclock = args.has("trace-wallclock");
-  if (args.has("no-telemetry")) config.telemetry.enabled = false;
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
+  config.clients = get_size(args, "clients");
+  config.rounds = get_size(args, "rounds");
+  config.shards = get_size(args, "shards");
+  config.threads = get_size(args, "threads");
+  config.drop_probability = args.get_real("drop");
+  config.duplicate_probability = args.get_real("duplicate");
+  config.seed = get_seed(args);
+  config.adaptive = args.get_int("adaptive") != 0;
+  const Money threshold = money(args.get_real("threshold"));
+  config.telemetry.wallclock = args.flag("trace-wallclock");
+  config.telemetry.enabled = !args.flag("no-telemetry");
   if (!config.telemetry.enabled &&
-      (metrics_out || metrics_json || trace_out ||
-       config.telemetry.wallclock)) {
+      (args.has("metrics-out") || args.has("metrics-json") ||
+       args.has("trace-out") || config.telemetry.wallclock)) {
     return usage_error(err,
                        "--no-telemetry contradicts the other telemetry flags");
-  }
-  if (config.clients == 0 || config.rounds == 0 || config.shards == 0) {
-    return usage_error(err, "--clients, --rounds, --shards must be positive");
   }
   if (config.threads > config.shards) {
     return usage_error(err,
@@ -640,56 +620,41 @@ int cmd_market_bench(const ArgParser& args, std::ostream& out,
       << format_fixed(static_cast<double>(result.rounds) / elapsed, 2)
       << " rounds/s\n";
 
-  if (metrics_out.has_value() &&
-      !write_file(*metrics_out, err, [&result](std::ostream& file) {
-        obs::write_prometheus(file, result.metrics);
-      })) {
-    return 1;
-  }
-  if (metrics_json.has_value() &&
-      !write_file(*metrics_json, err, [&result](std::ostream& file) {
-        obs::write_json_snapshot(file, result.metrics);
-      })) {
-    return 1;
-  }
-  if (trace_out.has_value() &&
-      !write_file(*trace_out, err, [&result](std::ostream& file) {
+  const bool written =
+      write_file(args, "metrics-out", err,
+                 [&result](std::ostream& file) {
+                   obs::write_prometheus(file, result.metrics);
+                 }) &&
+      write_file(args, "metrics-json", err,
+                 [&result](std::ostream& file) {
+                   obs::write_json_snapshot(file, result.metrics);
+                 }) &&
+      write_file(args, "trace-out", err, [&result](std::ostream& file) {
         obs::write_chrome_trace(file, result.trace);
-      })) {
-    return 1;
-  }
-  return 0;
+      });
+  return written ? 0 : 1;
 }
 
-int cmd_metrics_dump(const ArgParser& args, std::ostream& out,
+int cmd_metrics_dump(const Invocation& args, std::istream&, std::ostream& out,
                      std::ostream& err) {
   // Two modes: run a small deterministic session and dump its merged
   // snapshot (the CI smoke step greps this), or --in FILE to parse an
   // existing Prometheus text file back into a snapshot — validating it
   // and optionally reformatting.  Missing or malformed input exits 1.
   ThroughputConfig config;
-  config.clients = static_cast<std::size_t>(args.get_int_or("clients", 64));
-  config.rounds = static_cast<std::size_t>(args.get_int_or("rounds", 2));
-  config.shards = static_cast<std::size_t>(args.get_int_or("shards", 2));
-  config.threads = static_cast<std::size_t>(args.get_int_or("threads", 1));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
-  const Money threshold = money(args.get_double_or("threshold", 50.0));
-  const std::string format = args.get_or("format", "prom");
-  const std::optional<std::string> in_path = args.get("in");
-  const bool quiet = args.has("quiet");
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-  if (config.clients == 0 || config.rounds == 0 || config.shards == 0) {
-    return usage_error(err, "--clients, --rounds, --shards must be positive");
-  }
-  if (format != "prom" && format != "json" && format != "table") {
-    return usage_error(err, "--format must be prom, json, or table");
-  }
+  config.clients = get_size(args, "clients");
+  config.rounds = get_size(args, "rounds");
+  config.shards = get_size(args, "shards");
+  config.threads = get_size(args, "threads");
+  config.seed = get_seed(args);
+  const std::string& format = args.get("format");
 
   obs::MetricsSnapshot snapshot;
-  if (in_path.has_value()) {
-    std::ifstream file(*in_path);
+  if (args.has("in")) {
+    const std::string& in_path = args.get("in");
+    std::ifstream file(in_path);
     if (!file) {
-      err << "error: cannot open metrics file '" << *in_path << "'\n";
+      err << "error: cannot open metrics file '" << in_path << "'\n";
       return 1;
     }
     try {
@@ -699,11 +664,11 @@ int cmd_metrics_dump(const ArgParser& args, std::ostream& out,
       return 1;
     }
   } else {
-    const TpdProtocol tpd(threshold);
+    const TpdProtocol tpd(money(args.get_real("threshold")));
     snapshot = run_throughput_session(tpd, config).metrics;
   }
 
-  if (quiet) return 0;
+  if (args.flag("quiet")) return 0;
   if (format == "json") {
     obs::write_json_snapshot(out, snapshot);
     out << '\n';
@@ -717,30 +682,24 @@ int cmd_metrics_dump(const ArgParser& args, std::ostream& out,
   return 0;
 }
 
-int cmd_console(const ArgParser& args, std::istream& in, std::ostream& out,
+int cmd_console(const Invocation& args, std::istream& in, std::ostream& out,
                 std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
   ops::ConsoleConfig config;
-  config.clients = static_cast<std::size_t>(args.get_int_or("clients", 64));
-  config.shards = static_cast<std::size_t>(args.get_int_or("shards", 2));
-  config.threads = static_cast<std::size_t>(args.get_int_or("threads", 1));
-  config.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
-  config.max_rounds =
-      static_cast<std::size_t>(args.get_int_or("rounds-budget", 1024));
-  config.drop_probability = args.get_double_or("drop", 0.0);
-  config.duplicate_probability = args.get_double_or("duplicate", 0.0);
-  config.telemetry.enabled = !args.has("no-telemetry");
-  const std::optional<std::string> script_path = args.get("script");
-  const std::optional<std::string> slo_path = args.get("slo-file");
-  const bool json_replies = args.has("json");
-  if (const int rc = check_unused(args, err); rc != 0) return rc;
-  if (config.clients == 0 || config.shards == 0) {
-    return usage_error(err, "--clients and --shards must be positive");
-  }
-  if (slo_path.has_value()) {
-    std::ifstream file(*slo_path);
+  config.clients = get_size(args, "clients");
+  config.shards = get_size(args, "shards");
+  config.threads = get_size(args, "threads");
+  config.seed = get_seed(args);
+  config.max_rounds = get_size(args, "rounds-budget");
+  config.drop_probability = args.get_real("drop");
+  config.duplicate_probability = args.get_real("duplicate");
+  config.telemetry.enabled = !args.flag("no-telemetry");
+  const bool json_replies = args.flag("json");
+  if (args.has("slo-file")) {
+    const std::string& slo_path = args.get("slo-file");
+    std::ifstream file(slo_path);
     if (!file) {
-      err << "error: cannot open SLO file '" << *slo_path << "'\n";
+      err << "error: cannot open SLO file '" << slo_path << "'\n";
       return 1;
     }
     std::string line;
@@ -752,12 +711,12 @@ int cmd_console(const ArgParser& args, std::istream& in, std::ostream& out,
 
   ops::ConsoleSession session(*protocol, config);
 
-  const bool script_mode = script_path.has_value();
+  const bool script_mode = args.has("script");
   std::ifstream script;
   if (script_mode) {
-    script.open(*script_path);
+    script.open(args.get("script"));
     if (!script) {
-      err << "error: cannot open script '" << *script_path << "'\n";
+      err << "error: cannot open script '" << args.get("script") << "'\n";
       return 1;
     }
   }
@@ -787,96 +746,154 @@ int cmd_console(const ArgParser& args, std::istream& in, std::ostream& out,
   return 0;
 }
 
-int cmd_help(std::ostream& out) {
-  out << "fnda - false-name-robust double auctions (Yokoo et al., ICDCS"
-         " 2001)\n\n"
-         "commands:\n"
-         "  clear     clear one book from CSV (side,identity,value)\n"
-         "            --protocol tpd|pmd|vcg|kda|efficient|random-threshold\n"
-         "            --threshold R  --theta T  --book FILE (default stdin)\n"
-         "            --format text|csv|json  --seed N\n"
-         "  clear-multi  Section 9 multi-unit TPD from CSV\n"
-         "            (side,identity,schedule; schedule = v1;v2;... )\n"
-         "            --threshold R --book FILE --format text|csv\n"
-         "  simulate  Monte-Carlo surplus of one protocol\n"
-         "            --buyers N --sellers M | --binomial N\n"
-         "            --instances K --low --high --threads T\n"
-         "  attack    exhaustive deviation search for one participant\n"
-         "            --book FILE --manipulator buyer:0|seller:2\n"
-         "            --protocol ... --max-declarations D\n"
-         "  attack-search  the parallel pruned search engine with full\n"
-         "            coverage counters (pruning, fast positions, slack)\n"
-         "            --book FILE --manipulator buyer:0|seller:2\n"
-         "            --protocol ... --max-declarations D --threads T\n"
-         "            (0 = hardware concurrency; result is identical for\n"
-         "            every T) --replicates R --seed N --prune 0|1\n"
-         "            --serial 1 (run the reference oracle instead)\n"
-         "            --json 1 (machine-readable result + stats + timings)\n"
-         "            --metrics-out FILE (Prometheus text)\n"
-         "  dynamics  iterated best response over the book's traders\n"
-         "            --book FILE --protocol ... --sweeps N\n"
-         "  sweep     TPD threshold sweep (Figure 1 series, CSV)\n"
-         "            --participants N --step S --instances K\n"
-         "  optimize  find the best threshold for a workload\n"
-         "            --buyers N --sellers M --lo --hi --objective "
-         "total|traders\n"
-         "  market-bench  ZI-trader session on the sharded exchange\n"
-         "            --clients N --rounds R --shards S --threads T\n"
-         "            (T <= S; 0 = hardware concurrency) --drop P\n"
-         "            --duplicate P --threshold R --seed N\n"
-         "            --metrics-out FILE (Prometheus text)\n"
-         "            --metrics-json FILE --trace-out FILE (Chrome trace)\n"
-         "            --trace-wallclock (wall timestamps; nondeterministic)\n"
-         "            --no-telemetry (runtime-disabled baseline)\n"
-         "            --adaptive 0|1 (adaptive epoch windows; default on)\n"
-         "            prints live-book work counters and epoch barrier\n"
-         "            crossings; warns when threads oversubscribe the\n"
-         "            host's CPUs; the scaling axes and the\n"
-         "            --assert-ns-per-message / --assert-speedup /\n"
-         "            --assert-barrier-reduction gates live in\n"
-         "            bench/market_throughput\n"
-         "  metrics-dump  run a small session, dump its metrics to stdout\n"
-         "            --format prom|json|table --clients N --rounds R\n"
-         "            --shards S --threads T --seed N\n"
-         "            --in FILE (parse a Prometheus text file instead of\n"
-         "            running; exit 1 on missing/malformed input)\n"
-         "            --quiet (validate only, print nothing)\n"
-         "  console   live operations console over a running exchange\n"
-         "            interactive REPL by default; --script FILE runs a\n"
-         "            command batch (CI mode: first error exits 1)\n"
-         "            --json (JSON replies) --clients N --shards S\n"
-         "            --threads T --seed N --rounds-budget N\n"
-         "            --drop P --duplicate P --protocol ... --threshold R\n"
-         "            --slo-file FILE (one SLO rule per line)\n"
-         "            --no-telemetry (commands degrade gracefully)\n"
-         "            commands: run, status, metrics show|dump, hist,\n"
-         "            book dump, escrow show, audit tail, trace\n"
-         "            start|stop|export, shard pause|resume|drain,\n"
-         "            config show|set, health, digest, help, quit\n"
-         "  help      this text\n";
-  return 0;
-}
+}  // namespace
 
 int run_cli(const std::vector<std::string>& args, std::istream& in,
             std::ostream& out, std::ostream& err) {
+  using Handler = int (*)(const Invocation&, std::istream&, std::ostream&,
+                          std::ostream&);
+  int exit_code = 0;
+  ops::CommandTable table;
+  const auto add = [&](std::string name, std::string help,
+                       std::vector<ParamSpec> options,
+                       std::vector<std::string> flags, Handler handler) {
+    ops::CommandSpec spec;
+    spec.name = std::move(name);
+    spec.help = std::move(help);
+    spec.flags = std::move(flags);
+    spec.options = std::move(options);
+    spec.handler = [&, handler](const Invocation& invocation) {
+      exit_code = handler(invocation, in, out, err);
+      return ops::Reply{};
+    };
+    table.add(std::move(spec));
+  };
+  const auto threads = [](std::string help) {
+    return count("threads", 0, 1, std::move(help));
+  };
+  const ParamSpec max_declarations =
+      count("max-declarations", 0, 2, "declarations per deviation");
+  const ParamSpec manipulator = ParamSpec::string(
+      "manipulator", "audited trader as side:index, e.g. buyer:0 or seller:2");
+
+  add("clear", "clear one book from CSV (side,identity,value)",
+      protocol_options(
+          {book_option(),
+           ParamSpec::choice("format", {"text", "csv", "json"},
+                             "output format")
+               .optional("text"),
+           seed_option(1)}),
+      {}, cmd_clear);
+  add("clear-multi",
+      "Section 9 multi-unit TPD from CSV (side,identity,schedule; "
+      "schedule = v1;v2;...)",
+      {money_option("threshold", "50", "threshold price r"), book_option(),
+       ParamSpec::choice("format", {"text", "csv"}, "output format")
+           .optional("text"),
+       seed_option(1)},
+      {}, cmd_clear_multi);
+  add("simulate", "Monte-Carlo surplus of one protocol",
+      protocol_options(
+          {count("buyers", 0, 50, "buyers per instance"),
+           count("sellers", 0, 50, "sellers per instance"),
+           ParamSpec::integer("binomial", 0, std::numeric_limits<int>::max(),
+                              "draw m,n ~ B(N, 0.5) instead (0 = off)")
+               .optional("0"),
+           count("instances", 0, 1000, "instances to draw"),
+           money_option("low", "0", "lowest value"),
+           money_option("high", "100", "highest value"),
+           threads("worker threads (<= 1 runs sequentially)"),
+           seed_option(1)}),
+      {}, cmd_simulate);
+  add("attack", "exhaustive deviation search for one participant",
+      protocol_options({book_option(), manipulator, max_declarations}), {},
+      cmd_attack);
+  add("attack-search",
+      "the parallel pruned search engine with full coverage counters "
+      "(pruning, fast positions, slack); identical result at every --threads",
+      protocol_options(
+          {book_option(), manipulator, max_declarations,
+           threads("search workers (0 = hardware concurrency)"),
+           count("replicates", 1, 1, "clears averaged per candidate"),
+           seed_option(0x5eed),
+           toggle("prune", true, "bound-based pruning"),
+           toggle("serial", false, "run the serial reference oracle instead"),
+           toggle("json", false, "machine-readable result, stats, timings"),
+           path_option("metrics-out", "Prometheus text file")}),
+      {}, cmd_attack_search);
+  add("dynamics", "iterated best response over the book's traders",
+      protocol_options({book_option(), count("sweeps", 0, 6, "sweep budget"),
+                        max_declarations}),
+      {}, cmd_dynamics);
+  add("sweep", "TPD threshold sweep (Figure 1 series, CSV)",
+      {count("participants", 0, 500, "buyers and sellers per instance"),
+       count("step", 1, 5, "threshold step over 0..100"),
+       count("instances", 0, 200, "instances per threshold"), seed_option(1)},
+      {}, cmd_sweep);
+  add("optimize", "find the best threshold for a workload",
+      {count("buyers", 0, 50, "buyers per instance"),
+       count("sellers", 0, 50, "sellers per instance"),
+       money_option("low", "0", "lowest value"),
+       money_option("high", "100", "highest value"),
+       money_option("lo", "", "search lower end (default: --low)"),
+       money_option("hi", "", "search upper end (default: --high)"),
+       count("instances", 0, 200, "instances per evaluation"),
+       seed_option(7),
+       ParamSpec::choice("objective", {"total", "traders"},
+                         "surplus to maximize")
+           .optional("total")},
+      {}, cmd_optimize);
+  add("market-bench",
+      "ZI-trader session on the sharded exchange: live-book work counters "
+      "and epoch barrier crossings (scaling gates live in "
+      "bench/market_throughput)",
+      {count("clients", 1, 1000, "traders"), count("rounds", 1, 3, "rounds"),
+       count("shards", 1, 4, "shards"),
+       threads("workers, <= --shards (0 = hardware concurrency)"),
+       probability("drop", "message drop probability"),
+       probability("duplicate", "message duplication probability"),
+       money_option("threshold", "50", "TPD threshold price r"),
+       seed_option(1), toggle("adaptive", true, "adaptive epoch windows"),
+       path_option("metrics-out", "Prometheus text file"),
+       path_option("metrics-json", "JSON metrics snapshot file"),
+       path_option("trace-out", "Chrome trace file")},
+      {"trace-wallclock", "no-telemetry"}, cmd_market_bench);
+  add("metrics-dump",
+      "run a small session and dump its metrics to stdout, or parse a "
+      "Prometheus file given by --in (exit 1 on missing/malformed input)",
+      {ParamSpec::choice("format", {"prom", "json", "table"}, "output format")
+           .optional("prom"),
+       count("clients", 1, 64, "traders"), count("rounds", 1, 2, "rounds"),
+       count("shards", 1, 2, "shards"),
+       threads("workers (0 = hardware concurrency)"),
+       money_option("threshold", "50", "TPD threshold price r"),
+       seed_option(1),
+       path_option("in", "Prometheus text file to parse instead")},
+      {"quiet"}, cmd_metrics_dump);
+  add("console",
+      "live operations console over a running exchange: REPL on stdin, or "
+      "--script batch (first error exits 1); byte-identical transcript at "
+      "every --threads",
+      protocol_options(
+          {path_option("script", "command batch file"),
+           count("clients", 1, 64, "traders"),
+           count("shards", 1, 2, "shards"),
+           threads("workers (0 = hardware concurrency)"), seed_option(42),
+           count("rounds-budget", 0, 1024, "rounds the session may run"),
+           probability("drop", "message drop probability"),
+           probability("duplicate", "message duplication probability"),
+           path_option("slo-file", "SLO rules, one per line")}),
+      {"json", "no-telemetry"}, cmd_console);
+
   try {
-    const ArgParser parsed(args);
-    const std::string& command = parsed.command();
-    if (command.empty() || command == "help") return cmd_help(out);
-    if (command == "clear") return cmd_clear(parsed, in, out, err);
-    if (command == "clear-multi") return cmd_clear_multi(parsed, in, out, err);
-    if (command == "simulate") return cmd_simulate(parsed, out, err);
-    if (command == "attack") return cmd_attack(parsed, in, out, err);
-    if (command == "attack-search") {
-      return cmd_attack_search(parsed, in, out, err);
+    const ops::Reply reply =
+        table.dispatch(args.empty() ? std::vector<std::string>{"help"} : args);
+    if (!reply.ok) {
+      err << reply.text() << "\nrun 'fnda help' for usage\n";
+      return 2;
     }
-    if (command == "dynamics") return cmd_dynamics(parsed, in, out, err);
-    if (command == "sweep") return cmd_sweep(parsed, out, err);
-    if (command == "optimize") return cmd_optimize(parsed, out, err);
-    if (command == "market-bench") return cmd_market_bench(parsed, out, err);
-    if (command == "metrics-dump") return cmd_metrics_dump(parsed, out, err);
-    if (command == "console") return cmd_console(parsed, in, out, err);
-    return usage_error(err, "unknown command '" + command + "'");
+    if (!reply.lines.empty()) out << reply.text() << '\n';
+    return exit_code;
   } catch (const std::invalid_argument& e) {
     err << "error: " << e.what() << '\n';
     return 2;

@@ -1,72 +1,18 @@
-// fnda CLI commands.
+// fnda command-line interface.
 //
-//   fnda clear       --protocol tpd --threshold 50 --book bids.csv
-//                    [--format text|csv|json] [--seed N]
-//   fnda clear-multi --threshold 50 --book schedules.csv (Section 9)
-//   fnda simulate    --buyers 50 --sellers 50 [--binomial N]
-//                    [--protocol ...] [--instances N]
-//   fnda attack      --book bids.csv --manipulator buyer:0 [--protocol ...]
-//                    (exhaustive deviation search incl. false names)
-//   fnda attack-search --book bids.csv --manipulator buyer:0
-//                    [--protocol ... --threads T --replicates R --seed N]
-//                    [--prune 0|1 --serial 1 --metrics-out FILE]
-//                    (the parallel pruned engine with coverage counters;
-//                    bit-identical result for every thread count)
-//   fnda dynamics    --book bids.csv [--protocol ...] [--sweeps N]
-//                    (iterated best response; Section 8's deliberation)
-//   fnda sweep    --participants 500 [--step 5] [--instances N]   (Figure 1)
-//   fnda optimize --buyers 50 --sellers 50 [--lo 0 --hi 100]
-//   fnda market-bench --clients 1000 --rounds 3 --shards 4 --threads 2
-//                     [--drop P --duplicate P --threshold R --seed N]
-//                     [--metrics-out FILE --metrics-json FILE]
-//                     [--trace-out FILE --trace-wallclock --no-telemetry]
-//                     (threads <= shards; 0 = hardware concurrency)
-//   fnda metrics-dump [--format prom|json|table] [--clients N --rounds R
-//                     --shards S --threads T --seed N]
-//                     [--in FILE (parse a Prometheus text file instead of
-//                     running a session; exit 1 on missing/malformed)]
-//                     [--quiet (validate only, print nothing)]
-//   fnda console  [--script FILE] [--json] [--clients N --shards S
-//                 --threads T --seed N --rounds-budget N --protocol ...
-//                 --threshold R --slo-file FILE --no-telemetry]
-//                 (live operations console: REPL on stdin, or batch
-//                 --script for CI; same session → byte-identical
-//                 transcript for every --threads)
-//   fnda help
-//
-// Commands are plain functions over streams so tests can drive them
-// without a process boundary.  `run_cli` dispatches and maps exceptions
-// to exit codes (0 ok, 1 runtime failure, 2 usage error).
+// Every subcommand is a row in one ops::CommandTable: its options are
+// typed, bounds-checked ParamSpec descriptors, so parsing, validation and
+// `fnda help [command]` all come from the same declaration.  `run_cli`
+// works over streams so tests can drive it without a process boundary,
+// and maps outcomes to exit codes (0 ok, 1 runtime failure, 2 usage
+// error).
 #pragma once
 
 #include <iosfwd>
 #include <string>
 #include <vector>
 
-#include "cli/args.h"
-
 namespace fnda {
-
-int cmd_clear(const ArgParser& args, std::istream& in, std::ostream& out,
-              std::ostream& err);
-int cmd_clear_multi(const ArgParser& args, std::istream& in,
-                    std::ostream& out, std::ostream& err);
-int cmd_simulate(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmd_attack(const ArgParser& args, std::istream& in, std::ostream& out,
-               std::ostream& err);
-int cmd_attack_search(const ArgParser& args, std::istream& in,
-                      std::ostream& out, std::ostream& err);
-int cmd_dynamics(const ArgParser& args, std::istream& in, std::ostream& out,
-                 std::ostream& err);
-int cmd_sweep(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmd_optimize(const ArgParser& args, std::ostream& out, std::ostream& err);
-int cmd_market_bench(const ArgParser& args, std::ostream& out,
-                     std::ostream& err);
-int cmd_metrics_dump(const ArgParser& args, std::ostream& out,
-                     std::ostream& err);
-int cmd_console(const ArgParser& args, std::istream& in, std::ostream& out,
-                std::ostream& err);
-int cmd_help(std::ostream& out);
 
 /// Entry point used by tools/fnda_cli.cpp and the tests.
 int run_cli(const std::vector<std::string>& args, std::istream& in,

@@ -273,12 +273,4 @@ MultiSearchResult find_best_multi_deviation(
   return result;
 }
 
-MultiSearchResult find_best_multi_deviation(
-    const MultiDeviationEvaluator& evaluator,
-    const std::vector<double>& shade_factors) {
-  MultiSearchConfig config;
-  config.shade_factors = shade_factors;
-  return find_best_multi_deviation(evaluator, config);
-}
-
 }  // namespace fnda

@@ -117,9 +117,4 @@ MultiSearchResult find_best_multi_deviation(
     const MultiDeviationEvaluator& evaluator,
     const MultiSearchConfig& config = {});
 
-/// Legacy shim: explicit shade factors, single-threaded.
-MultiSearchResult find_best_multi_deviation(
-    const MultiDeviationEvaluator& evaluator,
-    const std::vector<double>& shade_factors);
-
 }  // namespace fnda

@@ -1,17 +1,97 @@
 #include "ops/command.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace fnda::ops {
 namespace {
 
-bool parse_int(std::string_view text, std::int64_t* out) {
+/// Parses the whole of `text` as a T (no sign prefix, no trailing bytes).
+template <typename T>
+bool parse_number(std::string_view text, T* out) {
   if (text.empty()) return false;
   const char* begin = text.data();
   const char* end = begin + text.size();
   auto [ptr, ec] = std::from_chars(begin, end, *out);
   return ec == std::errc{} && ptr == end;
+}
+
+bool parse_real(std::string_view text, double* out) {
+  return parse_number(text, out) && std::isfinite(*out);
+}
+
+std::string real_text(double value) {
+  char buffer[32];
+  const auto [end, ec] = std::to_chars(buffer, buffer + sizeof buffer, value);
+  return std::string(buffer, end);
+}
+
+/// Checks `raw` against `param`'s type, bounds and choices.  Returns the
+/// diagnostic, or an empty string when the value is valid; `label` names
+/// the parameter in it (`<name>` or `--name`).
+std::string check_value(const ParamSpec& param, const std::string& label,
+                        const std::string& raw) {
+  switch (param.type) {
+    case ParamType::kInt:
+    case ParamType::kUInt: {
+      std::int64_t value = 0;
+      if (!parse_number(raw, &value)) {
+        return label + " expects an integer, got '" + raw + "'";
+      }
+      if (value < param.min_value || value > param.max_value) {
+        return label + " out of range [" + std::to_string(param.min_value) +
+               ", " + std::to_string(param.max_value) + "]: " + raw;
+      }
+      return {};
+    }
+    case ParamType::kReal: {
+      double value = 0.0;
+      if (!parse_real(raw, &value)) {
+        return label + " expects a finite number, got '" + raw + "'";
+      }
+      if (value < param.min_real || value > param.max_real) {
+        return label + " out of range [" + real_text(param.min_real) + ", " +
+               real_text(param.max_real) + "]: " + raw;
+      }
+      return {};
+    }
+    case ParamType::kChoice: {
+      std::string options;
+      for (const std::string& choice : param.choices) {
+        if (choice == raw) return {};
+        if (!options.empty()) options += '|';
+        options += choice;
+      }
+      return label + " must be one of " + options + ", got '" + raw + "'";
+    }
+    case ParamType::kString:
+      return {};
+  }
+  return {};
+}
+
+/// One help row: `label`, its type and bounds, default, and help text.
+std::string describe(const ParamSpec& param, const std::string& label) {
+  std::string detail = "  " + label;
+  if (param.type == ParamType::kInt || param.type == ParamType::kUInt) {
+    detail += " int [" + std::to_string(param.min_value) + ", " +
+              std::to_string(param.max_value) + "]";
+  } else if (param.type == ParamType::kReal) {
+    detail += " real [" + real_text(param.min_real) + ", " +
+              real_text(param.max_real) + "]";
+  } else if (param.type == ParamType::kChoice) {
+    detail += " one of";
+    for (const std::string& choice : param.choices) {
+      detail += ' ' + choice;
+    }
+  }
+  if (!param.required && !param.fallback.empty()) {
+    detail += " (default: " + param.fallback + ")";
+  }
+  if (!param.help.empty()) detail += " — " + param.help;
+  return detail;
 }
 
 }  // namespace
@@ -23,6 +103,17 @@ ParamSpec ParamSpec::integer(std::string name, std::int64_t min_value,
   spec.type = ParamType::kInt;
   spec.min_value = min_value;
   spec.max_value = max_value;
+  spec.help = std::move(help);
+  return spec;
+}
+
+ParamSpec ParamSpec::real(std::string name, double min_real, double max_real,
+                          std::string help) {
+  ParamSpec spec;
+  spec.name = std::move(name);
+  spec.type = ParamType::kReal;
+  spec.min_real = min_real;
+  spec.max_real = max_real;
   spec.help = std::move(help);
   return spec;
 }
@@ -150,19 +241,38 @@ bool Invocation::flag(std::string_view name) const {
   return false;
 }
 
-const std::string& Invocation::get(std::string_view name) const {
-  for (const auto& [key, value] : values_) {
-    if (key == name) return value;
+const Invocation::Value* Invocation::find(std::string_view name) const {
+  for (const Value& value : values_) {
+    if (value.name == name) return &value;
   }
+  return nullptr;
+}
+
+bool Invocation::has(std::string_view name) const {
+  const Value* value = find(name);
+  return value != nullptr && value->given;
+}
+
+const std::string& Invocation::get(std::string_view name) const {
+  if (const Value* value = find(name)) return value->text;
   throw std::logic_error("Invocation: undeclared parameter '" +
                          std::string(name) + "'");
 }
 
 std::int64_t Invocation::get_int(std::string_view name) const {
   std::int64_t value = 0;
-  if (!parse_int(get(name), &value)) {
+  if (!parse_number(get(name), &value)) {
     throw std::logic_error("Invocation: parameter '" + std::string(name) +
                            "' is not an integer");
+  }
+  return value;
+}
+
+double Invocation::get_real(std::string_view name) const {
+  double value = 0.0;
+  if (!parse_real(get(name), &value)) {
+    throw std::logic_error("Invocation: parameter '" + std::string(name) +
+                           "' is not a finite number");
   }
   return value;
 }
@@ -190,6 +300,15 @@ std::string CommandTable::usage_line(const CommandSpec& spec) {
     usage += ' ';
     usage += param.required ? "<" + param.name + ">" : "[" + param.name + "]";
   }
+  bool optional_options = false;
+  for (const ParamSpec& option : spec.options) {
+    if (option.required) {
+      usage += " --" + option.name + " <" + option.name + ">";
+    } else {
+      optional_options = true;
+    }
+  }
+  if (optional_options) usage += " [options]";
   for (const std::string& flag : spec.flags) {
     usage += " [--" + flag + "]";
   }
@@ -231,7 +350,10 @@ const CommandSpec* CommandTable::match(const std::vector<std::string>& tokens,
 }
 
 Reply CommandTable::dispatch(const std::string& line) const {
-  const std::vector<std::string> tokens = tokenize(line);
+  return dispatch(tokenize(line));
+}
+
+Reply CommandTable::dispatch(const std::vector<std::string>& tokens) const {
   if (tokens.empty()) return Reply{};
   if (tokens[0] == "help" || tokens[0] == "?") {
     return help({tokens.begin() + 1, tokens.end()});
@@ -243,77 +365,67 @@ Reply CommandTable::dispatch(const std::string& line) const {
     return Reply::error("unknown command: '" + tokens[0] +
                         "' (try 'help')");
   }
+  const std::string usage = " (usage: " + usage_line(*spec) + ")";
 
   Invocation invocation;
   std::vector<std::string> positional;
   for (std::size_t i = consumed; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
-    if (token.size() > 2 && token[0] == '-' && token[1] == '-') {
-      const std::string name = token.substr(2);
-      bool known = false;
-      for (const std::string& flag : spec->flags) {
-        if (flag == name) known = true;
-      }
-      if (!known) {
-        return Reply::error("unknown flag --" + name + " (usage: " +
-                            usage_line(*spec) + ")");
-      }
-      invocation.flags_.push_back(name);
-    } else {
+    if (token.size() <= 2 || token[0] != '-' || token[1] != '-') {
       positional.push_back(token);
+      continue;
     }
+    const std::string name = token.substr(2);
+    if (invocation.flag(name) || invocation.find(name) != nullptr) {
+      return Reply::error("repeated --" + name + usage);
+    }
+    if (std::find(spec->flags.begin(), spec->flags.end(), name) !=
+        spec->flags.end()) {
+      invocation.flags_.push_back(name);
+      continue;
+    }
+    const auto option =
+        std::find_if(spec->options.begin(), spec->options.end(),
+                     [&name](const ParamSpec& o) { return o.name == name; });
+    if (option == spec->options.end()) {
+      return Reply::error("unknown flag " + token + usage);
+    }
+    if (i + 1 == tokens.size() || tokens[i + 1].rfind("--", 0) == 0) {
+      return Reply::error(token + " expects a value" + usage);
+    }
+    const std::string& raw = tokens[++i];
+    if (std::string problem = check_value(*option, token, raw);
+        !problem.empty()) {
+      return Reply::error(problem);
+    }
+    invocation.values_.push_back({name, raw, true});
+  }
+  for (const ParamSpec& option : spec->options) {
+    if (invocation.find(option.name) != nullptr) continue;
+    if (option.required) {
+      return Reply::error("missing --" + option.name + usage);
+    }
+    invocation.values_.push_back({option.name, option.fallback, false});
   }
 
   if (positional.size() > spec->params.size()) {
-    return Reply::error("too many arguments (usage: " + usage_line(*spec) +
-                        ")");
+    return Reply::error("too many arguments" + usage);
   }
   for (std::size_t i = 0; i < spec->params.size(); ++i) {
     const ParamSpec& param = spec->params[i];
     if (i >= positional.size()) {
       if (param.required) {
-        return Reply::error("missing <" + param.name + "> (usage: " +
-                            usage_line(*spec) + ")");
+        return Reply::error("missing <" + param.name + ">" + usage);
       }
-      invocation.values_.emplace_back(param.name, param.fallback);
+      invocation.values_.push_back({param.name, param.fallback, false});
       continue;
     }
     const std::string& raw = positional[i];
-    switch (param.type) {
-      case ParamType::kInt:
-      case ParamType::kUInt: {
-        std::int64_t value = 0;
-        if (!parse_int(raw, &value)) {
-          return Reply::error("<" + param.name + "> expects an integer, got '" +
-                              raw + "'");
-        }
-        if (value < param.min_value || value > param.max_value) {
-          return Reply::error("<" + param.name + "> out of range [" +
-                              std::to_string(param.min_value) + ", " +
-                              std::to_string(param.max_value) + "]: " + raw);
-        }
-        break;
-      }
-      case ParamType::kChoice: {
-        bool valid = false;
-        for (const std::string& choice : param.choices) {
-          if (choice == raw) valid = true;
-        }
-        if (!valid) {
-          std::string options;
-          for (const std::string& choice : param.choices) {
-            if (!options.empty()) options += '|';
-            options += choice;
-          }
-          return Reply::error("<" + param.name + "> must be one of " + options +
-                              ", got '" + raw + "'");
-        }
-        break;
-      }
-      case ParamType::kString:
-        break;
+    if (std::string problem = check_value(param, "<" + param.name + ">", raw);
+        !problem.empty()) {
+      return Reply::error(problem);
     }
-    invocation.values_.emplace_back(param.name, raw);
+    invocation.values_.push_back({param.name, raw, true});
   }
 
   return spec->handler(invocation);
@@ -346,19 +458,10 @@ Reply CommandTable::help(const std::vector<std::string>& words) const {
       }
       builder.field("help", spec.help);
       for (const ParamSpec& param : spec.params) {
-        std::string detail = "  <" + param.name + ">";
-        if (param.type == ParamType::kInt || param.type == ParamType::kUInt) {
-          detail += " int [" + std::to_string(param.min_value) + ", " +
-                    std::to_string(param.max_value) + "]";
-        } else if (param.type == ParamType::kChoice) {
-          detail += " one of";
-          for (const std::string& choice : param.choices) {
-            detail += ' ' + choice;
-          }
-        }
-        if (!param.required) detail += " (default: " + param.fallback + ")";
-        if (!param.help.empty()) detail += " — " + param.help;
-        builder.row(std::move(detail));
+        builder.row(describe(param, "<" + param.name + ">"));
+      }
+      for (const ParamSpec& option : spec.options) {
+        builder.row(describe(option, "--" + option.name));
       }
       return builder.build();
     }

@@ -19,23 +19,29 @@
 
 namespace fnda::ops {
 
-enum class ParamType { kInt, kUInt, kString, kChoice };
+enum class ParamType { kInt, kUInt, kReal, kString, kChoice };
 
-/// One positional parameter's descriptor.  kInt/kUInt validate bounds;
+/// One parameter's descriptor, positional or a named `--name value`
+/// option.  kInt/kUInt/kReal validate bounds (kReal also finiteness);
 /// kChoice validates membership; kString passes through.  Optional
-/// parameters must trail required ones and fall back to `fallback`.
+/// positional parameters must trail required ones; an optional
+/// parameter that is not given falls back to `fallback`.
 struct ParamSpec {
   std::string name;
   ParamType type = ParamType::kString;
   bool required = true;
   std::int64_t min_value = std::numeric_limits<std::int64_t>::min();
   std::int64_t max_value = std::numeric_limits<std::int64_t>::max();
+  double min_real = -std::numeric_limits<double>::infinity();  ///< kReal
+  double max_real = std::numeric_limits<double>::infinity();   ///< kReal
   std::vector<std::string> choices;  ///< kChoice only
   std::string fallback;              ///< optional params only
   std::string help;
 
   static ParamSpec integer(std::string name, std::int64_t min_value,
                            std::int64_t max_value, std::string help);
+  static ParamSpec real(std::string name, double min_real, double max_real,
+                        std::string help);
   static ParamSpec string(std::string name, std::string help);
   static ParamSpec choice(std::string name, std::vector<std::string> choices,
                           std::string help);
@@ -87,12 +93,22 @@ std::string json_escape(std::string_view text);
 class Invocation {
  public:
   bool flag(std::string_view name) const;
+  /// True when the parameter was given rather than defaulted.
+  bool has(std::string_view name) const;
   const std::string& get(std::string_view name) const;
   std::int64_t get_int(std::string_view name) const;
+  double get_real(std::string_view name) const;
 
  private:
   friend class CommandTable;
-  std::vector<std::pair<std::string, std::string>> values_;
+  struct Value {
+    std::string name;
+    std::string text;
+    bool given = false;
+  };
+  const Value* find(std::string_view name) const;
+
+  std::vector<Value> values_;
   std::vector<std::string> flags_;
 };
 
@@ -105,6 +121,9 @@ struct CommandSpec {
   std::vector<ParamSpec> params;
   /// Boolean flags (`--json`); unknown flags are rejected.
   std::vector<std::string> flags;
+  /// Named `--name value` parameters, checked like `params`.  A repeated
+  /// flag or option, or an option without a value, is rejected.
+  std::vector<ParamSpec> options;
   std::function<Reply(const Invocation&)> handler;
 };
 
@@ -118,6 +137,8 @@ class CommandTable {
   /// return an ok empty reply; unknown commands and validation failures
   /// return `ok == false` with a diagnostic.
   Reply dispatch(const std::string& line) const;
+  /// Dispatches pre-split tokens (an argv), which are never re-split.
+  Reply dispatch(const std::vector<std::string>& tokens) const;
 
   /// `help` / `help <command words>` rendering.
   Reply help(const std::vector<std::string>& words) const;

@@ -384,5 +384,82 @@ TEST(CliTest, ConsoleSloFileOverridesDefaults) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, HelpForOneCommandListsItsOptions) {
+  const CliRun result = run({"help", "clear"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("usage: clear [options]"), std::string::npos);
+  EXPECT_NE(result.out.find("--threshold real"), std::string::npos);
+  EXPECT_NE(result.out.find("--protocol one of tpd pmd vcg kda"),
+            std::string::npos);
+  EXPECT_EQ(run({"help", "frobnicate"}).exit_code, 2);
+}
+
+TEST(CliTest, RejectsNonFiniteAndOutOfRangeReals) {
+  const CliRun nan = run({"clear", "--threshold", "nan"}, kExample1Book);
+  EXPECT_EQ(nan.exit_code, 2);
+  EXPECT_TRUE(nan.out.empty());
+  EXPECT_NE(nan.err.find("--threshold"), std::string::npos);
+  EXPECT_EQ(run({"clear", "--threshold", "1e300"}, kExample1Book).exit_code,
+            2);
+  const CliRun drop = run({"market-bench", "--clients", "10", "--rounds", "1",
+                           "--shards", "1", "--drop", "7"});
+  EXPECT_EQ(drop.exit_code, 2);
+  EXPECT_TRUE(drop.out.empty());
+  EXPECT_NE(drop.err.find("--drop"), std::string::npos);
+}
+
+TEST(CliTest, ManipulatorIndexMustBeANumber) {
+  for (const char* spec : {"seller:abc", "seller:", "buyer:-1", "buyer:1x",
+                           "buyer:99999999999999999999999"}) {
+    EXPECT_EQ(run({"attack", "--manipulator", spec}, kExample1Book).exit_code,
+              2)
+        << spec;
+    EXPECT_EQ(run({"attack-search", "--manipulator", spec}, kExample1Book)
+                  .exit_code,
+              2)
+        << spec;
+  }
+}
+
+TEST(CliTest, NegativeCountsAreUsageErrorsBeforeAnyWork) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"market-bench", "--clients", "-1"},
+           {"metrics-dump", "--clients", "-1"},
+           {"console", "--clients", "-1"},
+           {"simulate", "--instances", "-1"},
+           {"sweep", "--instances", "-1"},
+           {"optimize", "--instances", "-1"},
+           {"simulate", "--threads", "-1"},
+           {"simulate", "--binomial", "4294967296"},
+           {"clear", "--seed", "-1"},
+           {"attack-search", "--manipulator", "buyer:0", "--replicates",
+            "0"}}) {
+    const CliRun result = run(args, kExample1Book);
+    EXPECT_EQ(result.exit_code, 2) << args[0] << ' ' << args[1];
+    EXPECT_TRUE(result.out.empty()) << args[0] << ' ' << args[1];
+    EXPECT_NE(result.err.find("out of range"), std::string::npos) << result.err;
+  }
+}
+
+TEST(CliTest, RepeatedAndValuelessOptionsAreUsageErrors) {
+  EXPECT_EQ(run({"clear", "--seed", "1", "--seed", "2"}, kExample1Book)
+                .exit_code,
+            2);
+  EXPECT_EQ(run({"clear", "--format"}, kExample1Book).exit_code, 2);
+  EXPECT_EQ(run({"clear", "--book", "--format", "csv"}, kExample1Book)
+                .exit_code,
+            2);
+  EXPECT_EQ(run({"clear", "stray"}, kExample1Book).exit_code, 2);
+  // Bare flags take no value.
+  EXPECT_EQ(run({"metrics-dump", "--quiet", "1"}).exit_code, 2);
+  // --theta parameterizes only the k-double auction.
+  EXPECT_EQ(run({"clear", "--theta", "0.3"}, kExample1Book).exit_code, 2);
+  EXPECT_EQ(
+      run({"clear", "--protocol", "kda", "--theta", "0.3"}, kExample1Book)
+          .exit_code,
+      0);
+}
+
 }  // namespace
 }  // namespace fnda

@@ -261,11 +261,6 @@ TEST(SearchEngineTest, MultiUnitEngineMatchesSerialShim) {
               serial.best_strategy.declarations.size());
     EXPECT_EQ(parallel.strategies_evaluated, serial.strategies_evaluated);
   }
-  // The legacy vector-of-factors overload is the same single-threaded
-  // search.
-  const MultiSearchResult legacy = find_best_multi_deviation(
-      evaluator, MultiSearchConfig{}.shade_factors);
-  EXPECT_EQ(legacy.best_utility, serial.best_utility);
 }
 
 TEST(SearchEngineTest, AccountPositionMatchesFullClearEverywhere) {
