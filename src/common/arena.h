@@ -1,9 +1,9 @@
 // Round-lifetime bump allocator.
 //
 // The market hot path allocates the same short-lived scratch every round:
-// the open round's submitted-bid table, outcome-validation lookup lanes,
-// the epoch driver's mailbox merge keys.  Each is dead by the next round
-// (or epoch) boundary, so a bump arena with an epoch reset replaces that
+// the open round's submitted-bid table and outcome-validation lookup
+// lanes.  Each is dead by the next round boundary, so a bump arena with
+// an epoch reset replaces that
 // round-frequency heap traffic with pointer arithmetic: allocate() bumps
 // an offset inside the current block, reset() retires every allocation at
 // once and keeps the memory for the next round.

@@ -32,12 +32,11 @@ MessageBus::MessageBus(EventQueue& queue, BusConfig config, Rng rng)
 }
 
 MessageBus::MessageBus(EventQueue& queue, BusConfig config, Rng rng,
-                       Fabric& fabric, std::uint32_t shard)
+                       AddressSpace& addresses, std::uint32_t shard)
     : queue_(queue),
       config_(config),
       rng_(rng),
-      space_(&fabric.addresses()),
-      fabric_(&fabric),
+      space_(&addresses),
       shard_(shard),
       next_message_(config.first_message_id) {
   queue_.set_delivery_sink(this);
@@ -62,6 +61,8 @@ void MessageBus::bind_telemetry(obs::ShardTelemetry& telemetry) {
   registry.counter_fn("fnda_bus_dead_lettered_total", [this] {
     return static_cast<std::uint64_t>(stats_.dead_lettered);
   });
+  // Always 0 (no cross-shard traffic); exported because the exposition
+  // digest in tests/obs/metrics_test.cpp covers these two series.
   registry.counter_fn("fnda_bus_forwarded_total", [this] {
     return static_cast<std::uint64_t>(stats_.forwarded);
   });
@@ -150,85 +151,16 @@ void MessageBus::schedule_slot(std::uint32_t slot, std::uint64_t key) {
   queue_.schedule_delivery(queue_.now() + draw_latency(), slot, key);
 }
 
-void MessageBus::forward_remote(MessageId id, AddressId from, AddressId to,
-                                std::uint32_t owner, Message payload) {
-  if (fabric_->topology() == ShardTopology::kIsolated) {
-    // The fabric declared no cross-shard links and the epoch driver has
-    // widened its windows on that basis; a send that contradicts the
-    // declaration must fail loudly (and deterministically — the send
-    // sequence is a pure function of shard-local event history) instead
-    // of arriving after the destination ran past its delivery time.
-    throw std::logic_error(
-        "MessageBus: cross-shard send to '" +
-        fabric_->addresses().name_of(to) + "' (owner shard " +
-        std::to_string(owner) + ", sender shard " + std::to_string(shard_) +
-        ") on a fabric declared ShardTopology::kIsolated");
-  }
-  ++stats_.forwarded;
-  RemoteEnvelope envelope;
-  envelope.id = id;
-  envelope.from = from;
-  envelope.to = to;
-  envelope.sent_at = queue_.now();
-  envelope.deliver_at = queue_.now() + draw_latency();
-  envelope.source_shard = shard_;
-  envelope.payload = std::move(payload);
-  // Draw order mirrors the local path: primary jitter, duplicate coin,
-  // then the duplicate's own jitter — so routing a message remotely
-  // instead of locally never shifts the RNG stream.
-  if (!rng_.bernoulli(config_.duplicate_probability)) {
-    push_remote(owner, std::move(envelope));
-    return;
-  }
-  ++stats_.duplicated;
-  RemoteEnvelope duplicate = envelope;
-  duplicate.deliver_at = queue_.now() + draw_latency();
-  push_remote(owner, std::move(envelope));
-  push_remote(owner, std::move(duplicate));
-}
-
-void MessageBus::push_remote(std::uint32_t owner, RemoteEnvelope&& envelope) {
-  envelope.sequence = next_remote_sequence_++;
-  if (!fabric_->forward(owner, std::move(envelope))) {
-    ++stats_.mailbox_overflow;
-    ++stats_.dropped;
-  }
-}
-
-void MessageBus::inject(const RemoteEnvelope& remote) {
-  const std::uint32_t slot = acquire_slot();
-  Envelope& envelope = slot_ref(slot);
-  envelope.id = remote.id;
-  envelope.from = remote.from;
-  envelope.to = remote.to;
-  envelope.sent_at = remote.sent_at;
-  envelope.delivered_at = SimTime{};
-  envelope.payload = remote.payload;
-  const std::uint64_t key = pack_key(
-      remote.to.value(), ensure_directory(remote.to.value()).binding);
-  // A deliver_at in this shard's past (possible when lookahead is tiny)
-  // clamps to now_ inside schedule_delivery — deterministically, since
-  // injection happens at a barrier when now_ is a pure function of the
-  // event history.
-  queue_.schedule_delivery(remote.deliver_at, slot, key);
-}
-
-void MessageBus::inject_batch(RemoteEnvelope* const* batch,
-                              std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    RemoteEnvelope& remote = *batch[i];
-    const std::uint32_t slot = acquire_slot();
-    Envelope& envelope = slot_ref(slot);
-    envelope.id = remote.id;
-    envelope.from = remote.from;
-    envelope.to = remote.to;
-    envelope.sent_at = remote.sent_at;
-    envelope.delivered_at = SimTime{};
-    envelope.payload = std::move(remote.payload);
-    const std::uint64_t key = pack_key(
-        remote.to.value(), ensure_directory(remote.to.value()).binding);
-    queue_.schedule_delivery(remote.deliver_at, slot, key);
-  }
+void MessageBus::reject_cross_shard(AddressId to,
+                                    std::uint32_t owner) const {
+  // The epoch driver runs each shard to quiescence on its own, so a
+  // message to another shard would arrive after the destination ran past
+  // its delivery time; fail loudly instead.
+  throw std::logic_error("MessageBus: cross-shard send to '" +
+                         space_->name_of(to) + "' (owner shard " +
+                         std::to_string(owner) + ", sender shard " +
+                         std::to_string(shard_) +
+                         "); shards never exchange messages");
 }
 
 void MessageBus::deliver_run(SimTime at, const EventQueue::Delivery* run,

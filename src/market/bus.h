@@ -27,8 +27,8 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "market/address_space.h"
 #include "market/clock.h"
-#include "market/fabric.h"
 #include "market/messages.h"
 #include "obs/telemetry.h"
 
@@ -77,17 +77,14 @@ struct BusStats {
   std::size_t dropped = 0;
   /// Receiver detached — or detached and re-attached — before delivery.
   std::size_t dead_lettered = 0;
-  /// Staged to another shard's mailbox (counted by the *sender*; the
-  /// receiving shard counts the eventual delivered/dead_lettered).
+  /// Always 0: shards never exchange messages.  Both stay because the
+  /// benchmark driver reads them and the metrics-exposition pin covers
+  /// their series.
   std::size_t forwarded = 0;
-  /// Cross-shard pushes rejected by a full mailbox (also counted in
-  /// `dropped`, so conservation still holds).
   std::size_t mailbox_overflow = 0;
 
   /// Conservation: sent == delivered + dropped + dead_lettered −
-  /// duplicated.  For a sharded exchange this holds on the *merged*
-  /// stats (sum over shards): a forwarded message is `sent` on one shard
-  /// and `delivered` on another.
+  /// duplicated, per shard and on the merged stats alike.
   void merge(const BusStats& other) {
     sent += other.sent;
     delivered += other.delivered;
@@ -101,14 +98,15 @@ struct BusStats {
 
 class MessageBus : public EventQueue::DeliverySink {
  public:
-  /// Standalone bus: owns a private AddressSpace, never forwards.
+  /// Standalone bus: owns a private AddressSpace.
   MessageBus(EventQueue& queue, BusConfig config, Rng rng);
   /// Shard-local bus of a sharded exchange: names and ownership live in
-  /// the fabric's shared AddressSpace; sends whose destination is owned
-  /// by another shard are staged into that shard's mailbox instead of
-  /// the local queue.
-  MessageBus(EventQueue& queue, BusConfig config, Rng rng, Fabric& fabric,
-             std::uint32_t shard);
+  /// the shared `addresses`, and a send to an address another shard owns
+  /// throws std::logic_error at the sender, naming both shards.  The
+  /// check runs on every send, so a shard's event history decides
+  /// deterministically whether it fires.
+  MessageBus(EventQueue& queue, BusConfig config, Rng rng,
+             AddressSpace& addresses, std::uint32_t shard);
   ~MessageBus() override;
   MessageBus(const MessageBus&) = delete;
   MessageBus& operator=(const MessageBus&) = delete;
@@ -152,21 +150,6 @@ class MessageBus : public EventQueue::DeliverySink {
   /// (delivery latency in sim microseconds, endpoint batch size).  Call
   /// once at wiring time; a bus never bound records nothing extra.
   void bind_telemetry(obs::ShardTelemetry& telemetry);
-
-  /// Schedules a mailbox envelope for local delivery.  Called by the
-  /// epoch driver at a barrier, while this shard's worker is quiescent.
-  /// The delivery binds to the destination's binding generation *at
-  /// injection time* (a message in flight across a re-attach that also
-  /// crossed a shard boundary delivers to the new attachment; same-shard
-  /// traffic keeps the stricter send-time binding).
-  void inject(const RemoteEnvelope& remote);
-
-  /// Batched inject: schedules `count` envelopes in order, with semantics
-  /// identical to calling inject() on each — except payloads are *moved*
-  /// out of the envelopes, which the epoch driver's drain scratch permits
-  /// (it is cleared right after).  `batch` points into caller storage in
-  /// canonical merge order.
-  void inject_batch(RemoteEnvelope* const* batch, std::size_t count);
 
   /// EventQueue::DeliverySink — one call per run of same-instant
   /// deliveries.  Keys carry the destination and the binding generation
@@ -213,11 +196,9 @@ class MessageBus : public EventQueue::DeliverySink {
     if (id >= directory_.size()) directory_.resize(id + 1);
     return directory_[id];
   }
-  /// Remote leg of send_impl: jitter/duplicate draws mirror the local
-  /// path, then the envelope(s) go to `owner`'s mailbox.
-  void forward_remote(MessageId id, AddressId from, AddressId to,
-                      std::uint32_t owner, Message payload);
-  void push_remote(std::uint32_t owner, RemoteEnvelope&& envelope);
+  /// Throws the cross-shard send error (cold path of send_impl).
+  [[noreturn]] void reject_cross_shard(AddressId to,
+                                       std::uint32_t owner) const;
 
   /// Shared send body; `payload` may be the Message variant or any of its
   /// alternatives (assigned directly into the pooled envelope).
@@ -227,6 +208,10 @@ class MessageBus : public EventQueue::DeliverySink {
       throw std::out_of_range(
           "MessageBus::send: unknown destination AddressId");
     }
+    const std::uint32_t owner = space_->owner_shard(to);
+    if (owner != shard_ && owner != AddressSpace::kUnowned) {
+      reject_cross_shard(to, owner);
+    }
     const MessageId id{next_message_};
     next_message_ += config_.message_id_stride;
     ++stats_.sent;
@@ -234,15 +219,6 @@ class MessageBus : public EventQueue::DeliverySink {
     if (rng_.bernoulli(config_.drop_probability)) {
       ++stats_.dropped;
       return id;
-    }
-
-    if (fabric_ != nullptr) {
-      const std::uint32_t owner = fabric_->addresses().owner_shard(to);
-      if (owner != shard_ && owner != AddressSpace::kUnowned) {
-        forward_remote(id, from, to, owner,
-                       Message(std::forward<M>(payload)));
-        return id;
-      }
     }
 
     const std::uint32_t slot = acquire_slot();
@@ -274,11 +250,10 @@ class MessageBus : public EventQueue::DeliverySink {
   Rng rng_;
 
   // Standalone buses own a private AddressSpace; sharded buses share the
-  // fabric's.  Either way `space_` is the one source of names/ids and
+  // exchange's.  Either way `space_` is the one source of names/ids and
   // directory_ is lazily sized to cover the ids this bus has touched.
   std::unique_ptr<AddressSpace> owned_space_;
   AddressSpace* space_ = nullptr;
-  Fabric* fabric_ = nullptr;
   std::uint32_t shard_ = 0;
 
   std::vector<DirectoryEntry> directory_;        // indexed by AddressId
@@ -290,7 +265,6 @@ class MessageBus : public EventQueue::DeliverySink {
 
   BusStats stats_;
   std::uint64_t next_message_ = 0;
-  std::uint64_t next_remote_sequence_ = 0;
 
   // Telemetry instruments (null until bind_telemetry; recording through
   // a null pointer is skipped, and FNDA_NO_TELEMETRY empties the bodies).

@@ -1,27 +1,24 @@
-// Conservative epoch synchronization for the sharded exchange.
+// Epoch synchronization for the sharded exchange.
 //
-// Classic conservative parallel discrete-event execution: with every
-// cross-shard message taking at least `lookahead` of simulated time to
-// arrive, all events in the window [T, T + lookahead) are causally
-// independent across shards — a message sent at t >= T arrives at
-// t + lookahead, beyond the window.  Each epoch is two phases separated
-// by barriers, with almost all work on the workers:
+// Every trader trades on its account's home shard, so shards never
+// exchange messages (the bus throws at the sender on any cross-shard
+// send).  Each shard's event queue is therefore causally independent of
+// every other, and the driver's job is to run them in parallel while
+// keeping barriers, bounds, telemetry and failure handling canonical.
+// Each epoch is two phases separated by barriers, with almost all work
+// on the workers:
 //
-//   1. (inject phase, parallel) workers claim shards from an atomic
-//      cursor; for each claimed shard they drain its inbound mailbox,
-//      sort the inbox by (deliver_at, source_shard, sequence), inject the
-//      envelopes into the shard's bus, and publish the shard's next-event
-//      time into its lane;
+//   1. (head phase, parallel) workers claim shards from an atomic
+//      cursor; for each claimed shard they sample its queue depth and
+//      publish its next-event time into its lane;
 //   2. (window barrier, serial completion) the driver reduces the
-//      per-lane minima, computes the next window — fixed lookahead, or
-//      wider when the adaptive policy proves a larger causal bound — and
-//      folds stall/injection accounting;
+//      per-lane minimum m1 and opens the next window: unbounded when
+//      `adaptive` (no shard can affect another, so each runs to
+//      quiescence in one epoch), else [m1, m1 + lookahead − 1];
 //   3. (run phase, parallel) workers claim shards again and run each
-//      claimed queue up to the window end, staging cross-shard sends
-//      into mailboxes;
+//      claimed queue up to the window end;
 //   4. (drain barrier, serial completion) per-shard stall accounting;
-//      the cycle repeats until no shard has pending events and every
-//      mailbox is empty.
+//      the cycle repeats until no shard has a pending event.
 //
 // Dynamic claiming doubles as load balancing: when several shards close
 // rounds at the same epoch boundary, the clearing/validation work fans
@@ -30,51 +27,29 @@
 // the next.
 //
 // Determinism: within a phase each claimed shard is touched by exactly
-// one worker, phases are barrier-separated, and the only cross-thread
-// artifact — mailbox contents — is re-ordered into a canonical total
-// order before injection.  The adaptive window is computed from the
-// lane minima, which are a pure function of event history.  Delivery
-// order, tie-breaking, and RNG draw order are therefore bit-identical
-// for every worker count, including 1.
-//
-// Adaptive windows (on by default; see DESIGN.md §2h for the safety
-// argument):
-//   * fabric topology kIsolated, or a single shard: no cross-shard
-//     message can exist, the causal bound is infinite, and every drive
-//     collapses to one epoch that runs each shard to quiescence;
-//   * otherwise, when the two smallest shard head times m1 <= m2 are at
-//     least two lookaheads apart, only the m1-shard can execute — the
-//     window widens to min(m2 - lookahead, m1 + 2*lookahead - 1), both
-//     caps required: the first keeps every other shard idle until its
-//     own traffic is injected, the second keeps the running shard from
-//     outpacing the earliest possible response to its own sends.
+// one worker, phases are barrier-separated, and the window is computed
+// from the lane minima, which are a pure function of event history.
+// Event order, tie-breaking, and RNG draw order are therefore
+// bit-identical for every worker count, including 1.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <vector>
 
-#include "common/arena.h"
-#include "market/bus.h"
 #include "market/clock.h"
-#include "market/fabric.h"
 #include "obs/telemetry.h"
 
 namespace fnda {
 
-/// One shard's event loop as seen by the driver.
-struct EpochShard {
-  EventQueue* queue = nullptr;
-  MessageBus* bus = nullptr;
-};
-
 struct EpochStats {
   std::size_t epochs = 0;    // windows executed
-  std::size_t injected = 0;  // mailbox envelopes delivered to shard queues
+  /// Always 0: shards never exchange messages.  Kept because the
+  /// benchmark driver reads it.
+  std::size_t injected = 0;
   std::size_t barriers = 0;  // barrier crossings (window + drain syncs)
   std::size_t widened = 0;   // epochs whose window exceeded the lookahead
 
@@ -86,20 +61,19 @@ struct EpochStats {
   }
 };
 
-/// Drives a set of per-shard event loops to quiescence on `threads`
+/// Drives a set of per-shard event queues to quiescence on `threads`
 /// workers.  Stateless between drives; construct once per exchange and
 /// call drive() whenever work is pending.
 class EpochDriver {
  public:
-  /// `lookahead` must be a lower bound on cross-shard latency (>= 1 µs).
-  /// `adaptive` enables the wide-window policy documented above; turning
-  /// it off forces the fixed-lookahead conservative schedule (the bench's
-  /// barrier-reduction baseline).
-  EpochDriver(Fabric& fabric, std::vector<EpochShard> shards,
-              SimTime lookahead, bool adaptive = true);
+  /// `lookahead` (>= 1 µs) is the fixed window length.  `adaptive` runs
+  /// each drive as one unbounded window; turning it off forces the
+  /// fixed-lookahead schedule (the bench's barrier-reduction baseline).
+  EpochDriver(std::vector<EventQueue*> queues, SimTime lookahead,
+              bool adaptive = true);
 
-  /// Runs until every queue and mailbox is empty.  `threads` is clamped
-  /// to [1, shard_count]; the calling thread is worker 0.  If a shard's
+  /// Runs until every queue is empty.  `threads` is clamped to
+  /// [1, shard_count]; the calling thread is worker 0.  If a shard's
   /// event handler throws, every worker stops at the next window barrier
   /// and the lowest-shard-index exception is rethrown here — no hang, no
   /// partial epoch on other shards beyond the one in flight.
@@ -108,29 +82,23 @@ class EpochDriver {
   /// Bounded drive: like drive(), but shard `s` executes only events
   /// strictly before `bounds[s]` (one entry per shard).  Events at or
   /// beyond the bound stay queued — the drive reports quiescence once no
-  /// shard has a pending event below its bound and every mailbox has been
-  /// drained into its queue — and a later drive()/drive_until() resumes
-  /// them.  A bounded shard never executes, so it never sends; the
-  /// conservative window arithmetic is unchanged, its inputs are just the
-  /// bound-clamped shard heads.  Used by the adversarial co-simulation to
-  /// stop every shard mid-round (before its round close) while attack
-  /// searches overlap on background threads.
+  /// shard has a pending event below its bound — and a later
+  /// drive()/drive_until() resumes them.  Used by the adversarial
+  /// co-simulation to stop every shard mid-round (before its round
+  /// close) while attack searches overlap on background threads.
   EpochStats drive_until(const std::vector<SimTime>& bounds,
                          std::size_t threads);
 
   /// Wires the driver into the session telemetry: cumulative epoch,
-  /// injection, barrier-crossing, and widened-window counters (the
-  /// per-drive EpochStats struct stays the drive() return value), a
-  /// sim-time epoch-advance histogram, a bounded-window-width histogram,
-  /// and a per-shard queue-depth sample at every inject phase.  In
-  /// wallclock mode the serial completion step is additionally timed
-  /// into a barrier-stall histogram and each shard's wait between
-  /// finishing its run phase and the drain barrier into a per-shard
-  /// stall histogram — the deliberately nondeterministic metrics.
+  /// barrier-crossing, and widened-window counters (the per-drive
+  /// EpochStats struct stays the drive() return value), a sim-time
+  /// epoch-advance histogram, a bounded-window-width histogram, and a
+  /// per-shard queue-depth sample at every head phase.  In wallclock
+  /// mode the serial completion step is additionally timed into a
+  /// barrier-stall histogram and each shard's wait between finishing its
+  /// run phase and the drain barrier into a per-shard stall histogram —
+  /// the deliberately nondeterministic metrics.
   void bind_telemetry(obs::SessionTelemetry& session);
-
-  SimTime lookahead() const { return lookahead_; }
-  bool adaptive() const { return adaptive_; }
 
  private:
   /// lane.next value for a shard with an empty queue.
@@ -142,30 +110,20 @@ class EpochDriver {
   /// serial completion step); barriers separate the phases.  Padded so
   /// concurrently-claimed neighbours never share a cache line.
   struct alignas(64) ShardLane {
-    /// Drain buffer (capacity persists across epochs, so a warm lane
-    /// allocates nothing).  The fat envelopes stay put where the drain
-    /// wrote them; ordering happens on 24-byte merge keys in the arena
-    /// and injection walks pointers.
-    std::vector<RemoteEnvelope> inbox;
-    /// Merge scratch (keys + pointer batches); reset per epoch, so
-    /// high-water tracks this shard's largest single inbox.
-    MonotonicArena arena;
-    std::int64_t next = kEmpty;     ///< queue head after injection
-    std::size_t injected = 0;       ///< envelopes injected this epoch
+    std::int64_t next = kEmpty;     ///< queue head (bound-clamped)
     std::int64_t run_end_wall = 0;  ///< wallclock at end of run phase
   };
 
   /// Parallel phases (run on every worker) and serial barrier
   /// completions (run on exactly one thread while the others are parked
   /// inside the barrier, whose release edge publishes the writes).
-  void inject_phase() noexcept;
+  void head_phase() noexcept;
   void run_phase() noexcept;
   void advance_window() noexcept;  // window barrier completion
   void finish_run() noexcept;      // drain barrier completion
   EpochStats drive_impl(std::size_t threads);
 
-  Fabric& fabric_;
-  std::vector<EpochShard> shards_;
+  std::vector<EventQueue*> queues_;
   SimTime lookahead_;
   bool adaptive_;
   /// Per-shard execution bounds for the current drive (null: unbounded).
@@ -174,12 +132,11 @@ class EpochDriver {
   // Epoch state, written by the barrier completion steps.
   SimTime epoch_end_{};
   SimTime epoch_start_{};
-  bool epoch_unbounded_ = false;
   bool stop_ = false;
   EpochStats stats_;
-  std::deque<ShardLane> lanes_;  // deque: ShardLane is pinned (arena)
+  std::vector<ShardLane> lanes_;
   std::size_t workers_ = 1;
-  alignas(64) std::atomic<std::size_t> inject_claim_{0};
+  alignas(64) std::atomic<std::size_t> head_claim_{0};
   alignas(64) std::atomic<std::size_t> run_claim_{0};
   std::vector<std::exception_ptr> errors_;
   std::atomic<bool> failed_{false};

@@ -26,8 +26,6 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   }
   threads_ = std::min(threads_, config_.shards);
 
-  fabric_ = std::make_unique<Fabric>(config_.shards, ShardTopology::kIsolated);
-
   // RNG derivation order is part of the replay contract.  The seed root
   // hands out one stream for the bus layer, then one server stream per
   // shard in shard order — exactly the draws the shared-queue engine
@@ -45,7 +43,7 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
     const Rng bus_rng =
         config_.shards == 1 ? bus_master : bus_master.split();
     shard.bus = std::make_unique<MessageBus>(shard.queue, bus_config, bus_rng,
-                                             *fabric_,
+                                             *addresses_,
                                              static_cast<std::uint32_t>(s));
     shard.registry = IdentityRegistry(s, config_.shards);
     shard.escrow =
@@ -61,14 +59,12 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
         shard.server->address_id(), config_.client);
   }
 
-  std::vector<EpochShard> loops;
-  loops.reserve(shards_.size());
-  for (Shard& shard : shards_) {
-    loops.push_back(EpochShard{&shard.queue, shard.bus.get()});
-  }
+  std::vector<EventQueue*> queues;
+  queues.reserve(shards_.size());
+  for (Shard& shard : shards_) queues.push_back(&shard.queue);
   const SimTime lookahead = std::max(SimTime{1}, config_.bus.base_latency);
-  driver_ = std::make_unique<EpochDriver>(*fabric_, std::move(loops),
-                                          lookahead, config_.adaptive_epochs);
+  driver_ = std::make_unique<EpochDriver>(std::move(queues), lookahead,
+                                          config_.adaptive_epochs);
 
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::SessionTelemetry>(config_.shards,

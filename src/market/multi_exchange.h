@@ -8,9 +8,9 @@
 // unlike the PR 2 logical partition, gives each shard a *complete*
 // private world: its own EventQueue, MessageBus (envelope slab included),
 // identity registry, ledgers, escrow, settlement engine, and audit log.
-// Nothing mutable is shared on the hot path; shards share one Fabric (the
-// global address space) and are driven to quiescence by an EpochDriver on
-// `threads` workers.
+// Nothing mutable is shared on the hot path; shards share one
+// AddressSpace (global names and owners) and are driven to quiescence by
+// an EpochDriver on `threads` workers.
 //
 // Determinism: results are bit-identical for every `threads` value —
 // per-shard RNG streams and strided id namespaces (messages and
@@ -20,19 +20,18 @@
 // (ParallelExchangeTest.SingleShardMatchesRecordedDigest).
 //
 // Every trader lives in its account's home shard's TraderPopulation and
-// is wired to that shard's server, so no message crosses shards: the
-// fabric is declared ShardTopology::kIsolated (shards run to quiescence
-// independently between barriers; no cross-shard mailbox is reserved),
-// and a cross-shard send throws at the sender.
+// is wired to that shard's server, so no message crosses shards: shards
+// run to quiescence independently between barriers, and a cross-shard
+// send throws at the sender.
 #pragma once
 
 #include <deque>
 #include <memory>
 #include <vector>
 
+#include "market/address_space.h"
 #include "market/client.h"
 #include "market/epoch.h"
-#include "market/fabric.h"
 #include "market/runtime_config.h"
 #include "market/server.h"
 #include "obs/telemetry.h"
@@ -46,9 +45,9 @@ struct MultiExchangeConfig {
   /// above `shards` are clamped (a shard is owned by one thread).  Every
   /// setting produces bit-identical results.
   std::size_t threads = 1;
-  /// Adaptive epoch windows (see EpochDriver): widen the window to the
-  /// true causal bound when shard head times prove it safe, cutting
-  /// barrier crossings.  Off forces the fixed-lookahead schedule.
+  /// Adaptive epoch windows (see EpochDriver): run each drive as one
+  /// unbounded window, since shards never affect each other.  Off forces
+  /// the fixed-lookahead schedule.
   bool adaptive_epochs = true;
   BusConfig bus{};
   ServerConfig server{};
@@ -224,7 +223,7 @@ class MultiServerExchange {
     const std::deque<TradingClient>* traders_;
   };
   TraderList traders() const { return TraderList(traders_); }
-  /// Epoch/injection counters from the most recent drive.
+  /// Epoch counters from the most recent drive.
   const EpochStats& last_drive() const { return last_drive_; }
   /// Epoch counters accumulated across every drive of this exchange —
   /// the session-level barrier-crossing record the bench reports.
@@ -263,7 +262,8 @@ class MultiServerExchange {
   /// Declared before the shards so it outlives every component holding
   /// instrument pointers into it.
   std::unique_ptr<obs::SessionTelemetry> telemetry_;
-  std::unique_ptr<Fabric> fabric_;
+  /// Names and owners shared by every shard's bus; outlives the shards.
+  std::unique_ptr<AddressSpace> addresses_ = std::make_unique<AddressSpace>();
   std::deque<Shard> shards_;
   std::unique_ptr<EpochDriver> driver_;
   /// Views into the shard populations, in add order; a deque so the

@@ -67,7 +67,7 @@ struct ThroughputResult {
   /// records these as the zero-sort-at-close evidence).
   LiveBookStats book{};
   /// Epoch-driver counters accumulated across the whole session: epochs,
-  /// injections, barrier crossings, widened windows.  Identical for
+  /// barrier crossings, widened windows.  Identical for
   /// every `threads` value; the bench's adaptive-vs-fixed comparison
   /// reads `epoch.barriers`.
   EpochStats epoch{};

@@ -306,7 +306,7 @@ Reply ConsoleSession::cmd_shard_drain(const Invocation& invocation) {
     return Reply::error("shard out of range (have " +
                         std::to_string(exchange_->shard_count()) + ")");
   }
-  // Drain = pause + run the whole fabric to quiescence: the shard's
+  // Drain = pause + run every shard to quiescence: the shard's
   // in-flight round (if any) clears and nothing new opens on it.
   exchange_->pause_shard(static_cast<std::size_t>(shard));
   exchange_->drive_to_quiescence();

@@ -4,10 +4,9 @@
 // live-byte counter (which is why it is its own executable) and bounds
 // four things:
 //
-//  - Construction.  The exchange declares its fabric
-//    ShardTopology::kIsolated, so no message can ever cross shards and no
-//    cross-shard mailbox ring may be reserved.  A 65,536-slot ring is
-//    several MB per shard; constructing an exchange stays far below one.
+//  - Construction.  No message ever crosses shards, so a shard world
+//    holds no cross-shard buffer; constructing an exchange stays far
+//    below one MB.
 //  - Trader state.  Traders live in one dense population per shard, so
 //    adding them and running steady rounds allocates per population, not
 //    per trader.  The bounds (1.5 allocations per trader added, 0.04 per
@@ -94,7 +93,8 @@ TEST(ExchangeFootprintTest, IsolatedExchangeReservesNoCrossShardRing) {
   EXPECT_GT(one, 0u);
   EXPECT_LT(four, kOneMiB) << "a 4-shard exchange allocated " << four
                            << " bytes at construction";
-  // Per-shard cost: three extra shard worlds, none carrying a ring.
+  // Per-shard cost: three extra shard worlds, none carrying a buffer
+  // for cross-shard traffic.
   EXPECT_LT(four - one, kOneMiB / 2);
 }
 
