@@ -147,8 +147,8 @@ SimTime MessageBus::draw_latency() {
   return latency;
 }
 
-void MessageBus::schedule_slot(std::uint32_t slot, std::uint64_t key) {
-  queue_.schedule_delivery(queue_.now() + draw_latency(), slot, key);
+SimTime MessageBus::schedule_slot(std::uint32_t slot, std::uint64_t key) {
+  return queue_.schedule_delivery(queue_.now() + draw_latency(), slot, key);
 }
 
 void MessageBus::reject_cross_shard(AddressId to,
@@ -192,6 +192,11 @@ void MessageBus::deliver_run(SimTime at, const EventQueue::Delivery* run,
   }
 }
 
+void MessageBus::mark_repeat(std::uint32_t slot) {
+  if (slot >= repeat_.size()) repeat_.resize(pool_.size() * kPoolChunkSize);
+  repeat_[slot] = 1;
+}
+
 void MessageBus::deliver_group(SimTime at, std::uint64_t key,
                                const EventQueue::Delivery* run,
                                std::size_t count) {
@@ -233,7 +238,11 @@ void MessageBus::deliver_group(SimTime at, std::uint64_t key,
     if (sample) {
       delivery_latency_hist_->record((at - envelope.sent_at).micros);
     }
-    endpoint->on_message(envelope);
+    if (is_repeat(run[0].slot)) {
+      endpoint->on_repeat(envelope);
+    } else {
+      endpoint->on_message(envelope);
+    }
     release_slot(run[0].slot);
     return;
   }
@@ -246,7 +255,16 @@ void MessageBus::deliver_group(SimTime at, std::uint64_t key,
     }
     deliver_scratch_.push_back(&envelope);
   }
-  endpoint->on_batch(deliver_scratch_.data(), deliver_scratch_.size());
+  // A repeat never rides in a batch: split the batch around each one.
+  const Envelope* const* envelopes = deliver_scratch_.data();
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (!is_repeat(run[i].slot)) continue;
+    if (i > begin) endpoint->on_batch(envelopes + begin, i - begin);
+    endpoint->on_repeat(*envelopes[i]);
+    begin = i + 1;
+  }
+  if (count > begin) endpoint->on_batch(envelopes + begin, count - begin);
   for (std::size_t i = 0; i < count; ++i) release_slot(run[i].slot);
 }
 

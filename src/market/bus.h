@@ -2,8 +2,10 @@
 //
 // Deliveries are scheduled on the EventQueue after a configurable latency
 // (base + uniform jitter) and may be duplicated or dropped.  Duplicates
-// carry the original MessageId so receivers can deduplicate; the server
-// does, which the tests exercise.
+// carry the original MessageId.  The bus knows at send time which copy
+// will arrive second and hands that one to `Endpoint::on_repeat`, so a
+// receiver that wants exactly-once arrival (the server) ignores repeats
+// without keeping any id history.
 //
 // Throughput substrate: endpoint addresses are interned to dense
 // `AddressId`s at attach()/intern() time, so routing is an array index
@@ -21,8 +23,6 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -56,6 +56,11 @@ class Endpoint {
   virtual void on_batch(const Envelope* const* envelopes, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) on_message(*envelopes[i]);
   }
+  /// The later-arriving copy of a bus duplicate (same MessageId as a copy
+  /// already delivered here).  It never arrives inside a batch: a batch
+  /// holding one is split around it.  The default treats it as a fresh
+  /// message, which keeps delivery at-least-once.
+  virtual void on_repeat(const Envelope& envelope) { on_message(envelope); }
 };
 
 struct BusConfig {
@@ -188,8 +193,12 @@ class MessageBus : public EventQueue::DeliverySink {
     return pool_[slot >> kPoolChunkBits][slot & kPoolChunkMask];
   }
   std::uint32_t acquire_slot();
-  void release_slot(std::uint32_t slot) { free_.push_back(slot); }
-  void schedule_slot(std::uint32_t slot, std::uint64_t key);
+  void release_slot(std::uint32_t slot) {
+    if (slot < repeat_.size()) repeat_[slot] = 0;
+    free_.push_back(slot);
+  }
+  /// Schedules the slot's delivery; returns its delivery time.
+  SimTime schedule_slot(std::uint32_t slot, std::uint64_t key);
   SimTime draw_latency();
   /// Grows the (lazily sized) directory to cover `id`.
   DirectoryEntry& ensure_directory(std::uint32_t id) {
@@ -232,18 +241,28 @@ class MessageBus : public EventQueue::DeliverySink {
     const std::uint64_t key =
         pack_key(to.value(), ensure_directory(to.value()).binding);
 
-    schedule_slot(slot, key);
+    const SimTime at = schedule_slot(slot, key);
     if (rng_.bernoulli(config_.duplicate_probability)) {
       ++stats_.duplicated;
       const std::uint32_t duplicate = acquire_slot();
       slot_ref(duplicate) = slot_ref(slot);  // duplicates are rare
-      schedule_slot(duplicate, key);
+      // The queue runs equal times in push order, so the duplicate is
+      // the repeat unless it is due strictly before the original.
+      mark_repeat(schedule_slot(duplicate, key) < at ? slot : duplicate);
     }
     return id;
   }
   /// One validated batch (consecutive equal keys) to one endpoint.
   void deliver_group(SimTime at, std::uint64_t key,
                      const EventQueue::Delivery* run, std::size_t count);
+
+  // repeat_[slot] marks the copy of a duplicated message that arrives
+  // second.  Sized at the first duplicate and cleared as slots are
+  // released; a bus that never duplicates leaves it empty.
+  bool is_repeat(std::uint32_t slot) const {
+    return slot < repeat_.size() && repeat_[slot] != 0;
+  }
+  void mark_repeat(std::uint32_t slot);
 
   EventQueue& queue_;
   BusConfig config_;
@@ -262,6 +281,7 @@ class MessageBus : public EventQueue::DeliverySink {
   std::size_t pool_size_ = 0;                    // slots ever created
   std::vector<std::uint32_t> free_;              // recycled slots
   std::vector<const Envelope*> deliver_scratch_;
+  std::vector<std::uint8_t> repeat_;             // empty until a duplicate
 
   BusStats stats_;
   std::uint64_t next_message_ = 0;
@@ -275,100 +295,6 @@ class MessageBus : public EventQueue::DeliverySink {
   obs::Histogram* delivery_latency_hist_ = nullptr;
   obs::Histogram* batch_size_hist_ = nullptr;
   std::uint64_t delivery_sample_tick_ = 0;
-};
-
-/// Receiver-side duplicate filter keyed by MessageId.
-///
-/// Bounded: ids live in two generations of at most `generation_capacity`
-/// each; when the current generation fills, the oldest generation is
-/// discarded.  An id is therefore remembered for at least
-/// `generation_capacity` fresh ids after it — far longer than any
-/// retransmission window — while long sessions stay at O(capacity)
-/// memory instead of growing forever.
-class DedupFilter {
- public:
-  static constexpr std::size_t kDefaultGenerationCapacity = std::size_t{1}
-                                                            << 16;
-
-  explicit DedupFilter(
-      std::size_t generation_capacity = kDefaultGenerationCapacity)
-      : capacity_(generation_capacity == 0 ? 1 : generation_capacity) {}
-
-  /// Returns true the first time an id is seen (within the retention
-  /// window).  Storage is two generations of open-addressed flat u64
-  /// tables (<=50% load, linear probing): one probe run per lookup on a
-  /// contiguous array instead of a node-based set — the dedup check runs
-  /// once per delivered message, and flat storage also frees in O(1)
-  /// block per endpoint at teardown instead of a node walk.
-  bool fresh(MessageId id) {
-    const std::uint64_t key = id.value();
-    if (contains(current_, key) || contains(previous_, key)) return false;
-    if (current_count_ >= capacity_) {
-      std::swap(current_, previous_);  // keep the newer generation
-      std::fill(current_.begin(), current_.end(), kEmpty);  // storage reused
-      current_count_ = 0;
-    }
-    insert(key);
-    ++seen_total_;
-    return true;
-  }
-
-  /// Distinct ids ever seen (not bounded by the retention window).
-  std::size_t seen_count() const { return seen_total_; }
-
- private:
-  /// Free-slot sentinel: MessageId::invalid(), which no delivered
-  /// envelope carries.
-  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-
-  static std::size_t slot_of(std::uint64_t key, std::size_t mask) {
-    // splitmix64-style finalizer: message ids are sequential counters,
-    // so the low bits need mixing before masking.
-    key ^= key >> 33;
-    key *= 0xff51afd7ed558ccdull;
-    key ^= key >> 33;
-    return static_cast<std::size_t>(key) & mask;
-  }
-
-  static bool contains(const std::vector<std::uint64_t>& table,
-                       std::uint64_t key) {
-    if (table.empty()) return false;
-    const std::size_t mask = table.size() - 1;
-    for (std::size_t i = slot_of(key, mask);; i = (i + 1) & mask) {
-      if (table[i] == key) return true;
-      if (table[i] == kEmpty) return false;
-    }
-  }
-
-  void insert(std::uint64_t key) {
-    if ((current_count_ + 1) * 2 > current_.size()) grow();
-    const std::size_t mask = current_.size() - 1;
-    std::size_t i = slot_of(key, mask);
-    while (current_[i] != kEmpty) i = (i + 1) & mask;
-    current_[i] = key;
-    ++current_count_;
-  }
-
-  /// Doubles the current generation's table (idle endpoints stay tiny;
-  /// a generation at capacity_ stops growing by construction).
-  void grow() {
-    const std::size_t next = current_.empty() ? 64 : current_.size() * 2;
-    std::vector<std::uint64_t> rebuilt(next, kEmpty);
-    const std::size_t mask = next - 1;
-    for (const std::uint64_t key : current_) {
-      if (key == kEmpty) continue;
-      std::size_t i = slot_of(key, mask);
-      while (rebuilt[i] != kEmpty) i = (i + 1) & mask;
-      rebuilt[i] = key;
-    }
-    current_ = std::move(rebuilt);
-  }
-
-  std::size_t capacity_;
-  std::size_t seen_total_ = 0;
-  std::size_t current_count_ = 0;
-  std::vector<std::uint64_t> current_;
-  std::vector<std::uint64_t> previous_;
 };
 
 }  // namespace fnda

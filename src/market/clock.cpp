@@ -29,17 +29,18 @@ void EventQueue::schedule_after(SimTime delay, Action action) {
   schedule_at(now_ + delay, std::move(action));
 }
 
-void EventQueue::schedule_delivery(SimTime at, std::uint32_t slot,
-                                   std::uint64_t key) {
+SimTime EventQueue::schedule_delivery(SimTime at, std::uint32_t slot,
+                                      std::uint64_t key) {
   Entry entry;
   entry.at = std::max(at, now_);
   entry.key = key;
   entry.slot = slot;
   entry.is_delivery = true;
   push(entry);
+  return entry.at;
 }
 
-void EventQueue::push(Entry entry) {
+void EventQueue::push(const Entry& entry) {
   const std::int64_t bucket = bucket_of(entry.at);
   ++size_;
   if (bucket > cursor_) {

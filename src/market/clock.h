@@ -90,8 +90,9 @@ class EventQueue {
   /// Schedules `action` `delay` after the current time.
   void schedule_after(SimTime delay, Action action);
   /// Schedules a sink delivery; `key` groups batchable deliveries (the
-  /// bus uses the destination address id).
-  void schedule_delivery(SimTime at, std::uint32_t slot, std::uint64_t key);
+  /// bus uses the destination address id).  Returns the (clamped)
+  /// delivery time.
+  SimTime schedule_delivery(SimTime at, std::uint32_t slot, std::uint64_t key);
 
   /// Executes the earliest pending event; returns false if none remain.
   bool step();
@@ -147,7 +148,7 @@ class EventQueue {
     return cursor_ + static_cast<std::int64_t>(kWheelSlots);
   }
 
-  void push(Entry entry);
+  void push(const Entry& entry);
   /// Hands a bucket that owns no buffer the most recently drained one.
   void take_spare(std::vector<Entry>& bucket);
   std::uint32_t acquire_action(Action action);

@@ -185,8 +185,6 @@ void AuctionServer::schedule_announcements(RoundId id) {
 }
 
 void AuctionServer::on_message(const Envelope& envelope) {
-  // At-least-once transport: duplicates share a MessageId and are ignored.
-  if (!dedup_.fresh(envelope.id)) return;
   if (const auto* msg = std::get_if<SubmitBidMsg>(&envelope.payload)) {
     EscrowCache cache;
     handle_submit(envelope, *msg, cache);
@@ -201,7 +199,6 @@ void AuctionServer::on_batch(const Envelope* const* envelopes,
   EscrowCache cache;
   for (std::size_t i = 0; i < count; ++i) {
     const Envelope& envelope = *envelopes[i];
-    if (!dedup_.fresh(envelope.id)) continue;
     if (const auto* msg = std::get_if<SubmitBidMsg>(&envelope.payload)) {
       handle_submit(envelope, *msg, cache);
     }

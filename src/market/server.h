@@ -79,10 +79,13 @@ class AuctionServer : public Endpoint {
   RoundId open_round(SimTime open_for);
 
   void on_message(const Envelope& envelope) override;
-  /// Validates a same-instant volley of submissions in one pass: one
-  /// dedup probe per message (duplicates share ids) but escrow lookups
-  /// are reused across a retransmission run and the book grows once.
+  /// Validates a same-instant volley of submissions in one pass: escrow
+  /// lookups are reused across a retransmission run and the book grows
+  /// once.
   void on_batch(const Envelope* const* envelopes, std::size_t count) override;
+  /// A transport duplicate's second copy: ignored, so every submission is
+  /// admitted (or rejected, with one ack) exactly once.
+  void on_repeat(const Envelope&) override {}
 
   const std::string& address() const { return address_; }
   AddressId address_id() const { return address_id_; }
@@ -255,7 +258,6 @@ class AuctionServer : public Endpoint {
   /// Completion order, for retained_rounds eviction (oldest first).
   std::deque<RoundId> completion_order_;
   std::size_t completed_count_ = 0;
-  DedupFilter dedup_;
   std::uint64_t next_round_ = 0;
 
   // Telemetry (null until bind_telemetry; clear_round guards on them).

@@ -439,7 +439,7 @@ void ConsoleSession::register_commands() {
       {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
       &ConsoleSession::cmd_shard_resume);
   add("shard drain", {},
-      "pause a shard and run the fabric to quiescence",
+      "pause a shard and drive every shard to quiescence",
       {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
       &ConsoleSession::cmd_shard_drain);
   add("config show", {"cs"},

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace fnda {
@@ -150,12 +151,141 @@ TEST(MessageKindTest, CoversEveryVariant) {
   EXPECT_STREQ(message_kind(SettlementNoticeMsg{}), "settlement");
 }
 
-TEST(DedupFilterTest, FlagsRepeats) {
-  DedupFilter filter;
-  EXPECT_TRUE(filter.fresh(MessageId{1}));
-  EXPECT_FALSE(filter.fresh(MessageId{1}));
-  EXPECT_TRUE(filter.fresh(MessageId{2}));
-  EXPECT_EQ(filter.seen_count(), 2u);
+/// Logs every arrival in order, tagging how it came: alone, inside a
+/// batch (with the batch's size), or as a repeat.
+class ArrivalLog : public Endpoint {
+ public:
+  struct Arrival {
+    enum Kind { kMessage, kBatch, kRepeat } kind;
+    std::size_t batch_size;
+    const Envelope* slot;  // the bus slab slot the copy arrived in
+    Envelope envelope;
+  };
+  void on_message(const Envelope& envelope) override {
+    arrivals.push_back({Arrival::kMessage, 0, &envelope, envelope});
+  }
+  void on_batch(const Envelope* const* envelopes, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      arrivals.push_back({Arrival::kBatch, count, envelopes[i], *envelopes[i]});
+    }
+  }
+  void on_repeat(const Envelope& envelope) override {
+    arrivals.push_back({Arrival::kRepeat, 0, &envelope, envelope});
+  }
+  std::vector<Arrival> arrivals;
+};
+
+TEST(MessageBusTest, DuplicateArrivesOnceAndThenAsRepeat) {
+  EventQueue queue;
+  BusConfig config = quiet_bus();
+  config.jitter = SimTime{500};
+  config.duplicate_probability = 1.0;
+  MessageBus bus(queue, config, Rng(9));
+  ArrivalLog log;
+  bus.attach("b", log);
+  constexpr std::size_t kSends = 200;
+  for (std::size_t i = 0; i < kSends; ++i) {
+    bus.send("a", "b", RoundClosedMsg{});
+  }
+  queue.run();
+  EXPECT_EQ(bus.stats().duplicated, kSends);
+  EXPECT_EQ(bus.stats().delivered, 2 * kSends);
+  ASSERT_EQ(log.arrivals.size(), 2 * kSends);
+
+  // Per id: exactly one first arrival, then exactly one repeat, no earlier.
+  std::vector<int> firsts(kSends, 0);
+  std::vector<int> repeats(kSends, 0);
+  std::vector<SimTime> first_at(kSends);
+  for (const ArrivalLog::Arrival& arrival : log.arrivals) {
+    const std::size_t id = arrival.envelope.id.value();
+    ASSERT_LT(id, kSends);
+    if (arrival.kind == ArrivalLog::Arrival::kRepeat) {
+      EXPECT_EQ(firsts[id], 1) << "repeat of id " << id << " before its first";
+      EXPECT_GE(arrival.envelope.delivered_at, first_at[id]);
+      ++repeats[id];
+    } else {
+      first_at[id] = arrival.envelope.delivered_at;
+      ++firsts[id];
+    }
+  }
+  for (std::size_t id = 0; id < kSends; ++id) {
+    EXPECT_EQ(firsts[id], 1) << "id " << id;
+    EXPECT_EQ(repeats[id], 1) << "id " << id;
+  }
+}
+
+TEST(MessageBusTest, SameInstantRepeatSplitsTheBatch) {
+  EventQueue queue;
+  BusConfig config = quiet_bus();  // jitter 0: both copies in one group
+  config.duplicate_probability = 1.0;
+  MessageBus bus(queue, config, Rng(4));
+  ArrivalLog log;
+  bus.attach("b", log);
+  const MessageId first = bus.send("a", "b", RoundClosedMsg{});
+  const MessageId second = bus.send("a", "b", RoundClosedMsg{});
+  queue.run();
+  EXPECT_EQ(bus.stats().delivered, 4u);
+  using Arrival = ArrivalLog::Arrival;
+  ASSERT_EQ(log.arrivals.size(), 4u);
+  const std::vector<std::pair<Arrival::Kind, MessageId>> expected = {
+      {Arrival::kBatch, first},
+      {Arrival::kRepeat, first},
+      {Arrival::kBatch, second},
+      {Arrival::kRepeat, second}};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(log.arrivals[i].kind, expected[i].first) << "arrival " << i;
+    EXPECT_EQ(log.arrivals[i].envelope.id, expected[i].second)
+        << "arrival " << i;
+    EXPECT_EQ(log.arrivals[i].envelope.delivered_at, SimTime{1000});
+  }
+  EXPECT_EQ(log.arrivals[0].batch_size, 1u);
+  EXPECT_EQ(log.arrivals[2].batch_size, 1u);
+}
+
+TEST(MessageBusTest, DeadLetteredPairLeavesNoRepeatBehind) {
+  EventQueue queue;
+  BusConfig config = quiet_bus();
+  config.duplicate_probability = 0.5;
+  // Seed 42 duplicates the first two sends and not the next two; the
+  // ASSERTs on `duplicated` pin that, so a changed RNG fails loudly.
+  MessageBus bus(queue, config, Rng(42));
+  ArrivalLog log;
+  const AddressId a = bus.intern("a");
+  const AddressId b = bus.attach("b", log);
+
+  // A delivered pair shows which two slab slots a pair occupies.
+  bus.send(a, b, RoundClosedMsg{});
+  ASSERT_EQ(bus.stats().duplicated, 1u);
+  queue.run();
+  ASSERT_EQ(log.arrivals.size(), 2u);
+  const Envelope* pair_slots[] = {log.arrivals[0].slot, log.arrivals[1].slot};
+
+  // The next pair reuses those slots and is dead-lettered in flight.
+  bus.send(a, b, RoundClosedMsg{});
+  ASSERT_EQ(bus.stats().duplicated, 2u);
+  bus.detach(b);
+  bus.attach(b, log);
+  queue.run();
+  EXPECT_EQ(bus.stats().dead_lettered, 2u);
+  EXPECT_EQ(log.arrivals.size(), 2u);
+
+  // Two plain messages, in flight together but arriving alone, take the
+  // same two slots again; each arrives through on_message.
+  const MessageId third = bus.send(a, b, RoundClosedMsg{});
+  MessageId fourth;
+  queue.schedule_after(SimTime{500},
+                       [&] { fourth = bus.send(a, b, RoundClosedMsg{}); });
+  queue.run();
+  ASSERT_EQ(bus.stats().duplicated, 2u);
+  ASSERT_EQ(log.arrivals.size(), 4u);
+  EXPECT_EQ(log.arrivals[2].envelope.id, third);
+  EXPECT_EQ(log.arrivals[3].envelope.id, fourth);
+  for (std::size_t i = 2; i < 4; ++i) {
+    EXPECT_EQ(log.arrivals[i].kind, ArrivalLog::Arrival::kMessage);
+    EXPECT_TRUE(log.arrivals[i].slot == pair_slots[0] ||
+                log.arrivals[i].slot == pair_slots[1]);
+  }
+  EXPECT_NE(log.arrivals[2].slot, log.arrivals[3].slot);
 }
 
 }  // namespace

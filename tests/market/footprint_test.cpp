@@ -151,7 +151,7 @@ TEST(ExchangeFootprintTest, SessionLiveHeapTracksLiveState) {
   for (std::size_t round = 0; round < kRounds; ++round) {
     exchange->run_round(zi.open_for);
   }
-  // About 48 MiB is live here.  With doubling tables and a wheel whose
+  // About 44 MiB is live here.  With doubling tables and a wheel whose
   // every slot kept its largest bucket, the same session held about 98.
   const std::int64_t live = g_live_bytes.load() - before;
   EXPECT_LT(live, 64 * kMiB) << "the session holds " << live / kMiB

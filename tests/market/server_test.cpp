@@ -297,10 +297,48 @@ TEST_F(ServerFixture, DuplicateSubmitDeliveredTwiceCountsOnce) {
   bus.send("probe2", "server2",
            SubmitBidMsg{round, identity, Side::kBuyer, money(9)});
   queue.run();
-  // Transport duplicated the submit, but the server deduplicated it: one
-  // accept, zero rejects.
+  // Transport duplicated the submit, but the server ignored the repeat:
+  // one accept, zero rejects.
   EXPECT_EQ(audit.count(AuditKind::kBidAccepted), 1u);
   EXPECT_EQ(audit.count(AuditKind::kBidRejected), 0u);
+}
+
+TEST_F(ServerFixture, DuplicateRejectedSubmitRejectsOnce) {
+  BusConfig dup_config;
+  dup_config.base_latency = SimTime{100};
+  dup_config.jitter = SimTime{0};
+  dup_config.duplicate_probability = 1.0;
+  EventQueue queue;
+  MessageBus bus(queue, dup_config, Rng(5));
+  AuditLog audit;
+  EscrowService escrow(cash_);
+  SettlementEngine settlement(registry_, cash_, goods_, escrow);
+  AuctionServer server("server2", queue, bus, tpd_, escrow, settlement, audit,
+                       Rng(6), ServerConfig{});
+
+  // No deposit posted: the submit is rejected for insufficient deposit.
+  const AccountId account = registry_.create_account();
+  cash_.grant(account, money(1000));
+  const IdentityId identity = registry_.register_identity(account);
+
+  // Counts the first arrival of each message apart from its repeat, so
+  // the ack's own transport duplicate does not read as a second ack.
+  struct FirstArrivals : Probe {
+    void on_repeat(const Envelope&) override { ++repeats; }
+    std::size_t repeats = 0;
+  } probe;
+  bus.attach("probe2", probe);
+  const RoundId round = server.open_round(SimTime::millis(10));
+  bus.send("probe2", "server2",
+           SubmitBidMsg{round, identity, Side::kBuyer, money(9)});
+  queue.run();
+  EXPECT_EQ(audit.count(AuditKind::kBidRejected), 1u);
+  EXPECT_EQ(audit.count(AuditKind::kBidAccepted), 0u);
+  ASSERT_EQ(probe.count("bid-ack"), 1u);
+  EXPECT_EQ(probe.repeats, 1u);
+  const auto& ack = std::get<BidAckMsg>(probe.received[0].payload);
+  EXPECT_EQ(ack.identity, identity);
+  EXPECT_EQ(ack.reason, RejectReason::kInsufficientDeposit);
 }
 
 }  // namespace

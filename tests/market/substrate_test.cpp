@@ -1,7 +1,7 @@
 // Throughput-substrate behaviour: dead-lettering across re-attach,
-// message conservation under a lossy/duplicating bus at scale, the
-// bounded dedup filter's generation rollover, retained-round eviction,
-// and the sharded multi-server exchange (including deterministic replay).
+// message conservation under a lossy/duplicating bus at scale,
+// retained-round eviction, and the sharded multi-server exchange
+// (including deterministic replay).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -105,29 +105,6 @@ TEST(MessageBusTest, StressConservationHoldsAtScale) {
   std::size_t received = 0;
   for (const auto& endpoint : endpoints) received += endpoint->received.size();
   EXPECT_EQ(received, stats.delivered);
-}
-
-// The bounded filter forgets an id only after two full generations of
-// fresh ids have passed — and then genuinely forgets it.
-TEST(DedupFilterTest, GenerationRolloverForgetsOldIds) {
-  DedupFilter filter(4);
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    EXPECT_TRUE(filter.fresh(MessageId{id}));
-  }
-  // Fills the current generation; 5 rolls it over.
-  EXPECT_TRUE(filter.fresh(MessageId{5}));
-  // Ids 1..4 moved to the previous generation: still remembered.
-  for (std::uint64_t id = 1; id <= 4; ++id) {
-    EXPECT_FALSE(filter.fresh(MessageId{id}));
-  }
-  for (std::uint64_t id = 6; id <= 8; ++id) {
-    EXPECT_TRUE(filter.fresh(MessageId{id}));
-  }
-  // 9 triggers the second rollover, discarding the {1..4} generation.
-  EXPECT_TRUE(filter.fresh(MessageId{9}));
-  EXPECT_TRUE(filter.fresh(MessageId{1}))
-      << "two rollovers past an id, the filter must have forgotten it";
-  EXPECT_EQ(filter.seen_count(), 10u);
 }
 
 TEST(ServerTest, RetainedRoundsEvictsOldestCompletedRounds) {
