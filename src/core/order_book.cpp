@@ -96,6 +96,11 @@ void SortedBook::insert_ranked(Side side, const BidEntry& entry,
   lane.insert(lane.begin() + static_cast<std::ptrdiff_t>(index), entry);
 }
 
+void SortedBook::reserve(std::size_t buyers, std::size_t sellers) {
+  buyers_.reserve(buyers);
+  sellers_.reserve(sellers);
+}
+
 void SortedBook::erase_ranked(Side side, std::size_t index) {
   auto& lane = side == Side::kBuyer ? buyers_ : sellers_;
   if (index >= lane.size()) {

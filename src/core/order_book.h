@@ -105,6 +105,10 @@ class SortedBook {
   /// the neighbours.
   void insert_ranked(Side side, const BidEntry& entry, std::size_t index);
 
+  /// Capacity for `buyers` / `sellers` entries per lane, so later
+  /// `insert_ranked` calls up to that size never reallocate.
+  void reserve(std::size_t buyers, std::size_t sellers);
+
   /// Removes the entry at 0-based `index` from the chosen lane, exactly
   /// undoing a matching `insert_ranked` (entries are PODs, so the lane is
   /// restored bit-for-bit).

@@ -10,6 +10,29 @@ namespace {
 
 constexpr std::uint64_t kAccountGamma = 0x9e3779b97f4a7c15ULL;
 
+/// Residual view of one ranked lane: its entries not owned by `account`,
+/// order preserved (erasing entries keeps a sorted lane sorted and the
+/// frozen tie order intact).
+void residual_values(const std::vector<BidEntry>& lane,
+                     const std::vector<AccountId>& owner, AccountId account,
+                     std::vector<Money>& out) {
+  out.clear();
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    if (owner[i] != account) out.push_back(lane[i].value);
+  }
+}
+
+std::vector<BidEntry> residual_entries(const std::vector<BidEntry>& lane,
+                                       const std::vector<AccountId>& owner,
+                                       AccountId account) {
+  std::vector<BidEntry> out;
+  out.reserve(lane.size());
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    if (owner[i] != account) out.push_back(lane[i]);
+  }
+  return out;
+}
+
 }  // namespace
 
 AttackScheduler::AttackScheduler(MultiServerExchange& exchange,
@@ -25,6 +48,14 @@ AttackScheduler::~AttackScheduler() {
   } catch (...) {
     // Worker exceptions surface at the explicit join(); a scheduler torn
     // down with searches in flight only needs the threads reaped.
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
+  }
+  wake_.notify_all();
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    if (worker->thread.joinable()) worker->thread.join();
   }
 }
 
@@ -88,50 +119,67 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
   ++counters_.rounds;
   ++plan_rounds_;
 
-  const std::size_t workers =
-      std::max<std::size_t>(1, std::min(config_.pool_threads,
-                                        std::max<std::size_t>(
-                                            plan_list_.size(), 1)));
-  errors_.assign(workers, nullptr);
+  // Start workers up to this round's fan-out (parked at the current
+  // generation, so they wait for the wake below), then wake the pool.
+  const std::size_t wanted = std::max<std::size_t>(
+      1, std::min(config_.pool_threads, plan_list_.size()));
+  while (workers_.size() < wanted) {
+    Worker& worker = *workers_.emplace_back(std::make_unique<Worker>());
+    worker.thread = std::thread(
+        [this, &worker, seen = generation_] { run_worker(worker, seen); });
+  }
+  // Size every worker's scratch for the largest lanes here, whichever
+  // worker ends up claiming which search.
+  std::size_t most_buyers = 0;
+  std::size_t most_sellers = 0;
+  for (const ShardSnapshot& snap : snapshots_) {
+    most_buyers = std::max(most_buyers, snap.buyers.size());
+    most_sellers = std::max(most_sellers, snap.sellers.size());
+  }
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    worker->buyer_values.reserve(most_buyers);
+    worker->seller_values.reserve(most_sellers);
+  }
   next_.store(0, std::memory_order_relaxed);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    busy_ = workers_.size();
+    ++generation_;
+  }
   inflight_ = true;
-  pool_.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool_.emplace_back([this, w] {
-      try {
-        for (;;) {
-          const std::size_t slot =
-              next_.fetch_add(1, std::memory_order_relaxed);
-          if (slot >= plan_list_.size()) return;
-          search_one(attackers_[plan_list_[slot]]);
-        }
-      } catch (...) {
-        errors_[w] = std::current_exception();
+  wake_.notify_all();
+}
+
+void AttackScheduler::run_worker(Worker& worker, std::uint64_t seen) {
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+      if (stopping_) return;
+      seen = generation_;
+    }
+    try {
+      for (;;) {
+        const std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
+        if (slot >= plan_list_.size()) break;
+        search_one(attackers_[plan_list_[slot]], worker);
       }
-    });
+    } catch (...) {
+      worker.error = std::current_exception();
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (--busy_ == 0) idle_.notify_one();
   }
 }
 
-void AttackScheduler::search_one(Attacker& attacker) {
+void AttackScheduler::search_one(Attacker& attacker, Worker& worker) {
   const auto started = std::chrono::steady_clock::now();
   const ShardSnapshot& snap = snapshots_[attacker.shard];
   const AccountId account = attacker.client.account();
-
-  // Residual view: the shard's ranked lanes minus this account's own
-  // declarations, order preserved (erasing entries keeps a sorted lane
-  // sorted and the frozen tie order intact).
-  std::vector<BidEntry> residual_buyers;
-  residual_buyers.reserve(snap.buyers.size());
-  for (std::size_t i = 0; i < snap.buyers.size(); ++i) {
-    if (snap.buyer_owner[i] == account) continue;
-    residual_buyers.push_back(snap.buyers[i]);
-  }
-  std::vector<BidEntry> residual_sellers;
-  residual_sellers.reserve(snap.sellers.size());
-  for (std::size_t j = 0; j < snap.sellers.size(); ++j) {
-    if (snap.seller_owner[j] == account) continue;
-    residual_sellers.push_back(snap.sellers[j]);
-  }
+  const Side role = attacker.client.role();
+  const Money true_value = attacker.client.true_value();
+  const DoubleAuctionProtocol& protocol = exchange_.protocol();
+  const ValueDomain& domain = exchange_.config().server.domain;
 
   EvalConfig eval;
   eval.replicates = 1;
@@ -139,16 +187,32 @@ void AttackScheduler::search_one(Attacker& attacker) {
   // so a stable seed is what lets an unchanged book hit the cache.
   eval.seed = config_.seed + kAccountGamma * account.value();
   eval.utility = config_.utility;
-  const DeviationEvaluator evaluator(
-      exchange_.protocol(), exchange_.config().server.domain,
-      attacker.client.role(), attacker.client.true_value(), residual_buyers,
-      residual_sellers, eval);
 
-  const SearchResult result =
-      config_.warm ? find_best_deviation_warm(evaluator, config_.search,
-                                              attacker.state)
-                   : find_best_deviation(evaluator, config_.search);
-  if (!config_.warm) ++attacker.cold_runs;
+  const SearchResult* hit = nullptr;
+  if (config_.warm) {
+    residual_values(snap.buyers, snap.buyer_owner, account,
+                    worker.buyer_values);
+    residual_values(snap.sellers, snap.seller_owner, account,
+                    worker.seller_values);
+    hit = warm_cache_hit(protocol, domain, role, true_value,
+                         worker.buyer_values, worker.seller_values, eval,
+                         config_.search, attacker.state);
+  }
+  SearchResult searched;
+  if (hit == nullptr) {
+    const DeviationEvaluator evaluator(
+        protocol, domain, role, true_value,
+        residual_entries(snap.buyers, snap.buyer_owner, account),
+        residual_entries(snap.sellers, snap.seller_owner, account), eval);
+    if (config_.warm) {
+      searched =
+          find_best_deviation_warm(evaluator, config_.search, attacker.state);
+    } else {
+      searched = find_best_deviation(evaluator, config_.search);
+      ++attacker.cold_runs;
+    }
+  }
+  const SearchResult& result = hit != nullptr ? *hit : searched;
 
   attacker.planned = result.best_strategy;
   attacker.gain =
@@ -162,12 +226,17 @@ void AttackScheduler::search_one(Attacker& attacker) {
 
 void AttackScheduler::join() {
   if (!inflight_) return;
-  for (std::thread& thread : pool_) thread.join();
-  pool_.clear();
-  inflight_ = false;
-  for (const std::exception_ptr& error : errors_) {
-    if (error) std::rethrow_exception(error);
+  {
+    std::unique_lock<std::mutex> lock(mutex_);
+    idle_.wait(lock, [this] { return busy_ == 0; });
   }
+  inflight_ = false;
+  std::exception_ptr first;
+  for (const std::unique_ptr<Worker>& worker : workers_) {
+    if (!first) first = worker->error;
+    worker->error = nullptr;
+  }
+  if (first) std::rethrow_exception(first);
   // Fold in account order — sums of per-attacker values are independent
   // of which pool worker ran which search, so every counter here is
   // deterministic for any pool size (wall time and latency excepted).

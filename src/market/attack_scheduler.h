@@ -9,10 +9,15 @@
 //   * Snapshot at the barrier.  When a round completes, `plan_from`
 //     copies each shard's retained ranked lanes (AuctionServer::ranked_of
 //     — the SortedBook the round cleared from, tie order frozen; no
-//     re-sort) plus the owner account of every entry, and launches the
-//     searches on a background worker pool.  The exchange immediately
-//     proceeds to open and drive the next round; search and clearing
-//     overlap in wall-clock time.
+//     re-sort) plus the owner account of every entry, and wakes the
+//     background worker pool to run the searches.  The exchange
+//     immediately proceeds to open and drive the next round; search and
+//     clearing overlap in wall-clock time.
+//   * Parked pool.  The workers are started by the first `plan_from`
+//     and stay parked on a condition variable between rounds:
+//     `plan_from` wakes them, `join` waits until the last one parks
+//     again, and the destructor reaps them.  Each worker keeps its
+//     scratch (an attacker's residual value lanes) from round to round.
 //   * Bounded staleness.  A strategy computed from round r's book is
 //     submitted for round r+1 (`apply_and_submit`, called after the
 //     bounded drive and `join`).  Round 0 plays each attacker's initial
@@ -20,10 +25,14 @@
 //     every bus/RNG draw sequence — and therefore the exchange output —
 //     is bit-identical for every exchange thread count AND every search
 //     pool size.
-//   * Warm starts.  Each attacker carries a persistent SearchState;
-//     `find_best_deviation_warm` revalidates an unchanged book in
-//     O(log n) via account_position and otherwise seeds the prune floor
-//     with the prior best response's current utility.
+//   * Warm starts.  Each attacker carries a persistent SearchState.
+//     `warm_cache_hit` decides from the residual value lanes alone whether
+//     the book is unchanged, revalidating in O(log n) via
+//     account_position; only on a miss are the residual entry lanes and
+//     a DeviationEvaluator built, and `find_best_deviation_warm` seeds
+//     the prune floor with the prior best response's current utility.
+//     With a `grid_override`, a planning round in which every search hits
+//     allocates nothing.
 //   * Shedding.  An optional per-round search budget caps the number of
 //     searches; the rotating window (deterministic in the round index)
 //     spreads planning across the population, and shed attackers simply
@@ -36,8 +45,11 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -60,7 +72,9 @@ struct AttackSchedulerConfig {
   /// Warm-start wrapper on/off (off = cold engine every round, the
   /// speedup baseline).
   bool warm = true;
-  /// Background search workers (0 -> 1).
+  /// Background search workers (0 -> 1), started at the first planning
+  /// round (never more than that round's searches) and parked between
+  /// rounds until the scheduler is destroyed.
   std::size_t pool_threads = 1;
   /// Searches per planning round; 0 = the whole population.
   std::size_t round_budget = 0;
@@ -79,13 +93,14 @@ class AttackScheduler {
   void add_attacker(TradingClient client);
 
   /// Snapshots each shard's cleared book for `rounds` (one RoundId per
-  /// shard) and launches this round's searches on the background pool.
+  /// shard) and wakes the parked pool to run this round's searches.
   /// Returns immediately; overlap the next round's drive, then `join`.
   void plan_from(const std::vector<RoundId>& rounds);
 
-  /// Blocks until every in-flight search finishes, folds the counters
-  /// (deterministically, in account order), and rethrows the first
-  /// worker exception if any.  Idempotent.
+  /// Blocks until every in-flight search finishes and the workers are
+  /// parked again, folds the counters (deterministically, in account
+  /// order), and rethrows the lowest-index worker's exception if any; the
+  /// pool stays usable for the next `plan_from`.  Idempotent.
   void join();
 
   /// Installs each attacker's planned strategy and submits its latched
@@ -132,18 +147,34 @@ class AttackScheduler {
     std::uint64_t cold_runs = 0;    ///< warm=false mode bookkeeping
   };
 
-  void search_one(Attacker& attacker);
+  /// One pool thread and what it keeps between rounds.
+  struct Worker {
+    std::thread thread;
+    std::vector<Money> buyer_values;   // residual value lanes of the
+    std::vector<Money> seller_values;  // attacker being searched
+    std::exception_ptr error;          // this round's first throw
+  };
+
+  void run_worker(Worker& worker, std::uint64_t seen);
+  void search_one(Attacker& attacker, Worker& worker);
 
   MultiServerExchange& exchange_;
   AttackSchedulerConfig config_;
   std::vector<Attacker> attackers_;  // account order
   std::vector<ShardSnapshot> snapshots_;
   std::vector<std::size_t> plan_list_;  // attacker indexes searched this round
-  std::vector<std::thread> pool_;
-  std::vector<std::exception_ptr> errors_;
+  std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses
   std::atomic<std::size_t> next_{0};
   std::size_t plan_rounds_ = 0;
   bool inflight_ = false;
+
+  // Park/wake handshake, all guarded by `mutex_`.
+  std::mutex mutex_;
+  std::condition_variable wake_;  // plan_from -> parked workers
+  std::condition_variable idle_;  // last busy worker -> join
+  std::uint64_t generation_ = 0;  // planning rounds launched
+  std::size_t busy_ = 0;          // workers not yet parked this round
+  bool stopping_ = false;
 
   AttackSearchCounters counters_{};
   std::uint64_t search_wall_ns_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "common/fnv.h"
@@ -41,6 +42,14 @@ std::int64_t efficient_surplus_micros(std::vector<Money> buyers,
 LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
                                          const LiveAttackConfig& config) {
   const auto session_started = std::chrono::steady_clock::now();
+  // Deferred attacker bids are sent at the bounded-drive stop, `margin`
+  // before each close; a slower bus would deliver them after the close,
+  // where the server rejects them as kRoundNotOpen.
+  const SimTime margin{config.open_for.micros / 2};
+  if (config.base_latency + config.jitter > margin) {
+    throw std::invalid_argument(
+        "run_live_attack_session: base_latency + jitter exceeds open_for / 2");
+  }
 
   MultiExchangeConfig mx;
   mx.shards = config.shards;
@@ -140,7 +149,6 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
 
   std::uint64_t digest = kFnvOffsetBasis;
   std::int64_t realized_micros = 0;
-  const SimTime margin{config.open_for.micros / 2};
 
   for (std::size_t r = 0; r < config.rounds; ++r) {
     const auto round_started = std::chrono::steady_clock::now();
@@ -188,8 +196,13 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   }
   scheduler.join();
 
+  std::size_t trader_index = 0;
   for (const auto& trader : exchange.traders()) {
     result.bids_accepted += trader->bids_accepted();
+    // Honest traders were added first, attackers after.
+    if (trader_index++ >= config.honest) {
+      result.attacker_bids_rejected += trader->bids_rejected();
+    }
     const AccountPosition position = trader->position();
     fnv1a_fold(digest, position.bought);
     fnv1a_fold(digest, position.sold);

@@ -47,8 +47,9 @@ struct LiveAttackConfig {
   /// value_high]: keeps per-search cost independent of the population.
   std::size_t grid_points = 9;
   SimTime open_for = SimTime::millis(100);
-  /// Bus latency model.  base_latency + jitter must stay below
-  /// open_for/2: deferred attacker bids are injected at the bounded-drive
+  /// Bus latency model.  base_latency + jitter must not exceed
+  /// open_for/2 (run_live_attack_session throws std::invalid_argument
+  /// otherwise): deferred attacker bids are injected at the bounded-drive
   /// stop (open_for/2 before close) and must still arrive in time.
   SimTime base_latency{1'000};
   SimTime jitter{500};
@@ -72,6 +73,9 @@ struct LiveAttackResult {
 
   // --- systems level ----------------------------------------------------
   std::size_t bids_accepted = 0;
+  /// Attacker declarations the servers rejected (0 when every deferred
+  /// bid arrives while its round is open).
+  std::size_t attacker_bids_rejected = 0;
   std::size_t trades = 0;
   BusStats bus{};
   EpochStats epoch{};
@@ -103,7 +107,8 @@ struct LiveAttackResult {
 
 /// Runs one co-simulation session.  The exchange output (digest, trades,
 /// positions) is deterministic in `config.seed` and invariant in both
-/// `threads` and `search_threads`; wall-time fields are not.
+/// `threads` and `search_threads`; wall-time fields are not.  Throws
+/// std::invalid_argument when `base_latency + jitter > open_for / 2`.
 LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
                                          const LiveAttackConfig& config);
 

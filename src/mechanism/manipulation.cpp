@@ -18,6 +18,31 @@ namespace {
 
 constexpr std::uint64_t kReplicateGamma = 0x9e3779b97f4a7c15ULL;
 
+/// [lo, hi) of `value`'s equal-value run in a ranked lane (`value_before`
+/// is the lane's strict order): the only slots where inserting `value`
+/// keeps the lane ranked.
+template <typename Compare>
+std::pair<std::size_t, std::size_t> tie_run(const std::vector<BidEntry>& lane,
+                                            Money value,
+                                            Compare value_before) {
+  const auto lo = std::lower_bound(
+      lane.begin(), lane.end(), value,
+      [&](const BidEntry& e, Money v) { return value_before(e.value, v); });
+  const auto hi = std::upper_bound(
+      lo, lane.end(), value,
+      [&](Money v, const BidEntry& e) { return value_before(v, e.value); });
+  return {static_cast<std::size_t>(lo - lane.begin()),
+          static_cast<std::size_t>(hi - lane.begin())};
+}
+
+/// `tie_run` in `side`'s lane (buyers descending, sellers ascending).
+std::pair<std::size_t, std::size_t> tie_run(const std::vector<BidEntry>& lane,
+                                            Side side, Money value) {
+  return side == Side::kBuyer
+             ? tie_run(lane, value, [](Money a, Money b) { return a > b; })
+             : tie_run(lane, value, [](Money a, Money b) { return a < b; });
+}
+
 /// Inserts `entry` into a ranked vector at a uniformly random position
 /// within its equal-value run (the only positions that keep the ordering
 /// valid).  Sequential uniform insertion of each own entry yields a
@@ -27,15 +52,9 @@ template <typename Compare>
 void insert_with_random_tie(std::vector<BidEntry>& ranked,
                             const BidEntry& entry, Compare value_before,
                             Rng& rng) {
-  const auto lo = std::lower_bound(
-      ranked.begin(), ranked.end(), entry.value,
-      [&](const BidEntry& e, Money v) { return value_before(e.value, v); });
-  const auto hi = std::upper_bound(
-      lo, ranked.end(), entry.value,
-      [&](Money v, const BidEntry& e) { return value_before(v, e.value); });
-  const auto span = static_cast<std::uint64_t>(hi - lo);
-  const auto offset = static_cast<std::ptrdiff_t>(rng.below(span + 1));
-  ranked.insert(lo + offset, entry);
+  const auto [lo, hi] = tie_run(ranked, entry.value, value_before);
+  const auto offset = static_cast<std::ptrdiff_t>(lo + rng.below(hi - lo + 1));
+  ranked.insert(ranked.begin() + offset, entry);
 }
 
 }  // namespace
@@ -547,39 +566,9 @@ class BlockWorker {
                          IdentityId{kExtraIdentityBase + depth}, decl.value};
     for (Rep& rep : reps_) {
       Rng rng = rep.checkpoints[depth];
-      const auto& lane = decl.side == Side::kBuyer ? rep.book.buyers()
-                                                   : rep.book.sellers();
-      std::size_t lo;
-      std::size_t hi;
-      if (decl.side == Side::kBuyer) {
-        lo = static_cast<std::size_t>(
-            std::lower_bound(lane.begin(), lane.end(), decl.value,
-                             [](const BidEntry& e, Money v) {
-                               return e.value > v;
-                             }) -
-            lane.begin());
-        hi = static_cast<std::size_t>(
-            std::upper_bound(lane.begin() + static_cast<std::ptrdiff_t>(lo),
-                             lane.end(), decl.value,
-                             [](Money v, const BidEntry& e) {
-                               return v > e.value;
-                             }) -
-            lane.begin());
-      } else {
-        lo = static_cast<std::size_t>(
-            std::lower_bound(lane.begin(), lane.end(), decl.value,
-                             [](const BidEntry& e, Money v) {
-                               return e.value < v;
-                             }) -
-            lane.begin());
-        hi = static_cast<std::size_t>(
-            std::upper_bound(lane.begin() + static_cast<std::ptrdiff_t>(lo),
-                             lane.end(), decl.value,
-                             [](Money v, const BidEntry& e) {
-                               return v < e.value;
-                             }) -
-            lane.begin());
-      }
+      const auto [lo, hi] = tie_run(
+          decl.side == Side::kBuyer ? rep.book.buyers() : rep.book.sellers(),
+          decl.side, decl.value);
       const std::size_t index =
           lo + static_cast<std::size_t>(rng.below(hi - lo + 1));
       rep.book.insert_ranked(decl.side, entry, index);
@@ -891,24 +880,37 @@ namespace {
 /// result.  Collisions here are harmless for correctness — the lanes and
 /// grid are compared exactly, and even a spurious "hit" is re-validated
 /// against the live book before the cached result is trusted.
-std::uint64_t warm_config_key(const DeviationEvaluator& evaluator,
+std::uint64_t warm_config_key(const EvalConfig& eval, Side role,
+                              Money true_value, const ValueDomain& domain,
                               const SearchConfig& config) {
   std::uint64_t hash = kFnvOffsetBasis;
   auto fold = [&hash](std::uint64_t word) { fnv1a_fold(hash, word); };
-  const EvalConfig& eval = evaluator.eval_config();
   fold(eval.seed);
   fold(eval.replicates);
   fold(static_cast<std::uint64_t>(eval.utility.penalty().micros()));
-  fold(evaluator.role() == Side::kBuyer ? 1 : 2);
-  fold(static_cast<std::uint64_t>(evaluator.true_value().micros()));
-  fold(static_cast<std::uint64_t>(evaluator.instance().domain.lowest.micros()));
-  fold(
-      static_cast<std::uint64_t>(evaluator.instance().domain.highest.micros()));
+  fold(role == Side::kBuyer ? 1 : 2);
+  fold(static_cast<std::uint64_t>(true_value.micros()));
+  fold(static_cast<std::uint64_t>(domain.lowest.micros()));
+  fold(static_cast<std::uint64_t>(domain.highest.micros()));
   fold(config.max_declarations);
   fold(config.allow_absence ? 1 : 0);
   fold(config.max_strategies);
   fold(config.prune ? 1 : 0);
   return hash;
+}
+
+/// The search grid over residual value lanes: `grid_override`, or the
+/// `candidate_values` grid of the instance those lanes describe.
+std::vector<Money> warm_grid(const std::vector<Money>& buyer_values,
+                             const std::vector<Money>& seller_values,
+                             const ValueDomain& domain, Money true_value,
+                             const SearchConfig& config) {
+  if (!config.grid_override.empty()) return config.grid_override;
+  SingleUnitInstance instance;
+  instance.domain = domain;
+  instance.buyer_values = buyer_values;
+  instance.seller_values = seller_values;
+  return candidate_values(instance, true_value, config.extra_candidates);
 }
 
 /// True when `strategy` is produced by the canonical enumeration over
@@ -942,159 +944,154 @@ bool strategy_in_space(const Strategy& strategy, const std::vector<Money>& grid,
   return sat_add(absence, total_tuples) <= config.max_strategies;
 }
 
-/// Re-evaluates `strategy` against the retained residual book through the
-/// protocol's O(log n) `account_position` fast path, replaying the exact
-/// insert stream the engine (and the serial evaluator) would use, so the
-/// returned utility is bit-identical to `evaluator.evaluate(strategy)`.
-/// Returns false when the fast path is unavailable (replicates > 1, or
-/// the protocol declines the position query); the book is left unchanged
-/// either way.
-bool fast_revalidate(const DeviationEvaluator& evaluator,
-                     const Strategy& strategy, SortedBook& book,
-                     double* utility_out) {
-  const UtilityModel& utility = evaluator.eval_config().utility;
+/// Utility of `strategy` against the residual lanes in `book`, bit-
+/// identical to `DeviationEvaluator::evaluate` on a live-lane evaluator
+/// built from those lanes with `eval`: each replicate replays that
+/// evaluator's insert stream (the same slot within each equal-value run
+/// the engine picks), prices the account through `account_position` or,
+/// where the protocol declines, a full `clear_sorted` on its clear
+/// stream, and the replicate mean is taken in the same order.  `*fast`
+/// reports whether no clearing was needed.  The book is restored before
+/// returning, also when the protocol throws; `own` is scratch.
+double revalidate(const DoubleAuctionProtocol& protocol, Side role,
+                  Money true_value, const EvalConfig& eval,
+                  const Strategy& strategy, SortedBook& book,
+                  std::vector<OwnDeclaration>& own, bool* fast) {
+  *fast = true;
   if (strategy.declarations.empty()) {
-    *utility_out =
-        utility.evaluate(evaluator.role(), evaluator.true_value(),
-                         AccountPosition{});
-    return true;
+    return eval.utility.evaluate(role, true_value, AccountPosition{});
   }
-  if (evaluator.eval_config().replicates != 1) return false;
-  const auto& residual = evaluator.residual_rankings().front();
   const std::uint64_t bid_base =
-      static_cast<std::uint64_t>(residual.buyers.size() +
-                                 residual.sellers.size());
-  Rng rng(residual.insert_seed);
-  struct OwnPos {
-    Side side = Side::kBuyer;
-    std::size_t index = 0;
-  };
-  std::vector<OwnPos> positions;
-  positions.reserve(strategy.declarations.size());
-  for (std::size_t d = 0; d < strategy.declarations.size(); ++d) {
-    const Declaration& decl = strategy.declarations[d];
-    const BidEntry entry{BidId{bid_base + d},
-                         IdentityId{kExtraIdentityBase + d}, decl.value};
-    const auto& lane =
-        decl.side == Side::kBuyer ? book.buyers() : book.sellers();
-    std::size_t lo;
-    std::size_t hi;
-    if (decl.side == Side::kBuyer) {
-      lo = static_cast<std::size_t>(
-          std::lower_bound(
-              lane.begin(), lane.end(), decl.value,
-              [](const BidEntry& e, Money v) { return e.value > v; }) -
-          lane.begin());
-      hi = static_cast<std::size_t>(
-          std::upper_bound(
-              lane.begin() + static_cast<std::ptrdiff_t>(lo), lane.end(),
-              decl.value,
-              [](Money v, const BidEntry& e) { return v > e.value; }) -
-          lane.begin());
-    } else {
-      lo = static_cast<std::size_t>(
-          std::lower_bound(
-              lane.begin(), lane.end(), decl.value,
-              [](const BidEntry& e, Money v) { return e.value < v; }) -
-          lane.begin());
-      hi = static_cast<std::size_t>(
-          std::upper_bound(
-              lane.begin() + static_cast<std::ptrdiff_t>(lo), lane.end(),
-              decl.value,
-              [](Money v, const BidEntry& e) { return v < e.value; }) -
-          lane.begin());
+      static_cast<std::uint64_t>(book.buyer_count() + book.seller_count());
+  double total = 0.0;
+  for (std::size_t t = 0; t < eval.replicates; ++t) {
+    Rng seeds(eval.seed + kReplicateGamma * t);
+    Rng insert_rng(seeds());
+    const std::uint64_t clear_seed = seeds();
+    own.clear();
+    for (std::size_t d = 0; d < strategy.declarations.size(); ++d) {
+      const Declaration& decl = strategy.declarations[d];
+      const auto [lo, hi] = tie_run(
+          decl.side == Side::kBuyer ? book.buyers() : book.sellers(),
+          decl.side, decl.value);
+      const std::size_t index =
+          lo + static_cast<std::size_t>(insert_rng.below(hi - lo + 1));
+      const IdentityId identity{kExtraIdentityBase + d};
+      book.insert_ranked(decl.side, BidEntry{BidId{bid_base + d}, identity,
+                                             decl.value},
+                         index);
+      // The insert shifts every earlier own declaration at or behind it.
+      for (OwnDeclaration& earlier : own) {
+        if (earlier.side == decl.side && earlier.rank > index) ++earlier.rank;
+      }
+      own.push_back(OwnDeclaration{decl.side, index + 1, decl.value, identity});
     }
-    const std::size_t index =
-        lo + static_cast<std::size_t>(rng.below(hi - lo + 1));
-    book.insert_ranked(decl.side, entry, index);
-    for (std::size_t e = 0; e < d; ++e) {
-      OwnPos& p = positions[e];
-      if (p.side == decl.side && p.index >= index) ++p.index;
+    // Erase in reverse insertion order: each erase undoes the matching
+    // insert, so the lanes come back bit for bit.
+    auto restore = [&] {
+      while (!own.empty()) {
+        const OwnDeclaration last = own.back();
+        own.pop_back();
+        book.erase_ranked(last.side, last.rank - 1);
+        for (OwnDeclaration& earlier : own) {
+          if (earlier.side == last.side && earlier.rank > last.rank) {
+            --earlier.rank;
+          }
+        }
+      }
+    };
+    AccountFills fills;
+    try {
+      if (!protocol.account_position(book, own, &fills)) {
+        *fast = false;
+        Rng clear_rng(clear_seed);
+        const Outcome outcome = protocol.clear_sorted(book, clear_rng);
+        for (const OwnDeclaration& decl : own) {
+          fills.bought += outcome.units_bought(decl.identity);
+          fills.sold += outcome.units_sold(decl.identity);
+          fills.paid += outcome.paid_by(decl.identity);
+          fills.received += outcome.received_by(decl.identity);
+          fills.received += outcome.rebate_of(decl.identity);
+        }
+      }
+    } catch (...) {
+      restore();
+      throw;
     }
-    positions.push_back(OwnPos{decl.side, index});
+    restore();
+    total += eval.utility.evaluate(
+        role, true_value,
+        AccountPosition{fills.bought, fills.sold, fills.paid, fills.received});
   }
-
-  std::vector<OwnDeclaration> own;
-  own.reserve(strategy.declarations.size());
-  for (std::size_t d = 0; d < strategy.declarations.size(); ++d) {
-    own.push_back(OwnDeclaration{positions[d].side, positions[d].index + 1,
-                                 strategy.declarations[d].value,
-                                 IdentityId{kExtraIdentityBase + d}});
-  }
-  AccountFills fills;
-  const bool supported =
-      evaluator.protocol().account_position(book, own, &fills);
-  if (supported) {
-    const AccountPosition position{fills.bought, fills.sold, fills.paid,
-                                   fills.received};
-    *utility_out =
-        utility.evaluate(evaluator.role(), evaluator.true_value(), position);
-  }
-
-  // Undo the inserts (reverse depth order, with the same shift
-  // bookkeeping as the engine's erase_depth).
-  for (std::size_t d = strategy.declarations.size(); d-- > 0;) {
-    const OwnPos p = positions[d];
-    book.erase_ranked(p.side, p.index);
-    for (std::size_t e = 0; e < d; ++e) {
-      OwnPos& q = positions[e];
-      if (q.side == p.side && q.index > p.index) --q.index;
-    }
-  }
-  return supported;
+  return total / static_cast<double>(eval.replicates);
 }
 
 }  // namespace
 
+const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
+                                   const ValueDomain& domain, Side role,
+                                   Money true_value,
+                                   const std::vector<Money>& buyer_values,
+                                   const std::vector<Money>& seller_values,
+                                   const EvalConfig& eval,
+                                   const SearchConfig& config,
+                                   SearchState& state) {
+  if (!state.has_result ||
+      state.config_key !=
+          warm_config_key(eval, role, true_value, domain, config) ||
+      state.buyer_values != buyer_values ||
+      state.seller_values != seller_values) {
+    return nullptr;
+  }
+  if (config.grid_override.empty()
+          ? state.grid != warm_grid(buyer_values, seller_values, domain,
+                                    true_value, config)
+          : state.grid != config.grid_override) {
+    return nullptr;
+  }
+  // Nothing changed: revalidate the cached best response against the
+  // retained book.  The revalidation is a safety net, not a correctness
+  // requirement: on any mismatch the caller runs a full search.
+  bool fast = false;
+  const double revalidated =
+      revalidate(protocol, role, true_value, eval, state.last.best_strategy,
+                 state.residual_book, state.own_scratch, &fast);
+  if (fast) ++state.fast_revalidations;
+  if (revalidated != state.last.best_utility) return nullptr;
+  ++state.warm_hits;
+  return &state.last;
+}
+
 SearchResult find_best_deviation_warm(const DeviationEvaluator& evaluator,
                                       const SearchConfig& config,
                                       SearchState& state) {
-  const SingleUnitInstance& instance = evaluator.instance();
-  const std::vector<Money> grid =
-      config.grid_override.empty()
-          ? candidate_values(instance, evaluator.true_value(),
-                             config.extra_candidates)
-          : config.grid_override;
-  const std::uint64_t key = warm_config_key(evaluator, config);
+  const ValueDomain& domain = evaluator.instance().domain;
   const auto& residual = evaluator.residual_rankings().front();
-  auto lanes_match = [&] {
-    if (state.buyer_values.size() != residual.buyers.size()) return false;
-    if (state.seller_values.size() != residual.sellers.size()) return false;
-    for (std::size_t i = 0; i < residual.buyers.size(); ++i) {
-      if (state.buyer_values[i] != residual.buyers[i].value) return false;
-    }
-    for (std::size_t j = 0; j < residual.sellers.size(); ++j) {
-      if (state.seller_values[j] != residual.sellers[j].value) return false;
-    }
-    return true;
-  };
+  std::vector<Money> buyer_values;
+  buyer_values.reserve(residual.buyers.size());
+  for (const BidEntry& entry : residual.buyers) {
+    buyer_values.push_back(entry.value);
+  }
+  std::vector<Money> seller_values;
+  seller_values.reserve(residual.sellers.size());
+  for (const BidEntry& entry : residual.sellers) {
+    seller_values.push_back(entry.value);
+  }
 
-  // Tier 1 — nothing changed: revalidate the cached best response against
-  // the retained book and return the cached result without enumerating.
-  // The revalidation is a safety net, not a correctness requirement: on
-  // any mismatch we fall through to a full (warm-seeded) search.
-  if (state.has_result && state.config_key == key && state.grid == grid &&
-      lanes_match()) {
-    double revalidated = 0.0;
-    bool checked = false;
-    if (fast_revalidate(evaluator, state.last.best_strategy,
-                        state.residual_book, &revalidated)) {
-      ++state.fast_revalidations;
-      checked = true;
-    } else {
-      revalidated = evaluator.evaluate(state.last.best_strategy);
-      checked = true;
-    }
-    if (checked && revalidated == state.last.best_utility) {
-      ++state.warm_hits;
-      return state.last;
-    }
+  // Tier 1 — nothing changed: the cached result, without enumerating.
+  if (const SearchResult* hit = warm_cache_hit(
+          evaluator.protocol(), domain, evaluator.role(),
+          evaluator.true_value(), buyer_values, seller_values,
+          evaluator.eval_config(), config, state)) {
+    return *hit;
   }
 
   // Tier 2 — the book (or config) changed: if the cached best strategy is
   // still in the candidate space, its utility on the CURRENT book is a
   // sound prune floor (some enumerated candidate — that very strategy —
   // achieves it).  Tier 3 — no usable prior state: run cold.
+  std::vector<Money> grid = warm_grid(buyer_values, seller_values, domain,
+                                      evaluator.true_value(), config);
   SearchConfig run = config;
   if (state.has_result &&
       strategy_in_space(state.last.best_strategy, grid, config,
@@ -1108,20 +1105,18 @@ SearchResult find_best_deviation_warm(const DeviationEvaluator& evaluator,
 
   state.has_result = true;
   state.last = result;
-  state.buyer_values.clear();
-  state.buyer_values.reserve(residual.buyers.size());
-  for (const BidEntry& entry : residual.buyers) {
-    state.buyer_values.push_back(entry.value);
-  }
-  state.seller_values.clear();
-  state.seller_values.reserve(residual.sellers.size());
-  for (const BidEntry& entry : residual.sellers) {
-    state.seller_values.push_back(entry.value);
-  }
-  state.grid = grid;
-  state.config_key = key;
-  state.residual_book.assign_ranked(instance.domain, residual.buyers,
+  state.buyer_values = std::move(buyer_values);
+  state.seller_values = std::move(seller_values);
+  state.grid = std::move(grid);
+  state.config_key =
+      warm_config_key(evaluator.eval_config(), evaluator.role(),
+                      evaluator.true_value(), domain, config);
+  state.residual_book.assign_ranked(domain, residual.buyers,
                                     residual.sellers);
+  state.residual_book.reserve(
+      residual.buyers.size() + config.max_declarations,
+      residual.sellers.size() + config.max_declarations);
+  state.own_scratch.reserve(config.max_declarations);
   return result;
 }
 

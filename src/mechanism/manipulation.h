@@ -273,9 +273,15 @@ struct SearchState {
   /// utility penalty, role, true value, domain, search knobs).
   std::uint64_t config_key = 0;
   /// Residual lanes as a SortedBook, kept warm across rounds so a cache
-  /// hit revalidates the cached best response through the protocol's
-  /// O(log n) `account_position` fast path without copying the lanes.
+  /// hit revalidates the cached best response in place: its declarations
+  /// are inserted, priced through the protocol's O(log n)
+  /// `account_position` fast path, and erased again, so the lanes are
+  /// never copied and no evaluator is built.  Capacity for
+  /// `max_declarations` extra entries per lane is reserved when the book
+  /// is stored, so those inserts never reallocate.
   SortedBook residual_book;
+  /// The revalidation's own-declaration list, reused from call to call.
+  std::vector<OwnDeclaration> own_scratch;
   // --- observability ----------------------------------------------------
   std::size_t warm_hits = 0;    ///< unchanged book: cached result reused
   std::size_t warm_seeded = 0;  ///< engine runs seeded with the warm floor
@@ -283,11 +289,35 @@ struct SearchState {
   std::size_t fast_revalidations = 0;  ///< account_position hit revalidations
 };
 
+/// Tier 1 of `find_best_deviation_warm`, decided without building a
+/// DeviationEvaluator: the cached result is reused when the config key
+/// (`eval`, role, true value, domain and the search knobs), the candidate
+/// grid, and the ranked residual value lanes (`buyer_values` descending,
+/// `seller_values` ascending; the manipulator's own declarations
+/// excluded) all equal the previous call's, and revalidating the cached
+/// best response against `state.residual_book` reproduces its utility
+/// bit for bit.  The revalidation replays the live-lane evaluator's
+/// streams — replicate t inserts with the first draw of
+/// `Rng(eval.seed + γt)` and clears with the second — through
+/// `account_position`, or a full `clear_sorted` when the protocol
+/// declines it.  Returns the cached result (owned by `state`, valid until
+/// its next miss), or nullptr on a miss; `state` changes only in the
+/// `warm_hits` / `fast_revalidations` counters.  Allocates nothing with a
+/// `grid_override` and a protocol that answers `account_position`.
+const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
+                                   const ValueDomain& domain, Side role,
+                                   Money true_value,
+                                   const std::vector<Money>& buyer_values,
+                                   const std::vector<Money>& seller_values,
+                                   const EvalConfig& eval,
+                                   const SearchConfig& config,
+                                   SearchState& state);
+
 /// Warm-start wrapper around `find_best_deviation`.  Three tiers:
-///   1. Cache hit — the residual value lanes, grid, and config match the
-///      previous call exactly: the cached best response is revalidated in
-///      O(log n) via `account_position` against the retained residual
-///      book and the cached result is returned without enumeration.
+///   1. Cache hit — `warm_cache_hit` on the evaluator's residual value
+///      lanes: the residual lanes, grid, and config match the previous
+///      call exactly and the cached best response revalidates, so the
+///      cached result is returned without enumeration.
 ///   2. Warm seed — the book changed but the previous best strategy is
 ///      still in the candidate space (declarations on the current grid,
 ///      within max_declarations, enumeration not truncated): it is
@@ -297,7 +327,10 @@ struct SearchState {
 /// All three tiers return the same best strategy and utilities as a cold
 /// `find_best_deviation` / `find_best_deviation_serial` on the same
 /// evaluator, bit for bit, at every thread count; only the coverage
-/// counters differ.  Updates `state` with the returned result.
+/// counters differ.  Updates `state` with the returned result.  Tier 1
+/// revalidates with the live-lane evaluator's seeds; an evaluator built
+/// from an instance draws its seeds after its tie sort, so its tier-1
+/// revalidation may disagree and run tier 2 instead — same result.
 SearchResult find_best_deviation_warm(const DeviationEvaluator& evaluator,
                                       const SearchConfig& config,
                                       SearchState& state);

@@ -2,7 +2,7 @@
 //
 // This binary replaces global operator new with a byte, call and
 // live-byte counter (which is why it is its own executable) and bounds
-// four things:
+// five things:
 //
 //  - Construction.  No message ever crosses shards, so a shard world
 //    holds no cross-shard buffer; constructing an exchange stays far
@@ -19,6 +19,10 @@
 //    identity owners, escrow deposits, trader threads) hold their live
 //    content plus at most one partly filled block, never a doubling
 //    vector's slack.
+//  - Attack planning.  A planning round whose searches all hit the warm
+//    cache wakes the parked pool and reuses every buffer, so it
+//    allocates nothing.  The counter is atomic, so it sees the pool's
+//    worker threads too.
 #include <malloc.h>
 
 #include <algorithm>
@@ -32,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include "market/attack_scheduler.h"
 #include "market/clock.h"
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
@@ -219,6 +224,70 @@ TEST(EventQueueFootprintTest, WarmWheelRevolutionAllocatesNothing) {
   ASSERT_EQ(sink.slots.size() % 2, 0u);
   EXPECT_TRUE(std::equal(sink.slots.begin(), sink.slots.begin() + half,
                          sink.slots.begin() + half, sink.slots.end()));
+}
+
+TEST(AttackSchedulerFootprintTest, WarmPlanningRoundAllocatesNothing) {
+  // run_live_attack_session's default population: 200 honest traders and
+  // 16 attackers on 2 shards, on a 2-worker search pool.
+  constexpr std::size_t kHonest = 200;
+  constexpr std::size_t kAttackers = 16;
+  constexpr std::size_t kPlanRounds = 10;
+  const TpdProtocol tpd(Money::from_units(50));
+  MultiExchangeConfig config;
+  config.shards = 2;
+  config.server.domain = ValueDomain{Money::from_units(0), Money::from_units(100)};
+  config.initial_cash = MultiServerExchange::zi_endowment(kPlanRounds + 1, 3);
+  config.seed = 3;
+  MultiServerExchange exchange(tpd, config);
+  exchange.add_zi_traders(kHonest, 1, 100, kPlanRounds + 1);
+
+  AttackSchedulerConfig sched;
+  sched.search.max_declarations = 2;
+  for (std::int64_t units = 0; units <= 100; units += 10) {
+    sched.search.grid_override.push_back(Money::from_units(units));
+  }
+  sched.pool_threads = 2;
+  AttackScheduler scheduler(exchange, sched);
+  for (std::size_t i = 0; i < kAttackers; ++i) {
+    const Side role = i % 2 == 0 ? Side::kBuyer : Side::kSeller;
+    TradingClient& attacker = exchange.add_trader(
+        role, Money::from_units(static_cast<std::int64_t>(5 + 6 * i)));
+    if (role == Side::kSeller) {
+      exchange.grant_goods(attacker.account(), kPlanRounds);
+    }
+    scheduler.add_attacker(attacker);
+  }
+
+  const SimTime open_for = SimTime::millis(100);
+  std::size_t all_hit_rounds = 0;
+  for (std::size_t round = 0; round <= kPlanRounds; ++round) {
+    const std::vector<RoundId> rounds = exchange.open_rounds(open_for);
+    std::vector<SimTime> bounds;
+    for (std::size_t s = 0; s < exchange.shard_count(); ++s) {
+      bounds.push_back(*exchange.server(s).round_closes_at() -
+                       SimTime{open_for.micros / 2});
+    }
+    exchange.drive_until(bounds);
+    scheduler.join();
+    scheduler.apply_and_submit();
+    exchange.drive_to_quiescence();
+
+    const std::uint64_t hits_before = scheduler.counters().warm_hits;
+    const std::size_t before = g_allocations.load();
+    scheduler.plan_from(rounds);
+    scheduler.join();
+    const std::size_t allocations = g_allocations.load() - before;
+    // Round 0 misses everywhere, starts the pool and sizes every buffer.
+    // From round 1 on a round of hits allocates nothing, also when it
+    // holds an attacker's first hit after a miss.
+    if (round == 0) continue;
+    if (scheduler.counters().warm_hits - hits_before != kAttackers) continue;
+    ++all_hit_rounds;
+    EXPECT_EQ(allocations, 0u)
+        << "round " << round << ": a planning round of " << kAttackers
+        << " warm hits allocated " << allocations << " times";
+  }
+  EXPECT_GT(all_hit_rounds, 0u) << "no planning round hit for every attacker";
 }
 
 }  // namespace

@@ -66,8 +66,47 @@ void mutate(Rng& rng, std::vector<Money>& buyers,
   }
 }
 
+std::vector<Money> values_of(const std::vector<BidEntry>& lane) {
+  std::vector<Money> values;
+  for (const BidEntry& entry : lane) values.push_back(entry.value);
+  return values;
+}
+
+bool same_result(const SearchResult& a, const SearchResult& b) {
+  return a.best_utility == b.best_utility &&
+         a.truthful_utility == b.truthful_utility &&
+         a.best_strategy.declarations == b.best_strategy.declarations &&
+         a.strategies_evaluated == b.strategies_evaluated &&
+         a.truncated == b.truncated &&
+         a.stats.strategies_evaluated == b.stats.strategies_evaluated;
+}
+
+/// Asks `warm_cache_hit` on a copy of `state` first, then runs
+/// `find_best_deviation_warm` on `state` itself: both must agree on hit
+/// or miss, on the result, and on the warm-hit/revalidation counters.
+SearchResult warm_and_check_hit(const DeviationEvaluator& evaluator,
+                                const SearchConfig& config,
+                                SearchState& state) {
+  SearchState probe = state;
+  const auto& residual = evaluator.residual_rankings().front();
+  const SearchResult* hit = warm_cache_hit(
+      evaluator.protocol(), evaluator.instance().domain, evaluator.role(),
+      evaluator.true_value(), values_of(residual.buyers),
+      values_of(residual.sellers), evaluator.eval_config(), config, probe);
+  const std::size_t hits_before = state.warm_hits;
+  const SearchResult warm = find_best_deviation_warm(evaluator, config, state);
+  EXPECT_EQ(hit != nullptr, state.warm_hits > hits_before);
+  if (hit != nullptr) {
+    EXPECT_TRUE(same_result(*hit, warm));
+  }
+  EXPECT_EQ(probe.warm_hits, state.warm_hits);
+  EXPECT_EQ(probe.fast_revalidations, state.fast_revalidations);
+  return warm;
+}
+
 void run_fuzz(const DoubleAuctionProtocol& protocol, std::size_t threads,
-              std::size_t replicates, std::uint64_t seed) {
+              std::size_t replicates, std::uint64_t seed,
+              bool derived_grid = false) {
   const ValueDomain domain{money(0), money(100)};
   // True value deliberately off-grid: the truthful strategy must still be
   // a legal warm floor (it is base-evaluated, not enumerated).
@@ -77,8 +116,10 @@ void run_fuzz(const DoubleAuctionProtocol& protocol, std::size_t threads,
   SearchConfig config;
   config.max_declarations = 2;
   config.threads = threads;
-  config.grid_override = {money(0),  money(20), money(40),
-                          money(60), money(80), money(100)};
+  if (!derived_grid) {
+    config.grid_override = {money(0),  money(20), money(40),
+                            money(60), money(80), money(100)};
+  }
 
   Rng rng(seed);
   std::vector<Money> buyers = {money(90), money(70), money(55), money(30)};
@@ -93,8 +134,7 @@ void run_fuzz(const DoubleAuctionProtocol& protocol, std::size_t threads,
     const DeviationEvaluator evaluator(protocol, domain, role, true_value,
                                        lane(buyers, Side::kBuyer),
                                        lane(sellers, Side::kSeller), eval);
-    const SearchResult warm =
-        find_best_deviation_warm(evaluator, config, state);
+    const SearchResult warm = warm_and_check_hit(evaluator, config, state);
     SearchConfig serial_config = config;
     serial_config.threads = 1;
     const SearchResult serial =
@@ -113,6 +153,11 @@ void run_fuzz(const DoubleAuctionProtocol& protocol, std::size_t threads,
   EXPECT_GT(state.warm_hits, 0u);
   EXPECT_GT(state.warm_seeded, 0u);
   EXPECT_EQ(state.cold_runs, 1u);  // only the very first search is cold
+  if (replicates == 1) {
+    // TPD answers account_position, so every hit was revalidated on the
+    // fast path.
+    EXPECT_GE(state.fast_revalidations, state.warm_hits);
+  }
 }
 
 TEST(WarmSearch, EquivalentToSerialUnderRandomMutationsThreads1) {
@@ -131,6 +176,58 @@ TEST(WarmSearch, EquivalentWithRebateProtocolAndReplicates) {
   // Replicates > 1 disables the O(log n) revalidation fast path; the
   // cache must fall back to a full evaluate and stay equivalent.
   run_fuzz(TpdWithRebates(money(50)), 2, 2, 0xcafe);
+}
+
+TEST(WarmSearch, CacheHitOnDerivedCandidateGrid) {
+  // No grid_override: the hit must re-derive candidate_values from the
+  // value lanes and compare it with the cached grid.
+  for (const std::size_t threads : {1, 2, 8}) {
+    run_fuzz(TpdProtocol(money(50)), threads, 1, 0xd1ce0 + threads,
+             /*derived_grid=*/true);
+  }
+}
+
+TEST(WarmSearch, FailedRevalidationFallsThroughToAFullSearch) {
+  // Safety net: with lanes, grid and key all matching, a cached utility
+  // that no longer reproduces must not be served.  The call runs a full
+  // search instead, and that search equals a cold one.
+  const TpdProtocol protocol(money(50));
+  const ValueDomain domain{money(0), money(100)};
+  const std::vector<BidEntry> buyers =
+      lane({money(90), money(70), money(55), money(30)}, Side::kBuyer);
+  const std::vector<BidEntry> sellers =
+      lane({money(20), money(40), money(60), money(80)}, Side::kSeller);
+  const DeviationEvaluator evaluator(protocol, domain, Side::kBuyer,
+                                     money(57), buyers, sellers, EvalConfig{});
+  SearchConfig config;
+  config.max_declarations = 2;
+  config.grid_override = {money(0),  money(20), money(40),
+                          money(60), money(80), money(100)};
+  const SearchResult cold = find_best_deviation(evaluator, config);
+
+  SearchState state;
+  find_best_deviation_warm(evaluator, config, state);
+  state.last.best_utility += 1.0;  // the revalidation now disagrees
+
+  SearchState probe = state;
+  EXPECT_EQ(warm_cache_hit(protocol, domain, Side::kBuyer, money(57),
+                           values_of(buyers), values_of(sellers),
+                           EvalConfig{}, config, probe),
+            nullptr);
+  EXPECT_EQ(probe.warm_hits, 0u);
+  EXPECT_EQ(probe.fast_revalidations, 1u);
+
+  const SearchResult rerun = find_best_deviation_warm(evaluator, config, state);
+  EXPECT_EQ(state.warm_hits, 0u);
+  EXPECT_EQ(state.warm_seeded, 1u);
+  EXPECT_EQ(rerun.best_utility, cold.best_utility);
+  EXPECT_EQ(rerun.truthful_utility, cold.truthful_utility);
+  EXPECT_EQ(rerun.best_strategy.declarations, cold.best_strategy.declarations);
+  EXPECT_EQ(rerun.strategies_evaluated, cold.strategies_evaluated);
+
+  // The search replaced the tampered entry, so the next call hits.
+  find_best_deviation_warm(evaluator, config, state);
+  EXPECT_EQ(state.warm_hits, 1u);
 }
 
 TEST(WarmSearch, WarmFloorNeverPrunesTheWinner) {
