@@ -18,12 +18,10 @@
 // makes the dispatching entry points USE the scalar path, which a CI leg
 // builds so the portable fallback cannot rot.
 //
-// Lane-utilization counters (elements processed in full SIMD lanes vs the
-// scalar tail) accumulate process-wide with relaxed atomics; consumers
-// snapshot deltas (see bench/ and the session registry wiring).
+// The kernel keeps no counters: a count is a pure function of its lane,
+// so each call touches only its arguments and stays free of shared writes.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -33,19 +31,6 @@ namespace fnda::simd {
 #if defined(__GNUC__) && !defined(FNDA_FORCE_SCALAR_KERNEL)
 #define FNDA_SWEEP_KERNEL_VECTOR 1
 #endif
-
-/// Process-wide kernel work counters (relaxed; single-writer in practice —
-/// sweeps run on one thread — but safe from any).
-struct KernelCounters {
-  std::atomic<std::uint64_t> vector_elems{0};  ///< elements in full SIMD lanes
-  std::atomic<std::uint64_t> tail_elems{0};    ///< elements in scalar tails
-  std::atomic<std::uint64_t> calls{0};         ///< kernel invocations
-};
-
-inline KernelCounters& kernel_counters() {
-  static KernelCounters counters;
-  return counters;
-}
 
 constexpr std::size_t kernel_lane_width() {
 #if defined(FNDA_SWEEP_KERNEL_VECTOR)
@@ -110,17 +95,10 @@ inline std::size_t count_ge_linear(const std::int64_t* values, std::size_t n,
   for (; i + 2 <= n; i += 2) {
     acc0 -= (detail::load2(values + i) >= rv);
   }
-  KernelCounters& counters = kernel_counters();
-  counters.calls.fetch_add(1, std::memory_order_relaxed);
-  counters.vector_elems.fetch_add(i, std::memory_order_relaxed);
-  counters.tail_elems.fetch_add(n - i, std::memory_order_relaxed);
   auto count = static_cast<std::size_t>(acc0[0] + acc0[1] + acc1[0] + acc1[1]);
   for (; i < n; ++i) count += static_cast<std::size_t>(values[i] >= r);
   return count;
 #else
-  KernelCounters& counters = kernel_counters();
-  counters.calls.fetch_add(1, std::memory_order_relaxed);
-  counters.tail_elems.fetch_add(n, std::memory_order_relaxed);
   return count_ge_linear_scalar(values, n, r);
 #endif
 }
@@ -139,17 +117,10 @@ inline std::size_t count_le_linear(const std::int64_t* values, std::size_t n,
   for (; i + 2 <= n; i += 2) {
     acc0 -= (detail::load2(values + i) <= rv);
   }
-  KernelCounters& counters = kernel_counters();
-  counters.calls.fetch_add(1, std::memory_order_relaxed);
-  counters.vector_elems.fetch_add(i, std::memory_order_relaxed);
-  counters.tail_elems.fetch_add(n - i, std::memory_order_relaxed);
   auto count = static_cast<std::size_t>(acc0[0] + acc0[1] + acc1[0] + acc1[1]);
   for (; i < n; ++i) count += static_cast<std::size_t>(values[i] <= r);
   return count;
 #else
-  KernelCounters& counters = kernel_counters();
-  counters.calls.fetch_add(1, std::memory_order_relaxed);
-  counters.tail_elems.fetch_add(n, std::memory_order_relaxed);
   return count_le_linear_scalar(values, n, r);
 #endif
 }

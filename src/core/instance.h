@@ -34,6 +34,11 @@ struct InstantiatedMarket {
 /// never collide.
 InstantiatedMarket instantiate_truthful(const SingleUnitInstance& instance);
 
+/// The book of `instantiate_truthful(instance)`, filled into `into`
+/// (reset first, lane capacity kept) so a hot loop can reuse one book
+/// across instances.  The single home of the identity convention above.
+void truthful_book(const SingleUnitInstance& instance, OrderBook& into);
+
 /// Identity-space split between buyer and seller lanes (and, above
 /// kExtraIdentityBase, identities minted for false-name declarations).
 inline constexpr std::uint64_t kSellerIdentityBase = 1'000'000;

@@ -6,10 +6,26 @@
 
 namespace fnda {
 
-OrderBook::OrderBook(ValueDomain domain) : domain_(domain) {
-  if (!(domain_.lowest < domain_.highest)) {
+namespace {
+
+void check_domain(const ValueDomain& domain) {
+  if (!(domain.lowest < domain.highest)) {
     throw std::invalid_argument("OrderBook: domain must satisfy lowest < highest");
   }
+}
+
+}  // namespace
+
+OrderBook::OrderBook(ValueDomain domain) : domain_(domain) {
+  check_domain(domain_);
+}
+
+void OrderBook::reset(ValueDomain domain) {
+  check_domain(domain);
+  domain_ = domain;
+  buyers_.clear();
+  sellers_.clear();
+  next_bid_ = 0;
 }
 
 BidId OrderBook::add(Side side, IdentityId identity, Money value) {

@@ -47,6 +47,11 @@ class OrderBook {
     return add(Side::kSeller, identity, value);
   }
 
+  /// Empties the book for a new round over `domain`, keeping the lanes'
+  /// capacity; equivalent to assigning a freshly constructed OrderBook
+  /// (bid ids restart at 0).
+  void reset(ValueDomain domain);
+
   const std::vector<BidEntry>& buyers() const { return buyers_; }
   const std::vector<BidEntry>& sellers() const { return sellers_; }
   const ValueDomain& domain() const { return domain_; }

@@ -15,6 +15,8 @@
 
 namespace fnda {
 
+struct SingleUnitInstance;
+
 /// True per-identity valuations (b*_x for buyers, s*_y for sellers).
 /// An identity appears in at most one side's map.
 struct TrueValuations {
@@ -43,6 +45,14 @@ struct SurplusReport {
 /// entry throws std::out_of_range (it indicates a wiring bug upstream).
 SurplusReport realized_surplus(const Outcome& outcome,
                                const TrueValuations& truth);
+
+/// The same report for a truthful market, read straight from the
+/// instance's value vectors instead of identity maps: equals
+/// `realized_surplus(outcome, instantiate_truthful(instance).truth)` bit
+/// for bit (core/instance.h's identity convention), and throws
+/// std::out_of_range for a fill identity outside that convention.
+SurplusReport realized_surplus(const Outcome& outcome,
+                               const SingleUnitInstance& instance);
 
 /// The Pareto-efficient surplus of a book of *true* values: buyers/sellers
 /// (1)..(k) trade, k per SortedBook::efficient_trade_count().

@@ -10,7 +10,8 @@ namespace fnda {
 namespace {
 
 /// Hash-table lookup context: builds per-call maps, works for any id
-/// assignment.  The reference semantics the dense context must match:
+/// assignment.  The fallback for books whose ids are too sparse to index
+/// an array, and the reference semantics the dense context must match:
 /// first occurrence of a duplicated id wins.
 struct MapContext {
   std::unordered_map<BidId, const BidEntry*> buyer_bids;
@@ -155,31 +156,49 @@ void throw_on_errors(const ValidationErrors& errors) {
   throw std::logic_error(os.str());
 }
 
+ValidationErrors validate_with_scratch(const std::vector<BidEntry>& buyers,
+                                       const std::vector<BidEntry>& sellers,
+                                       const Outcome& outcome,
+                                       ValidationScratch& scratch,
+                                       const ValidationOptions& options) {
+  std::size_t id_limit = 0;
+  if (!dense_ids(buyers, sellers, id_limit)) {
+    return validate_mapped(buyers, sellers, outcome, options);
+  }
+  DenseContext ctx(scratch);
+  ctx.bind(buyers, sellers, id_limit);
+  return validate_lanes(outcome, options, ctx);
+}
+
+/// The plain overloads' scratch: one per thread, so concurrent callers
+/// (the parallel experiment runner's workers) never share it.
+ValidationScratch& thread_scratch() {
+  thread_local ValidationScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 ValidationErrors validate_outcome(const OrderBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options) {
-  return validate_mapped(book.buyers(), book.sellers(), outcome, options);
+  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
+                               thread_scratch(), options);
 }
 
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options) {
-  return validate_mapped(book.buyers(), book.sellers(), outcome, options);
+  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
+                               thread_scratch(), options);
 }
 
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   ValidationScratch& scratch,
                                   const ValidationOptions& options) {
-  std::size_t id_limit = 0;
-  if (!dense_ids(book.buyers(), book.sellers(), id_limit)) {
-    return validate_mapped(book.buyers(), book.sellers(), outcome, options);
-  }
-  DenseContext ctx(scratch);
-  ctx.bind(book.buyers(), book.sellers(), id_limit);
-  return validate_lanes(outcome, options, ctx);
+  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
+                               scratch, options);
 }
 
 void expect_valid_outcome(const OrderBook& book, const Outcome& outcome,

@@ -39,18 +39,18 @@ ValidationErrors validate_outcome(const OrderBook& book,
 /// Same checks against a rank-ordered view: the invariants are functions
 /// of the declaration *set*, so a SortedBook (or any incrementally
 /// maintained ranking of the same declarations) validates identically.
-/// This is the overload the market server's live-book clearing path uses.
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options = {});
 
-/// Reusable lookup scratch for the per-round hot path.  Books assign bid
-/// ids densely (0..n-1 across both sides), so the per-call hash tables
-/// the plain overloads build become persistent-capacity arrays indexed by
-/// id; a round-frequency caller passing the same scratch re-validates
-/// with zero allocation after warm-up.  Falls back to the hashed path —
-/// same errors, same order, byte-identical strings — if the ids of the
-/// book at hand turn out not to be dense.
+/// Reusable lookup scratch.  Books assign bid ids densely (0..n-1 across
+/// both sides), so the lookups become persistent-capacity arrays indexed
+/// by id; a caller passing the same scratch re-validates with zero
+/// allocation after warm-up.  The plain overloads above run the same path
+/// through a thread-local scratch of their own.  A book whose ids are too
+/// sparse to index an array falls back to per-call hash tables — same
+/// errors, same order, byte-identical strings.  The market server's
+/// live-book clearing path and the experiment runner each keep one.
 struct ValidationScratch {
   std::vector<const BidEntry*> buyer_by_id;
   std::vector<const BidEntry*> seller_by_id;

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "common/fnv.h"
-#include "common/sweep_kernel.h"
 
 namespace fnda {
 
@@ -88,28 +87,6 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
           [t = telemetry_.get()] { return t->wall_micros(); });
     }
     driver_->bind_telemetry(*telemetry_);
-    // Threshold-sweep kernel utilization, exposed as deltas since bind:
-    // the kernel counters are process-global (sim tools share them), so
-    // anchoring at bind time keeps this session's metrics a function of
-    // this session's work — zero for market sessions, which never sweep —
-    // and therefore identical across kernel builds and thread counts.
-    obs::MetricsRegistry& driver_registry = telemetry_->driver().metrics;
-    const simd::KernelCounters& kernel = simd::kernel_counters();
-    driver_registry.counter_fn(
-        "fnda_sweep_kernel_vector_elems_total",
-        [&kernel, base = kernel.vector_elems.load(std::memory_order_relaxed)] {
-          return kernel.vector_elems.load(std::memory_order_relaxed) - base;
-        });
-    driver_registry.counter_fn(
-        "fnda_sweep_kernel_tail_elems_total",
-        [&kernel, base = kernel.tail_elems.load(std::memory_order_relaxed)] {
-          return kernel.tail_elems.load(std::memory_order_relaxed) - base;
-        });
-    driver_registry.counter_fn(
-        "fnda_sweep_kernel_calls_total",
-        [&kernel, base = kernel.calls.load(std::memory_order_relaxed)] {
-          return kernel.calls.load(std::memory_order_relaxed) - base;
-        });
   }
 }
 

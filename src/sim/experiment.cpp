@@ -31,30 +31,36 @@ namespace {
 
 constexpr std::uint64_t kStreamGamma = 0x9e3779b97f4a7c15ULL;
 
-/// Per-worker reusable buffers: the shared ranking is rebuilt in place
-/// each instance, so steady-state clearing allocates only the outcomes.
+/// Per-worker reusable buffers: the truthful book, its shared ranking and
+/// the validation lookups are refilled in place each instance, so
+/// steady-state scoring allocates only the drawn instance, the ranking's
+/// stable-sort buffers and the outcomes.
 struct ClearScratch {
+  OrderBook book;
   SortedBook sorted;
+  ValidationScratch validation;
 };
 
 /// Scores one instance into `result` (accumulators only; caller provides
 /// the rng streams so sequential and parallel paths can differ in how
 /// they derive them).
 ///
-/// Shared-sort path: `market.book` is ranked once from `pareto_rng` and
-/// the resulting SortedBook feeds the Pareto surplus AND every protocol's
-/// `clear_sorted`; protocol p draws its internal randomness from a stream
-/// split off `clear_seed` by index.  Legacy path: the Pareto book is
-/// sorted from `pareto_rng` and every protocol re-sorts from an identical
-/// Rng(clear_seed) (common random numbers), exactly the original
-/// pipeline.
+/// Shared-sort path: the truthful book is ranked once from `pareto_rng`
+/// and the resulting SortedBook feeds the Pareto surplus AND every
+/// protocol's `clear_sorted`; protocol p draws its internal randomness
+/// from a stream split off `clear_seed` by index.  Legacy path: the
+/// Pareto book is sorted from `pareto_rng` and every protocol re-sorts
+/// the truthful book from an identical Rng(clear_seed) (common random
+/// numbers), exactly the original pipeline.  Either way every outcome is
+/// validated against the shared ranking: the invariants are functions of
+/// the declaration set, which both paths clear.
 void score_instance(const SingleUnitInstance& instance,
                     const std::vector<const DoubleAuctionProtocol*>& protocols,
                     const ExperimentConfig& config, Rng& pareto_rng,
                     std::uint64_t clear_seed, ClearScratch& scratch,
                     ComparisonResult& result) {
-  const InstantiatedMarket market = instantiate_truthful(instance);
-  scratch.sorted.rebuild(market.book, pareto_rng);
+  truthful_book(instance, scratch.book);
+  scratch.sorted.rebuild(scratch.book, pareto_rng);
   const SortedBook& true_book = scratch.sorted;
   result.pareto.add(efficient_surplus(true_book));
   result.pareto_trades.add(
@@ -67,12 +73,13 @@ void score_instance(const SingleUnitInstance& instance,
       outcome = protocols[p]->clear_sorted(true_book, clear_rng);
     } else {
       Rng clear_rng(clear_seed);
-      outcome = protocols[p]->clear(market.book, clear_rng);
+      outcome = protocols[p]->clear(scratch.book, clear_rng);
     }
     if (config.validate) {
-      expect_valid_outcome(market.book, outcome, config.validation);
+      expect_valid_outcome(true_book, outcome, scratch.validation,
+                           config.validation);
     }
-    const SurplusReport surplus = realized_surplus(outcome, market.truth);
+    const SurplusReport surplus = realized_surplus(outcome, instance);
     ProtocolSummary& summary = result.protocols[p];
     summary.total.add(surplus.total);
     summary.except_auctioneer.add(surplus.except_auctioneer);

@@ -45,6 +45,27 @@ TEST(OrderBookTest, RejectsDegenerateDomain) {
                std::invalid_argument);
 }
 
+TEST(OrderBookTest, ResetMatchesAFreshBookAndKeepsCapacity) {
+  OrderBook book = example1_book();
+  const std::size_t capacity = book.buyers().capacity();
+  const ValueDomain domain{Money::from_units(0), Money::from_units(100)};
+  book.reset(domain);
+  EXPECT_EQ(book.buyer_count(), 0u);
+  EXPECT_EQ(book.seller_count(), 0u);
+  EXPECT_EQ(book.buyers().capacity(), capacity);
+  EXPECT_EQ(book.domain().highest, domain.highest);
+  EXPECT_THROW(book.add_buyer(IdentityId{0}, Money::from_units(101)),
+               std::invalid_argument);
+
+  OrderBook fresh(domain);
+  EXPECT_EQ(book.add_seller(IdentityId{4}, Money::from_units(3)),
+            fresh.add_seller(IdentityId{4}, Money::from_units(3)));
+  EXPECT_EQ(book.sellers(), fresh.sellers());
+  EXPECT_THROW(
+      book.reset(ValueDomain{Money::from_units(5), Money::from_units(5)}),
+      std::invalid_argument);
+}
+
 TEST(SortedBookTest, RanksMatchPaperConvention) {
   OrderBook book = example1_book();
   Rng rng(1);

@@ -2,7 +2,7 @@
 //
 // This binary replaces global operator new with a byte, call and
 // live-byte counter (which is why it is its own executable) and bounds
-// five things:
+// six things:
 //
 //  - Construction.  No message ever crosses shards, so a shard world
 //    holds no cross-shard buffer; constructing an exchange stays far
@@ -23,6 +23,9 @@
 //    cache wakes the parked pool and reuses every buffer, so it
 //    allocates nothing.  The counter is atomic, so it sees the pool's
 //    worker threads too.
+//  - Monte-Carlo scoring.  run_comparison refills one book, ranking and
+//    validation scratch per instance, so an instance allocates only its
+//    drawn values, the sort buffers and the outcomes, never identity maps.
 #include <malloc.h>
 
 #include <algorithm>
@@ -40,7 +43,9 @@
 #include "market/clock.h"
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
+#include "protocols/pmd.h"
 #include "protocols/tpd.h"
+#include "sim/experiment.h"
 
 namespace {
 
@@ -66,6 +71,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+// std::stable_sort's temporary buffer comes from the nothrow form.  It
+// must reach the counting operator new too: left to a sanitizer's
+// runtime, its block would be released by the replaced operator delete
+// below through std::free, a mismatch AddressSanitizer aborts on.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+
 void operator delete(void* block) noexcept {
   if (block == nullptr) return;
   g_live_bytes.fetch_sub(usable_bytes(block), std::memory_order_relaxed);
@@ -73,6 +90,10 @@ void operator delete(void* block) noexcept {
 }
 
 void operator delete(void* block, std::size_t) noexcept {
+  operator delete(block);
+}
+
+void operator delete(void* block, const std::nothrow_t&) noexcept {
   operator delete(block);
 }
 
@@ -288,6 +309,29 @@ TEST(AttackSchedulerFootprintTest, WarmPlanningRoundAllocatesNothing) {
         << " warm hits allocated " << allocations << " times";
   }
   EXPECT_GT(all_hit_rounds, 0u) << "no planning round hit for every attacker";
+}
+
+TEST(MonteCarloFootprintTest, WarmComparisonAllocatesFewTimesPerInstance) {
+  // The paper's Table 1 shape: n = m = 50, TPD against PMD.
+  constexpr std::size_t kInstances = 250;
+  const TpdProtocol tpd(Money::from_units(50));
+  const PmdProtocol pmd;
+  const std::vector<const DoubleAuctionProtocol*> protocols{&tpd, &pmd};
+  const InstanceGenerator generator = fixed_count_generator(50, 50);
+  ExperimentConfig config;
+  config.instances = kInstances;
+  run_comparison(generator, protocols, config);  // warm-up
+
+  config.seed += 1;
+  const std::size_t before = g_allocations.load();
+  const ComparisonResult result = run_comparison(generator, protocols, config);
+  const std::size_t allocations = g_allocations.load() - before;
+  ASSERT_EQ(result.pareto.count(), kInstances);
+  // Identity maps per instance and hash tables per validation cost
+  // hundreds of allocations per instance.
+  EXPECT_LE(allocations, 8 * kInstances)
+      << "a warm run_comparison allocated "
+      << static_cast<double>(allocations) / kInstances << " times per instance";
 }
 
 }  // namespace

@@ -151,7 +151,7 @@ TEST(SweepKernelTest, ExtremeValuesDoNotOverflow) {
   }
 }
 
-TEST(SweepKernelTest, CountersAdvanceAndNameIsConsistent) {
+TEST(SweepKernelTest, NameAndLaneWidthAreConsistent) {
   // The dispatch build flavor fixes lane width and name together.
   if (simd::kernel_lane_width() == 1) {
     EXPECT_STREQ(simd::kernel_name(), "scalar-branchless");
@@ -159,19 +159,6 @@ TEST(SweepKernelTest, CountersAdvanceAndNameIsConsistent) {
     EXPECT_EQ(simd::kernel_lane_width(), 2u);
     EXPECT_STREQ(simd::kernel_name(), "gcc-vector-128x2");
   }
-
-  const std::vector<std::int64_t> lane(100, 7);
-  const simd::KernelCounters& counters = simd::kernel_counters();
-  const std::uint64_t calls_before =
-      counters.calls.load(std::memory_order_relaxed);
-  const std::uint64_t elems_before =
-      counters.vector_elems.load(std::memory_order_relaxed) +
-      counters.tail_elems.load(std::memory_order_relaxed);
-  ASSERT_EQ(simd::count_ge_linear(lane.data(), lane.size(), 7), 100u);
-  EXPECT_EQ(counters.calls.load(std::memory_order_relaxed), calls_before + 1);
-  EXPECT_EQ(counters.vector_elems.load(std::memory_order_relaxed) +
-                counters.tail_elems.load(std::memory_order_relaxed),
-            elems_before + lane.size());
 }
 
 }  // namespace
