@@ -174,17 +174,29 @@ void BM_SortedBookConstruction(benchmark::State& state) {
   }
 }
 
+class CountingSink final : public EventQueue::DeliverySink {
+ public:
+  void deliver_run(SimTime, const EventQueue::Delivery*,
+                   std::size_t count) override {
+    fired += count;
+  }
+  void fire(const Timer&) override { ++fired; }
+  std::size_t fired = 0;
+};
+
 void BM_EventQueue(benchmark::State& state) {
   const auto events = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     EventQueue queue;
-    std::size_t fired = 0;
+    CountingSink sink;
+    queue.set_delivery_sink(&sink);
     for (std::size_t e = 0; e < events; ++e) {
-      queue.schedule_at(SimTime{static_cast<std::int64_t>((e * 7919) % events)},
-                        [&fired] { ++fired; });
+      queue.schedule_timer(
+          SimTime{static_cast<std::int64_t>((e * 7919) % events)},
+          Timer{Timer::Kind::kRetry, AddressId{0}, e});
     }
     queue.run();
-    benchmark::DoNotOptimize(fired);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(events));

@@ -192,6 +192,14 @@ void MessageBus::deliver_run(SimTime at, const EventQueue::Delivery* run,
   }
 }
 
+void MessageBus::fire(const Timer& timer) {
+  const std::uint64_t target = timer.target.value();
+  if (target >= directory_.size()) return;
+  if (Endpoint* const endpoint = directory_[target].endpoint) {
+    endpoint->on_timer(timer);
+  }
+}
+
 void MessageBus::mark_repeat(std::uint32_t slot) {
   if (slot >= repeat_.size()) repeat_.resize(pool_.size() * kPoolChunkSize);
   repeat_[slot] = 1;

@@ -14,7 +14,8 @@
 // instead of being heap-allocated per send, and in-flight deliveries are
 // lightweight (slot, destination) records batched by the EventQueue: all
 // same-instant deliveries to one endpoint arrive through a single
-// `Endpoint::on_batch` call, in send order.
+// `Endpoint::on_batch` call, in send order.  Timers ride the same queue
+// and reach the endpoint at their target through `Endpoint::on_timer`.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +62,9 @@ class Endpoint {
   /// holding one is split around it.  The default treats it as a fresh
   /// message, which keeps delivery at-least-once.
   virtual void on_repeat(const Envelope& envelope) { on_message(envelope); }
+  /// A due timer scheduled with this endpoint's address as its target.
+  /// The default ignores it.
+  virtual void on_timer(const Timer&) {}
 };
 
 struct BusConfig {
@@ -162,6 +166,10 @@ class MessageBus : public EventQueue::DeliverySink {
   /// dispatched to their endpoint as one batch.
   void deliver_run(SimTime at, const EventQueue::Delivery* run,
                    std::size_t count) override;
+  /// EventQueue::DeliverySink — hands a due timer to the endpoint now
+  /// attached at its target, or drops it when none is.  A timer is not a
+  /// message: it mints no id, draws no RNG and leaves BusStats alone.
+  void fire(const Timer& timer) override;
 
  private:
   /// Hot per-address routing state, kept to 16 bytes so delivery touches

@@ -95,16 +95,33 @@ void TraderPopulation::submit_with_retry(std::uint32_t slot,
                                          const SubmitBidMsg& msg,
                                          SimTime deadline,
                                          std::size_t retries_left) {
-  bus_.send(traders_[slot].address, server_, msg);
+  const AddressId address = traders_[slot].address;
+  bus_.send(address, server_, msg);
   if (config_.retry_interval.micros <= 0 || retries_left == 0) return;
-  queue_.schedule_after(config_.retry_interval, [this, slot, msg, deadline,
-                                                 retries_left] {
-    const std::optional<std::size_t> identity = identity_slot(msg.identity);
-    if (identity && acked_.test(*identity)) return;
-    if (queue_.now() >= deadline) return;  // round closed; no point
-    ++traders_[slot].retransmissions;
-    submit_with_retry(slot, msg, deadline, retries_left - 1);
-  });
+  std::uint32_t row;
+  if (free_retries_.empty()) {
+    row = static_cast<std::uint32_t>(retries_.size());
+    retries_.emplace_back();
+  } else {
+    row = free_retries_.back();
+    free_retries_.pop_back();
+  }
+  retries_[row] = Retry{msg, deadline, retries_left};
+  queue_.schedule_timer(queue_.now() + config_.retry_interval,
+                        Timer{Timer::Kind::kRetry, address, row});
+}
+
+void TraderPopulation::on_timer(const Timer& timer) {
+  const auto row = static_cast<std::uint32_t>(timer.word);
+  const Retry retry = retries_[row];
+  free_retries_.push_back(row);
+  const std::optional<std::size_t> identity =
+      identity_slot(retry.msg.identity);
+  if (identity && acked_.test(*identity)) return;
+  if (queue_.now() >= retry.deadline) return;  // round closed; no point
+  const std::uint32_t slot = slot_of_address_[timer.target.value()];
+  ++traders_[slot].retransmissions;
+  submit_with_retry(slot, retry.msg, retry.deadline, retry.retries_left - 1);
 }
 
 void TraderPopulation::on_message(const Envelope& envelope) {

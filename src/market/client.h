@@ -152,6 +152,9 @@ class TraderPopulation final : public Endpoint {
                     Side role, Money true_value);
 
   void on_message(const Envelope& envelope) override;
+  /// A retry timer: retransmits its bid unless it was acked or the round
+  /// has closed.
+  void on_timer(const Timer& timer) override;
 
  private:
   friend class TradingClient;
@@ -177,6 +180,14 @@ class TraderPopulation final : public Endpoint {
     /// Index into customs_, or kNone for a plain truthful trader.
     std::uint32_t custom = kNone;
     Side role;
+  };
+
+  /// One pending retransmission, indexed by its retry timer's word.  The
+  /// row is freed when the timer fires.
+  struct Retry {
+    SubmitBidMsg msg;
+    SimTime deadline;
+    std::size_t retries_left = 0;
   };
 
   /// Sparse side state: only traders with a configured strategy or in
@@ -210,6 +221,8 @@ class TraderPopulation final : public Endpoint {
 
   std::vector<Trader> traders_;
   std::vector<Custom> customs_;
+  std::vector<Retry> retries_;
+  std::vector<std::uint32_t> free_retries_;
   /// Trader slot per bus AddressId (kNone for addresses not attached
   /// here): the population's dense address -> slot routing table.
   std::vector<std::uint32_t> slot_of_address_;

@@ -7,26 +7,13 @@
 
 namespace fnda {
 
-std::uint32_t EventQueue::acquire_action(Action action) {
-  if (!action_free_.empty()) {
-    const std::uint32_t index = action_free_.back();
-    action_free_.pop_back();
-    actions_[index] = std::move(action);
-    return index;
-  }
-  actions_.push_back(std::move(action));
-  return static_cast<std::uint32_t>(actions_.size() - 1);
-}
-
-void EventQueue::schedule_at(SimTime at, Action action) {
+void EventQueue::schedule_timer(SimTime at, const Timer& timer) {
   Entry entry;
   entry.at = std::max(at, now_);
-  entry.slot = acquire_action(std::move(action));
+  entry.key = timer.word;
+  entry.slot = static_cast<std::uint32_t>(timer.target.value());
+  entry.kind = timer.kind;
   push(entry);
-}
-
-void EventQueue::schedule_after(SimTime delay, Action action) {
-  schedule_at(now_ + delay, std::move(action));
 }
 
 SimTime EventQueue::schedule_delivery(SimTime at, std::uint32_t slot,
@@ -227,16 +214,12 @@ void EventQueue::execute_one() {
   }
   --size_;
   now_ = entry.at;
+  if (sink_ == nullptr) return;
   if (entry.is_delivery) {
-    if (sink_ != nullptr) {
-      const Delivery single{entry.key, entry.slot};
-      sink_->deliver_run(now_, &single, 1);
-    }
+    const Delivery single{entry.key, entry.slot};
+    sink_->deliver_run(now_, &single, 1);
   } else {
-    const Action action = std::move(actions_[entry.slot]);
-    actions_[entry.slot] = nullptr;
-    action_free_.push_back(entry.slot);
-    action();
+    sink_->fire(Timer{entry.kind, AddressId{entry.slot}, entry.key});
   }
 }
 

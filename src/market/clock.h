@@ -14,11 +14,12 @@
 #include <array>
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <type_traits>
 #include <vector>
+
+#include "common/ids.h"
 
 namespace fnda {
 
@@ -42,23 +43,32 @@ struct SimTime {
   }
 };
 
+/// A timer: plain data the queue holds until it is due and then hands to
+/// its sink.  The bus passes it to the endpoint attached at `target`;
+/// what `kind` and `word` mean is up to that endpoint (a round id, a row
+/// of its own table).
+struct Timer {
+  enum class Kind : std::uint8_t { kRoundClose, kAnnounce, kRetry };
+  Kind kind = Kind::kRoundClose;
+  AddressId target;
+  std::uint64_t word = 0;
+};
+
 /// Single-threaded discrete-event scheduler.
 ///
 /// Events fire in (time, insertion-order) order, so two events scheduled
 /// for the same instant run FIFO — deterministic replays depend on this.
 ///
-/// Besides arbitrary `Action` callbacks, the queue natively schedules
-/// *deliveries*: lightweight (slot, destination) records owned by a
-/// registered DeliverySink (the MessageBus).  Deliveries that share a
-/// timestamp and a destination and are adjacent in the total order are
-/// handed to the sink as one batch, which lets the receiving endpoint
-/// validate a whole volley of same-instant messages in a single pass.
-/// Batching never reorders anything: a batch is exactly a maximal run of
-/// consecutive entries in the (time, insertion-order) sequence.
+/// Every event is plain data, owned by one registered DeliverySink (the
+/// MessageBus): a *delivery* is a (slot, destination) record, a *timer*
+/// is a `Timer`.  Deliveries that share a timestamp and a destination and
+/// are adjacent in the total order are handed to the sink as one batch,
+/// which lets the receiving endpoint validate a whole volley of
+/// same-instant messages in a single pass.  Batching never reorders
+/// anything: a batch is exactly a maximal run of consecutive deliveries
+/// in the (time, insertion-order) sequence, and a timer ends it.
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
   /// One scheduled delivery as handed to the sink: `slot` indexes the
   /// sink's own storage, `key` is the batch key recorded at schedule
   /// time (opaque to the queue — the bus packs the destination and its
@@ -68,27 +78,28 @@ class EventQueue {
     std::uint32_t slot = 0;
   };
 
-  /// Owner of slab-allocated deliveries (see MessageBus).  One call
-  /// covers the maximal run of consecutive deliveries sharing a
-  /// timestamp, in send order.  Handing the sink the whole instant at
-  /// once lets it prefetch every slot before dispatching and group
-  /// consecutive equal keys itself.
+  /// Owner of slab-allocated deliveries (see MessageBus) and of timers.
+  /// One `deliver_run` call covers the maximal run of consecutive
+  /// deliveries sharing a timestamp, in send order.  Handing the sink the
+  /// whole instant at once lets it prefetch every slot before
+  /// dispatching and group consecutive equal keys itself.  `fire` gets
+  /// one due timer.
   class DeliverySink {
    public:
     virtual ~DeliverySink() = default;
     virtual void deliver_run(SimTime at, const Delivery* run,
                              std::size_t count) = 0;
+    virtual void fire(const Timer& timer) = 0;
   };
 
   /// Registers the (single) delivery sink.  Pass nullptr to unregister;
-  /// pending deliveries of an unregistered sink are silently discarded.
+  /// pending deliveries and timers of an unregistered sink are silently
+  /// discarded.
   void set_delivery_sink(DeliverySink* sink) { sink_ = sink; }
 
-  /// Schedules `action` at absolute time `at`.  Scheduling in the past is
-  /// clamped to now (the action runs next).
-  void schedule_at(SimTime at, Action action);
-  /// Schedules `action` `delay` after the current time.
-  void schedule_after(SimTime delay, Action action);
+  /// Schedules `timer` at absolute time `at`.  Scheduling in the past is
+  /// clamped to now (the timer fires next).
+  void schedule_timer(SimTime at, const Timer& timer);
   /// Schedules a sink delivery; `key` groups batchable deliveries (the
   /// bus uses the destination address id).  Returns the (clamped)
   /// delivery time.
@@ -131,15 +142,16 @@ class EventQueue {
   /// No sequence number is stored — insertion order is preserved
   /// structurally (appends everywhere, stable distribution, stable
   /// early-buffer insertion), so FIFO-among-equal-times never needs a
-  /// tiebreak key.  The (rare) Action callbacks live in a side slab
-  /// indexed by `slot`; deliveries use `slot` as the sink's slab index.
+  /// tiebreak key.  A timer packs into the delivery fields: its word in
+  /// `key`, its target in `slot`, its kind in what would be padding.
   struct Entry {
     SimTime at;
-    std::uint64_t key = 0;     // delivery batch key (destination)
-    std::uint32_t slot = 0;    // delivery or action slab index
+    std::uint64_t key = 0;     // delivery batch key, or the timer's word
+    std::uint32_t slot = 0;    // delivery slab index, or the timer's target
     bool is_delivery = false;
+    Timer::Kind kind{};        // timers only
   };
-  static_assert(std::is_trivially_copyable_v<Entry>);
+  static_assert(std::is_trivially_copyable_v<Entry> && sizeof(Entry) == 24);
 
   static constexpr std::int64_t bucket_of(SimTime at) {
     return at.micros >> kBucketBits;
@@ -151,7 +163,6 @@ class EventQueue {
   void push(const Entry& entry);
   /// Hands a bucket that owns no buffer the most recently drained one.
   void take_spare(std::vector<Entry>& bucket);
-  std::uint32_t acquire_action(Action action);
   /// True if something is ready to execute; advances the cursor to the
   /// next non-empty bucket and distributes it into the per-offset
   /// instant lists when the current bucket is exhausted.
@@ -175,8 +186,6 @@ class EventQueue {
   bool early_pending() const { return early_index_ < early_.size(); }
   void insert_early(const Entry& entry);
 
-  std::vector<Action> actions_;          // side slab for callbacks
-  std::vector<std::uint32_t> action_free_;
   std::array<std::vector<Entry>, kWheelSlots> wheel_;
   // Buffers of drained buckets, reused last-in first-out by pushes that
   // open a bucket (on the wheel or in the overflow calendar).  Without

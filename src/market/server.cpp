@@ -7,18 +7,20 @@
 
 namespace fnda {
 
-void AuctionServer::SubmittedTable::reset(MonotonicArena& arena,
-                                          std::size_t expected_entries) {
-  arena_ = &arena;
+void AuctionServer::SubmittedTable::reset(std::size_t expected_entries) {
   // Size for a <=50% load factor at the expected population so the
   // steady state never rehashes; 64 floors the first round.
   std::size_t capacity = 64;
   while (capacity < expected_entries * 2) capacity *= 2;
-  slots_ = arena.make_span<Slot>(capacity);
-  for (Slot& slot : slots_) slot.key = kEmptyKey;
+  empty_into(slots_, capacity);
+  size_ = 0;
+}
+
+void AuctionServer::SubmittedTable::empty_into(std::vector<Slot>& slots,
+                                               std::size_t capacity) {
+  slots.assign(capacity, Slot{kEmptyKey, {}});
   mask_ = capacity - 1;
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-  size_ = 0;
 }
 
 const AuctionServer::SubmittedBid* AuctionServer::SubmittedTable::find(
@@ -47,21 +49,17 @@ void AuctionServer::SubmittedTable::insert(IdentityId identity,
 }
 
 void AuctionServer::SubmittedTable::grow() {
-  const std::span<Slot> old = slots_;
-  const std::size_t capacity = old.size() * 2;
-  slots_ = arena_->make_span<Slot>(capacity);
-  for (Slot& slot : slots_) slot.key = kEmptyKey;
-  mask_ = capacity - 1;
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-  for (const Slot& slot : old) {
+  empty_into(spare_, slots_.size() * 2);
+  for (const Slot& slot : slots_) {
     if (slot.key == kEmptyKey) continue;
     for (std::size_t i = probe(slot.key);; i = (i + 1) & mask_) {
-      if (slots_[i].key == kEmptyKey) {
-        slots_[i] = slot;
+      if (spare_[i].key == kEmptyKey) {
+        spare_[i] = slot;
         break;
       }
     }
   }
+  slots_.swap(spare_);
 }
 
 AuctionServer::AuctionServer(std::string address, EventQueue& queue,
@@ -98,11 +96,6 @@ void AuctionServer::bind_telemetry(obs::ShardTelemetry& telemetry,
                       [this] { return live_book_.stats().sorts_at_close; });
   registry.counter_fn("fnda_book_chunk_splits_total",
                       [this] { return live_book_.stats().chunk_splits; });
-  // Monotone by construction (a high-water mark), so it is exposed as a
-  // counter and merges deterministically.
-  registry.counter_fn("fnda_server_round_arena_high_water_bytes", [this] {
-    return static_cast<std::uint64_t>(round_arena_.stats().high_water);
-  });
   registry.counter_fn("fnda_server_rounds_closed_total", [this] {
     return static_cast<std::uint64_t>(completed_count_);
   });
@@ -151,20 +144,16 @@ RoundId AuctionServer::open_round(SimTime open_for) {
   const RoundId id{next_round_++};
   const SimTime close_at = queue_.now() + open_for;
   live_book_.reset(config_.domain);
-  // The previous round's arena-backed scratch (its submitted table) is
-  // dead by now — clear_round finished reading it — so the whole arena
-  // recycles here and the table sizes itself off the last population.
-  round_arena_.reset();
-  open_round_.emplace(OpenRound{id, close_at, queue_.now(), rng_(), {}});
-  open_round_->submitted.reset(round_arena_, last_round_bids_);
+  // clear_round finished reading the previous round's table, so it is
+  // refilled here, sized off the last population.
+  submitted_.reset(last_round_bids_);
+  open_round_.emplace(OpenRound{id, close_at, queue_.now(), rng_()});
   audit_.append(queue_.now(), id, AuditDetail::round_opened());
 
   announce_round(*open_round_);
   schedule_announcements(id);
-  queue_.schedule_at(close_at, [this, id] {
-    // Guard against stale closures if the round set ever changes shape.
-    if (open_round_.has_value() && open_round_->id == id) clear_round();
-  });
+  queue_.schedule_timer(close_at,
+                        Timer{Timer::Kind::kRoundClose, address_id_, id.value()});
   return id;
 }
 
@@ -176,12 +165,21 @@ void AuctionServer::announce_round(const OpenRound& round) {
 
 void AuctionServer::schedule_announcements(RoundId id) {
   if (config_.announce_interval.micros <= 0) return;
-  queue_.schedule_after(config_.announce_interval, [this, id] {
-    if (!open_round_.has_value() || open_round_->id != id) return;
-    if (queue_.now() >= open_round_->close_at) return;
-    announce_round(*open_round_);
-    schedule_announcements(id);
-  });
+  queue_.schedule_timer(queue_.now() + config_.announce_interval,
+                        Timer{Timer::Kind::kAnnounce, address_id_, id.value()});
+}
+
+void AuctionServer::on_timer(const Timer& timer) {
+  if (!open_round_.has_value() || open_round_->id.value() != timer.word) {
+    return;
+  }
+  if (timer.kind == Timer::Kind::kRoundClose) {
+    clear_round();
+    return;
+  }
+  if (queue_.now() >= open_round_->close_at) return;
+  announce_round(*open_round_);
+  schedule_announcements(open_round_->id);
 }
 
 void AuctionServer::on_message(const Envelope& envelope) {
@@ -221,8 +219,7 @@ void AuctionServer::handle_submit(const Envelope& envelope,
     reject(envelope, msg, RejectReason::kRoundNotOpen);
     return;
   }
-  OpenRound& round = *open_round_;
-  if (const SubmittedBid* existing = round.submitted.find(msg.identity)) {
+  if (const SubmittedBid* existing = submitted_.find(msg.identity)) {
     if (existing->side == msg.side && existing->value == msg.value) {
       // Identical retransmission (at-least-once client): ack idempotently.
       bus_.send(address_id_, envelope.from,
@@ -246,7 +243,7 @@ void AuctionServer::handle_submit(const Envelope& envelope,
   }
 
   live_book_.add(msg.side, msg.identity, msg.value);
-  round.submitted.insert(msg.identity,
+  submitted_.insert(msg.identity,
                          SubmittedBid{envelope.from, msg.side, msg.value});
   audit_.append(queue_.now(), msg.round,
                 AuditDetail::bid_accepted(msg.identity, msg.side, msg.value));
@@ -272,14 +269,14 @@ void AuctionServer::clear_round() {
   SortedBook ranked = live_book_.to_sorted();
   Outcome outcome = protocol_->clear_sorted(ranked, clear_rng);
   expect_valid_outcome(ranked, outcome, validation_scratch_);
-  last_round_bids_ = round.submitted.size();
+  last_round_bids_ = submitted_.size();
 
   audit_.append(queue_.now(), round.id,
                 AuditDetail::round_cleared(outcome.trade_count(),
                                            outcome.auctioneer_revenue()));
 
   for (const Fill& fill : outcome.fills()) {
-    const SubmittedBid* submitted = round.submitted.find(fill.identity);
+    const SubmittedBid* submitted = submitted_.find(fill.identity);
     if (submitted == nullptr) continue;
     bus_.send(address_id_, submitted->reply_to,
               FillNoticeMsg{round.id, fill.identity, fill.side, fill.price});
@@ -304,7 +301,7 @@ void AuctionServer::clear_round() {
                     AuditDetail::deposit_confiscated(delivery.seller,
                                                      delivery.confiscated));
     }
-    const SubmittedBid* seller = round.submitted.find(delivery.seller);
+    const SubmittedBid* seller = submitted_.find(delivery.seller);
     if (seller != nullptr) {
       bus_.send(address_id_, seller->reply_to,
                 SettlementNoticeMsg{round.id, delivery.seller, false,
@@ -319,7 +316,7 @@ void AuctionServer::clear_round() {
     // server, exactly as in the paper's model.
     Money declared_surplus{};
     for (const Fill& fill : outcome.fills()) {
-      const SubmittedBid* submitted = round.submitted.find(fill.identity);
+      const SubmittedBid* submitted = submitted_.find(fill.identity);
       if (submitted == nullptr) continue;
       declared_surplus = declared_surplus + (fill.side == Side::kBuyer
                                                  ? submitted->value - fill.price
@@ -327,7 +324,7 @@ void AuctionServer::clear_round() {
     }
     FNDA_LOG(kInfo) << "round-close server=" << address_
                     << " round=" << round.id.value()
-                    << " bids=" << round.submitted.size()
+                    << " bids=" << submitted_.size()
                     << " trades=" << outcome.trade_count()
                     << " declared_surplus=" << declared_surplus.to_string()
                     << " revenue=" << outcome.auctioneer_revenue().to_string()
@@ -349,7 +346,7 @@ void AuctionServer::clear_round() {
   }
 
   if (round_bids_hist_ != nullptr) {
-    round_bids_hist_->record(static_cast<std::int64_t>(round.submitted.size()));
+    round_bids_hist_->record(static_cast<std::int64_t>(submitted_.size()));
     round_trades_hist_->record(static_cast<std::int64_t>(trade_count));
     if (round_close_wall_hist_ != nullptr) {
       // Wallclock mode: the histogram carries the real clearing cost and

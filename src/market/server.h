@@ -17,12 +17,10 @@
 
 #include <deque>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "core/live_book.h"
 #include "core/protocol.h"
@@ -86,6 +84,9 @@ class AuctionServer : public Endpoint {
   /// A transport duplicate's second copy: ignored, so every submission is
   /// admitted (or rejected, with one ack) exactly once.
   void on_repeat(const Envelope&) override {}
+  /// The round-close and heartbeat timers.  Each carries its round id and
+  /// does nothing unless that round is still the open one.
+  void on_timer(const Timer& timer) override;
 
   const std::string& address() const { return address_; }
   AddressId address_id() const { return address_id_; }
@@ -143,16 +144,16 @@ class AuctionServer : public Endpoint {
     Money value;
   };
 
-  /// Open-addressing identity -> declaration table for the open round,
-  /// backed by the round arena.  The round lifecycle only ever probes
-  /// (find), inserts, and reads size() — iteration order is never used —
-  /// so flat linear-probed slots replace the per-round unordered_map and
-  /// its node allocations.  Slots live in arena storage that dies at the
-  /// next round's reset; growing rehashes into a fresh arena span (the
-  /// old one is simply abandoned until then).
+  /// Open-addressing identity -> declaration table for the open round.
+  /// The round lifecycle only ever probes (find), inserts, and reads
+  /// size() — iteration order is never used — so flat linear-probed slots
+  /// replace a per-round unordered_map and its node allocations.  Both
+  /// slot vectors keep their capacity across rounds: reset refills the
+  /// live one, and growing rehashes into the spare and swaps.
   class SubmittedTable {
    public:
-    void reset(MonotonicArena& arena, std::size_t expected_entries);
+    /// Empties the table, sized for `expected_entries` at <= 50% load.
+    void reset(std::size_t expected_entries);
     const SubmittedBid* find(IdentityId identity) const;
     /// `identity` must not be present (callers probe first).
     void insert(IdentityId identity, const SubmittedBid& bid);
@@ -172,10 +173,13 @@ class AuctionServer : public Endpoint {
                                       shift_) &
              mask_;
     }
+    /// Fills `slots` with `capacity` (a power of two) free slots and
+    /// re-derives the probe geometry.
+    void empty_into(std::vector<Slot>& slots, std::size_t capacity);
     void grow();
 
-    MonotonicArena* arena_ = nullptr;
-    std::span<Slot> slots_;
+    std::vector<Slot> slots_;
+    std::vector<Slot> spare_;  ///< rehash target; empty until a grow
     std::size_t mask_ = 0;
     unsigned shift_ = 64;
     std::size_t size_ = 0;
@@ -190,11 +194,6 @@ class AuctionServer : public Endpoint {
     /// (`live_book_`), reset at open_round so its buffers survive across
     /// rounds; accepted bids are galloping-inserted there at their rank.
     std::uint64_t clear_seed = 0;
-    /// Accepted declaration per identity: reply address for fill notices
-    /// plus the declaration itself, so an identical retransmission can be
-    /// acked idempotently (at-least-once clients retry until acked).
-    /// Backed by `round_arena_`, reset at open_round.
-    SubmittedTable submitted;
   };
   struct CompletedRound {
     RoundId id;
@@ -244,11 +243,12 @@ class AuctionServer : public Endpoint {
   /// Incrementally ranked book of the open round; buffers persist across
   /// rounds, so a warm server's submission path never allocates.
   LiveBook live_book_;
-  /// Round-lifetime scratch: the submitted table's slots (and anything
-  /// else alive only until the round clears).  Reset at open_round — the
-  /// cleared round's table is read during clear_round, strictly before
-  /// the next open.
-  MonotonicArena round_arena_;
+  /// Accepted declaration per identity in the current round: reply
+  /// address for fill notices plus the declaration itself, so an
+  /// identical retransmission can be acked idempotently (at-least-once
+  /// clients retry until acked).  Reset at open_round; clear_round reads
+  /// the cleared round's entries strictly before the next open.
+  SubmittedTable submitted_;
   /// Outcome-validation lookup lanes, reused every round.
   ValidationScratch validation_scratch_;
   /// Bid count of the most recent round — the next round's table sizing

@@ -6,6 +6,9 @@
 #include <utility>
 #include <vector>
 
+#include "obs/telemetry.h"
+#include "timer_callbacks.h"
+
 namespace fnda {
 namespace {
 
@@ -273,8 +276,10 @@ TEST(MessageBusTest, DeadLetteredPairLeavesNoRepeatBehind) {
   // same two slots again; each arrives through on_message.
   const MessageId third = bus.send(a, b, RoundClosedMsg{});
   MessageId fourth;
-  queue.schedule_after(SimTime{500},
-                       [&] { fourth = bus.send(a, b, RoundClosedMsg{}); });
+  TimerCallbacks timers;
+  timers.schedule(queue, queue.now() + SimTime{500},
+                  [&] { fourth = bus.send(a, b, RoundClosedMsg{}); },
+                  bus.attach("timers", timers));
   queue.run();
   ASSERT_EQ(bus.stats().duplicated, 2u);
   ASSERT_EQ(log.arrivals.size(), 4u);
@@ -286,6 +291,117 @@ TEST(MessageBusTest, DeadLetteredPairLeavesNoRepeatBehind) {
                 log.arrivals[i].slot == pair_slots[1]);
   }
   EXPECT_NE(log.arrivals[2].slot, log.arrivals[3].slot);
+}
+
+// ---------------------------------------------------------------------------
+// Timers ride the bus's queue but are not messages.
+
+class TimerLog : public Endpoint {
+ public:
+  void on_message(const Envelope&) override {}
+  void on_timer(const Timer& timer) override { fired.push_back(timer); }
+  std::vector<Timer> fired;
+};
+
+TEST(MessageBusTest, TimersLeaveIdsLatencyAndStatsAlone) {
+  // Two buses on one seed send the same messages at the same instants;
+  // one of them also fires timers before, at and between the sends.
+  // Every message keeps its id and delivery time, BusStats agree, and the
+  // sampled batch-size histogram sees the same groups.
+  BusConfig config = quiet_bus();
+  config.jitter = SimTime{300};
+  config.duplicate_probability = 0.3;
+  config.drop_probability = 0.2;
+  struct World {
+    EventQueue queue;
+    MessageBus bus;
+    obs::ShardTelemetry telemetry{1, 16};
+    Recorder recorder;
+    TimerCallbacks sender;
+    TimerLog log;
+    AddressId from = bus.attach("sender", sender);
+    AddressId to = bus.attach("b", recorder);
+    std::vector<MessageId> ids;
+    explicit World(const BusConfig& config) : bus(queue, config, Rng(11)) {
+      bus.bind_telemetry(telemetry);
+    }
+    void send_at(SimTime at) {
+      sender.schedule(
+          queue, at,
+          [this] { ids.push_back(bus.send(from, to, RoundClosedMsg{})); },
+          from);
+    }
+  };
+  World plain(config);
+  World timed(config);
+  const AddressId clock = timed.bus.attach("clock", timed.log);
+  std::uint64_t word = 0;
+  for (std::int64_t step = 0; step < 40; ++step) {
+    const SimTime at{step * 1100};
+    timed.queue.schedule_timer(at - SimTime{1},
+                               Timer{Timer::Kind::kRetry, clock, word++});
+    timed.queue.schedule_timer(at, Timer{Timer::Kind::kRetry, clock, word++});
+    plain.send_at(at);
+    timed.send_at(at);
+  }
+  plain.queue.run();
+  timed.queue.run();
+
+  EXPECT_EQ(timed.log.fired.size(), 80u);
+  ASSERT_EQ(timed.ids.size(), 40u);
+  EXPECT_EQ(timed.ids, plain.ids);
+  ASSERT_EQ(timed.recorder.received.size(), plain.recorder.received.size());
+  for (std::size_t i = 0; i < plain.recorder.received.size(); ++i) {
+    EXPECT_EQ(timed.recorder.received[i].id, plain.recorder.received[i].id);
+    EXPECT_EQ(timed.recorder.received[i].delivered_at,
+              plain.recorder.received[i].delivered_at);
+  }
+  const BusStats& a = plain.bus.stats();
+  const BusStats& b = timed.bus.stats();
+  EXPECT_GT(a.dropped, 0u);
+  EXPECT_GT(a.duplicated, 0u);
+  EXPECT_EQ(b.sent, a.sent);
+  EXPECT_EQ(b.delivered, a.delivered);
+  EXPECT_EQ(b.duplicated, a.duplicated);
+  EXPECT_EQ(b.dropped, a.dropped);
+  EXPECT_EQ(b.dead_lettered, 0u);
+  EXPECT_EQ(
+      timed.telemetry.metrics.histogram("fnda_queue_batch_size").count(),
+      plain.telemetry.metrics.histogram("fnda_queue_batch_size").count());
+}
+
+TEST(MessageBusTest, TimerReachesTheEndpointAtItsTarget) {
+  EventQueue queue;
+  MessageBus bus(queue, quiet_bus(), Rng(1));
+  TimerLog a;
+  TimerLog b;
+  bus.attach("a", a);
+  const AddressId at_b = bus.attach("b", b);
+  queue.schedule_timer(SimTime{70},
+                       Timer{Timer::Kind::kAnnounce, at_b, 0xfeedull});
+  EXPECT_EQ(queue.run(), 1u);
+  EXPECT_TRUE(a.fired.empty());
+  ASSERT_EQ(b.fired.size(), 1u);
+  EXPECT_EQ(b.fired[0].kind, Timer::Kind::kAnnounce);
+  EXPECT_EQ(b.fired[0].target, at_b);
+  EXPECT_EQ(b.fired[0].word, 0xfeedull);
+  EXPECT_EQ(queue.now(), SimTime{70});
+}
+
+TEST(MessageBusTest, TimerWithNothingAttachedIsDropped) {
+  EventQueue queue;
+  MessageBus bus(queue, quiet_bus(), Rng(1));
+  TimerLog log;
+  const AddressId gone = bus.attach("gone", log);
+  bus.detach(gone);
+  const AddressId never = bus.intern("never-attached");
+  queue.schedule_timer(SimTime{1}, Timer{Timer::Kind::kRetry, gone, 1});
+  queue.schedule_timer(SimTime{2}, Timer{Timer::Kind::kRetry, never, 2});
+  queue.schedule_timer(SimTime{3}, Timer{Timer::Kind::kRetry, AddressId{999}, 3});
+  EXPECT_EQ(queue.run(), 3u);
+  EXPECT_TRUE(log.fired.empty());
+  EXPECT_EQ(bus.stats().sent, 0u);
+  EXPECT_EQ(bus.stats().dead_lettered, 0u);
 }
 
 }  // namespace

@@ -4,10 +4,44 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
+
+#include "timer_callbacks.h"
 
 namespace fnda {
 namespace {
+
+/// Records what the queue hands its sink, in order: each timer's word,
+/// and a log line per timer and per delivery run.
+class RecordingSink final : public EventQueue::DeliverySink {
+ public:
+  explicit RecordingSink(EventQueue& queue) { queue.set_delivery_sink(this); }
+
+  void deliver_run(SimTime, const EventQueue::Delivery* run,
+                   std::size_t count) override {
+    std::string line = "run";
+    for (std::size_t i = 0; i < count; ++i) {
+      line += " " + std::to_string(run[i].slot);
+    }
+    log.push_back(line);
+  }
+  void fire(const Timer& timer) override {
+    words.push_back(timer.word);
+    log.push_back("timer " + std::to_string(timer.word));
+  }
+
+  std::vector<std::uint64_t> words;
+  std::vector<std::string> log;
+};
+
+void schedule(EventQueue& queue, std::int64_t at, std::uint64_t word) {
+  queue.schedule_timer(SimTime{at},
+                       Timer{Timer::Kind::kRetry, AddressId{0}, word});
+}
+
+using Words = std::vector<std::uint64_t>;
 
 TEST(SimTimeTest, ArithmeticAndFactories) {
   EXPECT_EQ(SimTime::millis(2).micros, 2000);
@@ -19,30 +53,32 @@ TEST(SimTimeTest, ArithmeticAndFactories) {
 
 TEST(EventQueueTest, ExecutesInTimeOrder) {
   EventQueue queue;
-  std::vector<int> order;
-  queue.schedule_at(SimTime{30}, [&] { order.push_back(3); });
-  queue.schedule_at(SimTime{10}, [&] { order.push_back(1); });
-  queue.schedule_at(SimTime{20}, [&] { order.push_back(2); });
+  RecordingSink sink(queue);
+  schedule(queue, 30, 3);
+  schedule(queue, 10, 1);
+  schedule(queue, 20, 2);
   EXPECT_EQ(queue.run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sink.words, (Words{1, 2, 3}));
   EXPECT_EQ(queue.now(), SimTime{30});
 }
 
 TEST(EventQueueTest, FifoAmongEqualTimes) {
   EventQueue queue;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    queue.schedule_at(SimTime{100}, [&order, i] { order.push_back(i); });
-  }
+  RecordingSink sink(queue);
+  for (std::uint64_t i = 0; i < 5; ++i) schedule(queue, 100, i);
   queue.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sink.words, (Words{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
+  // A handler schedules relative to the queue's clock while it runs.
   EventQueue queue;
+  TimerCallbacks timers;
+  queue.set_delivery_sink(&timers);
   SimTime observed{-1};
-  queue.schedule_at(SimTime{50}, [&] {
-    queue.schedule_after(SimTime{25}, [&] { observed = queue.now(); });
+  timers.schedule(queue, SimTime{50}, [&] {
+    timers.schedule(queue, queue.now() + SimTime{25},
+                    [&] { observed = queue.now(); });
   });
   queue.run();
   EXPECT_EQ(observed, SimTime{75});
@@ -50,9 +86,11 @@ TEST(EventQueueTest, ScheduleAfterUsesCurrentTime) {
 
 TEST(EventQueueTest, PastSchedulingClampsToNow) {
   EventQueue queue;
+  TimerCallbacks timers;
+  queue.set_delivery_sink(&timers);
   bool ran = false;
-  queue.schedule_at(SimTime{100}, [&] {
-    queue.schedule_at(SimTime{10}, [&] {
+  timers.schedule(queue, SimTime{100}, [&] {
+    timers.schedule(queue, SimTime{10}, [&] {
       ran = true;
       EXPECT_EQ(queue.now(), SimTime{100});
     });
@@ -63,20 +101,22 @@ TEST(EventQueueTest, PastSchedulingClampsToNow) {
 
 TEST(EventQueueTest, StepReturnsFalseWhenEmpty) {
   EventQueue queue;
+  RecordingSink sink(queue);
   EXPECT_FALSE(queue.step());
-  queue.schedule_at(SimTime{1}, [] {});
+  schedule(queue, 1, 0);
   EXPECT_TRUE(queue.step());
   EXPECT_FALSE(queue.step());
+  EXPECT_EQ(sink.words, (Words{0}));
 }
 
 TEST(EventQueueTest, RunUntilStopsAtBoundary) {
   EventQueue queue;
-  int count = 0;
-  queue.schedule_at(SimTime{10}, [&] { ++count; });
-  queue.schedule_at(SimTime{20}, [&] { ++count; });
-  queue.schedule_at(SimTime{30}, [&] { ++count; });
+  RecordingSink sink(queue);
+  schedule(queue, 10, 10);
+  schedule(queue, 20, 20);
+  schedule(queue, 30, 30);
   EXPECT_EQ(queue.run_until(SimTime{20}), 2u);
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(sink.words, (Words{10, 20}));
   EXPECT_EQ(queue.pending(), 1u);
 }
 
@@ -85,44 +125,44 @@ TEST(EventQueueTest, PushBehindDrainPositionStaysOrdered) {
   // current bucket.  A push landing between the two (here: at the exact
   // instant just executed) must still fire before everything later.
   EventQueue queue;
-  std::vector<int> order;
-  queue.schedule_at(SimTime{10}, [&] { order.push_back(1); });
-  queue.schedule_at(SimTime{200}, [&] { order.push_back(3); });
+  RecordingSink sink(queue);
+  schedule(queue, 10, 1);
+  schedule(queue, 200, 3);
   EXPECT_EQ(queue.run_until(SimTime{50}), 1u);
   EXPECT_EQ(queue.now(), SimTime{10});
-  queue.schedule_at(SimTime{10}, [&] { order.push_back(2); });
+  schedule(queue, 10, 2);
   queue.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sink.words, (Words{1, 2, 3}));
 }
 
 TEST(EventQueueTest, OrderHoldsAcrossBucketAndHorizonBoundaries) {
   // Events straddling wheel buckets (256 us) and the wheel horizon
   // (~262 ms) interleave back into exact time order.
   EventQueue queue;
-  std::vector<std::int64_t> order;
-  const std::vector<std::int64_t> times = {
-      300'000'000, 255, 256, 1'000'000, 257, 262'144, 3, 262'143, 500'000'000};
-  for (const std::int64_t t : times) {
-    queue.schedule_at(SimTime{t}, [&order, t] { order.push_back(t); });
+  RecordingSink sink(queue);
+  const Words times = {300'000'000, 255, 256,     1'000'000,  257,
+                       262'144,     3,   262'143, 500'000'000};
+  for (const std::uint64_t t : times) {
+    schedule(queue, static_cast<std::int64_t>(t), t);
   }
   EXPECT_EQ(queue.run(), times.size());
-  std::vector<std::int64_t> expected = times;
+  Words expected = times;
   std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(order, expected);
+  EXPECT_EQ(sink.words, expected);
 }
 
 TEST(EventQueueTest, NextTimePeeksWithoutExecuting) {
   EventQueue queue;
+  RecordingSink sink(queue);
   EXPECT_EQ(queue.next_time(), std::nullopt);
-  bool ran = false;
-  queue.schedule_at(SimTime{42}, [&] { ran = true; });
-  queue.schedule_at(SimTime{7}, [] {});
+  schedule(queue, 42, 42);
+  schedule(queue, 7, 7);
   ASSERT_TRUE(queue.next_time().has_value());
   EXPECT_EQ(queue.next_time()->micros, 7);
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(sink.words.empty());
   EXPECT_EQ(queue.now(), SimTime{0});  // peeking does not advance the clock
   EXPECT_EQ(queue.run(), 2u);
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(sink.words, (Words{7, 42}));
   EXPECT_EQ(queue.next_time(), std::nullopt);
 }
 
@@ -130,23 +170,38 @@ TEST(EventQueueTest, RunUntilBoundsBatchedSameInstantWork) {
   // Entries sharing a timestamp drain as one batch; the `until` bound must
   // still cut between instants, never mid-check into the next one.
   EventQueue queue;
-  std::vector<std::int64_t> order;
-  for (int i = 0; i < 3; ++i) {
-    queue.schedule_at(SimTime{10}, [&] { order.push_back(10); });
+  RecordingSink sink(queue);
+  for (std::uint32_t slot = 0; slot < 3; ++slot) {
+    queue.schedule_delivery(SimTime{10}, slot, 1);
   }
-  queue.schedule_at(SimTime{11}, [&] { order.push_back(11); });
+  schedule(queue, 11, 11);
   EXPECT_EQ(queue.run_until(SimTime{10}), 3u);
-  EXPECT_EQ(order, (std::vector<std::int64_t>{10, 10, 10}));
+  EXPECT_EQ(sink.log, (std::vector<std::string>{"run 0 1 2"}));
   EXPECT_EQ(queue.run_until(SimTime{11}), 1u);
-  EXPECT_EQ(order, (std::vector<std::int64_t>{10, 10, 10, 11}));
+  EXPECT_EQ(sink.log, (std::vector<std::string>{"run 0 1 2", "timer 11"}));
+}
+
+TEST(EventQueueTest, TimerBreaksASameInstantDeliveryRun) {
+  // A delivery, a timer and a delivery at one instant with one key: the
+  // timer ends the first run, and the sink sees all three in push order.
+  EventQueue queue;
+  RecordingSink sink(queue);
+  queue.schedule_delivery(SimTime{40}, 0, 5);
+  schedule(queue, 40, 9);
+  queue.schedule_delivery(SimTime{40}, 1, 5);
+  EXPECT_EQ(queue.run(), 3u);
+  EXPECT_EQ(sink.log,
+            (std::vector<std::string>{"run 0", "timer 9", "run 1"}));
 }
 
 TEST(EventQueueTest, RunCapGuardsAgainstLoops) {
   EventQueue queue;
+  TimerCallbacks timers;
+  queue.set_delivery_sink(&timers);
   std::function<void()> reschedule = [&] {
-    queue.schedule_after(SimTime{1}, reschedule);
+    timers.schedule(queue, queue.now() + SimTime{1}, reschedule);
   };
-  queue.schedule_at(SimTime{0}, reschedule);
+  timers.schedule(queue, SimTime{0}, reschedule);
   EXPECT_EQ(queue.run(100), 100u);
   EXPECT_GE(queue.pending(), 1u);
 }

@@ -35,6 +35,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -125,17 +126,22 @@ TEST(ExchangeFootprintTest, IsolatedExchangeReservesNoCrossShardRing) {
 }
 
 /// The ZI session run_throughput_session drives at its defaults (10k
-/// traders on 4 shards at 1 thread), run for 26 rounds.
+/// traders on 4 shards at 1 thread), run for 26 rounds.  A lossy bus
+/// drops `drop` of the messages, and a nonzero `retry_interval` arms a
+/// retry timer for every bid submitted.
 constexpr std::size_t kRounds = 26;
 
 std::unique_ptr<MultiServerExchange> zi_exchange(
-    const DoubleAuctionProtocol& protocol) {
+    const DoubleAuctionProtocol& protocol, double drop = 0.0,
+    SimTime retry_interval = SimTime{0}) {
   const ThroughputConfig zi;
   MultiExchangeConfig config;
   config.shards = zi.shards;
   config.threads = zi.threads;
   config.bus.base_latency = zi.base_latency;
   config.bus.jitter = zi.jitter;
+  config.bus.drop_probability = drop;
+  config.client.retry_interval = retry_interval;
   config.server.domain =
       ValueDomain{Money::from_units(0), Money::from_units(zi.value_high)};
   config.server.retained_rounds = zi.retained_rounds;
@@ -147,24 +153,38 @@ std::unique_ptr<MultiServerExchange> zi_exchange(
 TEST(ExchangeFootprintTest, TraderPopulationAllocatesPerShardNotPerTrader) {
   const ThroughputConfig zi;
   const TpdProtocol tpd(Money::from_units(50));
-  const std::unique_ptr<MultiServerExchange> exchange = zi_exchange(tpd);
+  // The second input loses 2% of messages and retries unacked bids every
+  // 5 ms, so every submit also arms a retry timer.
+  struct Input {
+    double drop;
+    SimTime retry_interval;
+  };
+  for (const Input input :
+       {Input{0.0, SimTime{0}}, Input{0.02, SimTime::millis(5)}}) {
+    SCOPED_TRACE("drop " + std::to_string(input.drop) + ", retry every " +
+                 std::to_string(input.retry_interval.micros) + " us");
+    const std::unique_ptr<MultiServerExchange> exchange =
+        zi_exchange(tpd, input.drop, input.retry_interval);
 
-  std::size_t before = g_allocations.load();
-  exchange->add_zi_traders(zi.clients, zi.value_low, zi.value_high, kRounds);
-  const std::size_t populate = g_allocations.load() - before;
-  EXPECT_LE(populate, 15'000u)
-      << "adding " << zi.clients << " traders allocated " << populate
-      << " times";
+    std::size_t before = g_allocations.load();
+    exchange->add_zi_traders(zi.clients, zi.value_low, zi.value_high,
+                             kRounds);
+    const std::size_t populate = g_allocations.load() - before;
+    EXPECT_LE(populate, 15'000u)
+        << "adding " << zi.clients << " traders allocated " << populate
+        << " times";
 
-  for (std::size_t round = 0; round < kRounds; ++round) {
-    before = g_allocations.load();
-    exchange->run_round(zi.open_for);
-    const std::size_t allocations = g_allocations.load() - before;
-    // Round 0 sizes every per-round buffer (book lanes, envelope slab,
-    // round arenas) for the first time; later rounds reuse them.
-    if (round == 0) continue;
-    EXPECT_LE(allocations, 400u)
-        << "round " << round << " allocated " << allocations << " times";
+    for (std::size_t round = 0; round < kRounds; ++round) {
+      before = g_allocations.load();
+      exchange->run_round(zi.open_for);
+      const std::size_t allocations = g_allocations.load() - before;
+      // Round 0 sizes every per-round buffer (book lanes, envelope slab,
+      // submitted tables, retry rows) for the first time; later rounds
+      // reuse them.
+      if (round == 0) continue;
+      EXPECT_LE(allocations, 400u)
+          << "round " << round << " allocated " << allocations << " times";
+    }
   }
 }
 
@@ -194,6 +214,7 @@ class RecordingSink final : public EventQueue::DeliverySink {
                    std::size_t count) override {
     for (std::size_t i = 0; i < count; ++i) slots.push_back(run[i].slot);
   }
+  void fire(const Timer&) override {}
 
   std::vector<std::uint32_t> slots;
 };

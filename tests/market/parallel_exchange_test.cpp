@@ -7,9 +7,11 @@
 // propagate cleanly.
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "market/multi_exchange.h"
 #include "market/throughput.h"
 #include "protocols/tpd.h"
+#include "timer_callbacks.h"
 
 namespace fnda {
 namespace {
@@ -437,12 +440,25 @@ TEST(ParallelExchangeTest, MergedAuditTailMatchesMergedAuditSuffix) {
 // Two shard worlds as the exchange builds them: one event queue and one
 // shard-local bus each, over one shared AddressSpace.
 
+// Each shard's bus carries a test endpoint whose timers run closures.
+
 struct ShardPair {
   AddressSpace addresses;
   EventQueue queue_a;
   EventQueue queue_b;
   MessageBus bus_a{queue_a, BusConfig{}, Rng(3), addresses, 0};
   MessageBus bus_b{queue_b, BusConfig{}, Rng(4), addresses, 1};
+  TimerCallbacks timers_a;
+  TimerCallbacks timers_b;
+  AddressId timers_at_a = bus_a.attach("timers-a", timers_a);
+  AddressId timers_at_b = bus_b.attach("timers-b", timers_b);
+
+  void on_a(SimTime at, std::function<void()> callback) {
+    timers_a.schedule(queue_a, at, std::move(callback), timers_at_a);
+  }
+  void on_b(SimTime at, std::function<void()> callback) {
+    timers_b.schedule(queue_b, at, std::move(callback), timers_at_b);
+  }
 
   EpochDriver driver(bool adaptive = true) {
     return EpochDriver({&queue_a, &queue_b}, SimTime{1000}, adaptive);
@@ -462,14 +478,12 @@ struct FloodSource : Endpoint {
 TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     ShardPair pair;
-    pair.queue_a.schedule_at(SimTime{5}, [] {
-      throw std::runtime_error("torn epoch");
-    });
+    pair.on_a(SimTime{5}, [] { throw std::runtime_error("torn epoch"); });
     bool other_ran = false;
-    pair.queue_b.schedule_at(SimTime{5}, [&] { other_ran = true; });
+    pair.on_b(SimTime{5}, [&] { other_ran = true; });
     // Work far in the future that must never run once shard 0 failed.
     bool late_ran = false;
-    pair.queue_b.schedule_at(SimTime::seconds(10), [&] { late_ran = true; });
+    pair.on_b(SimTime::seconds(10), [&] { late_ran = true; });
 
     EpochDriver driver = pair.driver(/*adaptive=*/false);
     EXPECT_THROW(driver.drive(threads), std::runtime_error)
@@ -487,16 +501,13 @@ TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
 TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     ShardPair pair;
-    pair.queue_a.schedule_at(SimTime{5}, [] {
-      throw std::runtime_error("torn epoch");
-    });
+    pair.on_a(SimTime{5}, [] { throw std::runtime_error("torn epoch"); });
     bool failing_later_ran = false;
-    pair.queue_a.schedule_at(SimTime{6}, [&] { failing_later_ran = true; });
+    pair.on_a(SimTime{6}, [&] { failing_later_ran = true; });
     bool other_ran = false;
-    pair.queue_b.schedule_at(SimTime{5}, [&] { other_ran = true; });
+    pair.on_b(SimTime{5}, [&] { other_ran = true; });
     bool other_late_ran = false;
-    pair.queue_b.schedule_at(SimTime::seconds(10),
-                             [&] { other_late_ran = true; });
+    pair.on_b(SimTime::seconds(10), [&] { other_late_ran = true; });
 
     EpochDriver driver = pair.driver(/*adaptive=*/true);
     EXPECT_THROW(driver.drive(threads), std::runtime_error)
@@ -510,14 +521,14 @@ TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
 // Drive after a failed drive keeps working (errors are per-drive state).
 TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
   ShardPair pair;
-  pair.queue_a.schedule_at(SimTime{1}, [] { throw std::logic_error("boom"); });
+  pair.on_a(SimTime{1}, [] { throw std::logic_error("boom"); });
   EpochDriver driver = pair.driver(/*adaptive=*/false);
   EXPECT_THROW(driver.drive(1), std::logic_error);
 
   bool ran_a = false;
   bool ran_b = false;
-  pair.queue_a.schedule_at(SimTime{2}, [&] { ran_a = true; });
-  pair.queue_b.schedule_at(SimTime{2}, [&] { ran_b = true; });
+  pair.on_a(SimTime{2}, [&] { ran_a = true; });
+  pair.on_b(SimTime{2}, [&] { ran_b = true; });
   driver.drive(1);
   EXPECT_TRUE(ran_a);
   EXPECT_TRUE(ran_b);
@@ -580,7 +591,7 @@ TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
     FloodSource sink;
     const AddressId from = pair.bus_a.attach("source", source);
     const AddressId to = pair.bus_b.attach("sink", sink);
-    pair.queue_a.schedule_at(SimTime{1}, [&] {
+    pair.on_a(SimTime{1}, [&] {
       pair.bus_a.send(from, to, RoundOpenMsg{RoundId{0}, SimTime{1}});
     });
 
@@ -607,10 +618,8 @@ TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
   std::vector<std::int64_t> ran_a;
   std::vector<std::int64_t> ran_b;
   for (std::int64_t t = 10; t <= 50'010; t += 5'000) {
-    pair.queue_a.schedule_at(SimTime{t}, [&ran_a, t] { ran_a.push_back(t); });
-    pair.queue_b.schedule_at(SimTime{t + 3}, [&ran_b, t] {
-      ran_b.push_back(t + 3);
-    });
+    pair.on_a(SimTime{t}, [&ran_a, t] { ran_a.push_back(t); });
+    pair.on_b(SimTime{t + 3}, [&ran_b, t] { ran_b.push_back(t + 3); });
   }
 
   EpochDriver driver = pair.driver();
