@@ -329,7 +329,8 @@ int main(int argc, char** argv) {
                      after.elapsed * 1e9,
                      1,
                      after_rate,
-                     {{"messages", static_cast<double>(after.messages)}}});
+                     {{"messages", static_cast<double>(after.messages)}},
+                     {}});
   std::cout << "market substrate:  " << after.messages << " messages in "
             << after.elapsed << " s  (" << after_rate << " msg/s)\n";
 
@@ -368,7 +369,8 @@ int main(int argc, char** argv) {
         {"adaptive", adaptive ? 1.0 : 0.0},
         {"epoch_epochs", static_cast<double>(result.epoch.epochs)},
         {"epoch_barriers", static_cast<double>(result.epoch.barriers)},
-        {"epoch_widened", static_cast<double>(result.epoch.widened)}}});
+        {"epoch_widened", static_cast<double>(result.epoch.widened)}},
+       {}});
   std::cout << "full session:      " << result.bus.sent << " messages, "
             << result.bids_accepted << " bids, " << result.trades
             << " trades across " << result.shards << " shards on "
@@ -416,7 +418,8 @@ int main(int argc, char** argv) {
          gate_best,
          {{"messages", static_cast<double>(gate_messages)},
           {"threads", 1.0},
-          {"shards", static_cast<double>(gate.shards)}}});
+          {"shards", static_cast<double>(gate.shards)}},
+         {}});
     std::cout << "hot-path gate:     " << ns_per_message
               << " ns/message (1 thread, best of " << reps << ")\n";
     if (assert_ns_per_message >= 0.0 &&
@@ -507,7 +510,8 @@ int main(int argc, char** argv) {
              static_cast<double>(sample.book.entries_shifted)},
             {"chunk_splits", static_cast<double>(sample.book.chunk_splits)},
             {"sorts_at_close",
-             static_cast<double>(sample.book.sorts_at_close)}}});
+             static_cast<double>(sample.book.sorts_at_close)}},
+           {}});
       std::cout << "  " << bids << " bids/round x " << sample.rounds
                 << " rounds: " << best_rate << " bids/s, "
                 << (static_cast<double>(sample.book.entries_shifted) /
@@ -532,7 +536,8 @@ int main(int argc, char** argv) {
            seed_ns,
            timing.iterations,
            static_cast<double>(bids) * iters / timing.seed_close,
-           {{"bids_per_round", static_cast<double>(bids)}}});
+           {{"bids_per_round", static_cast<double>(bids)}},
+           {}});
       records.push_back(
           {"round_clear_live/" + std::to_string(bids),
            live_ns,
@@ -542,7 +547,8 @@ int main(int argc, char** argv) {
             {"submit_ns_per_round", submit_ns},
             {"close_speedup", seed_ns / live_ns},
             {"sorts_at_close",
-             static_cast<double>(timing.book.sorts_at_close)}}});
+             static_cast<double>(timing.book.sorts_at_close)}},
+           {}});
       std::cout << "  " << bids << " bids: sort-at-close " << seed_ns
                 << " ns/round, live close " << live_ns
                 << " ns/round (x" << seed_ns / live_ns << "), live submit "
@@ -742,14 +748,16 @@ int main(int argc, char** argv) {
          static_cast<double>(session_messages) / best_off * 1e9,
          1,
          best_off,
-         {{"messages", static_cast<double>(session_messages)}}});
+         {{"messages", static_cast<double>(session_messages)}},
+         {}});
     records.push_back(
         {"market_session_telemetry/on" + size_suffix,
          static_cast<double>(session_messages) / best_on * 1e9,
          1,
          best_on,
          {{"messages", static_cast<double>(session_messages)},
-          {"ab_overhead_pct", ab_overhead_pct}}});
+          {"ab_overhead_pct", ab_overhead_pct}},
+         {}});
     records.push_back(
         {"telemetry_hot_path",
          instrument_ns_per_group,
@@ -757,7 +765,8 @@ int main(int argc, char** argv) {
          1e9 / instrument_ns_per_group,
          {{"ns_per_group", instrument_ns_per_group},
           {"session_ns_per_message", session_ns_per_message},
-          {"overhead_pct", hot_overhead_pct}}});
+          {"overhead_pct", hot_overhead_pct}},
+         {}});
     std::cout << "telemetry session A/B (median of " << reps
               << " paired reps): off " << best_off << " msg/s, on " << best_on
               << " msg/s, delta " << ab_overhead_pct << "%\n";

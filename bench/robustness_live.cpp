@@ -196,7 +196,8 @@ int main(int argc, char** argv) {
         {"shards", static_cast<double>(session.shards)},
         {"threads", static_cast<double>(session.threads)},
         {"search_threads", static_cast<double>(session.search_threads)},
-        {"warm", config.warm ? 1.0 : 0.0}}});
+        {"warm", config.warm ? 1.0 : 0.0}},
+       {}});
   std::cout << "live session:     " << session.honest << " honest + "
             << session.attackers << " attackers, " << session.rounds
             << " rounds, " << session.trades << " trades, digest 0x"
@@ -255,7 +256,8 @@ int main(int argc, char** argv) {
                        0.0,
                        {{"warm_search_ns", static_cast<double>(warm_ns)},
                         {"cold_search_ns", static_cast<double>(cold_ns)},
-                        {"warm_speedup", speedup}}});
+                        {"warm_speedup", speedup}},
+                       {}});
     std::cout << "warm speedup:     cold "
               << static_cast<double>(cold_ns) / 1e6 << " ms vs warm "
               << static_cast<double>(warm_ns) / 1e6 << " ms -> x" << speedup
@@ -290,7 +292,8 @@ int main(int argc, char** argv) {
          honest.bus.sent,
          1e9 / std::max(honest_ns_per_message, 1e-9),
          {{"messages", static_cast<double>(honest.bus.sent)},
-          {"trades", static_cast<double>(honest.trades)}}});
+          {"trades", static_cast<double>(honest.trades)}},
+         {}});
     std::cout << "honest hot path:  " << honest_ns_per_message
               << " ns/message (" << honest.bus.sent << " messages, best of "
               << reps << ")\n";

@@ -14,6 +14,32 @@ void check_domain(const ValueDomain& domain) {
   }
 }
 
+/// Lanes up to this length are ranked by insertion sort instead of
+/// std::stable_sort, which takes a temporary buffer from the heap per
+/// call; longer lanes (Figure 1's n = 500 books) keep std::stable_sort.
+constexpr std::size_t kInsertionRankMax = 64;
+
+/// Stable sort of `lane` by `before` (a strict order on values).
+/// Insertion sort only moves an entry past entries it strictly precedes,
+/// so equal values keep their order, exactly as std::stable_sort leaves
+/// them.
+template <typename Before>
+void stable_rank(std::vector<BidEntry>& lane, Before before) {
+  if (lane.size() > kInsertionRankMax) {
+    std::stable_sort(lane.begin(), lane.end(), before);
+    return;
+  }
+  for (std::size_t i = 1; i < lane.size(); ++i) {
+    const BidEntry entry = lane[i];
+    std::size_t j = i;
+    while (j > 0 && before(entry, lane[j - 1])) {
+      lane[j] = lane[j - 1];
+      --j;
+    }
+    lane[j] = entry;
+  }
+}
+
 }  // namespace
 
 OrderBook::OrderBook(ValueDomain domain) : domain_(domain) {
@@ -50,14 +76,12 @@ void SortedBook::rebuild(const OrderBook& book, Rng& rng) {
   // by value only.  Equal-valued bids end up in the shuffled order.
   rng.shuffle(buyers_.begin(), buyers_.end());
   rng.shuffle(sellers_.begin(), sellers_.end());
-  std::stable_sort(buyers_.begin(), buyers_.end(),
-                   [](const BidEntry& a, const BidEntry& b) {
-                     return a.value > b.value;
-                   });
-  std::stable_sort(sellers_.begin(), sellers_.end(),
-                   [](const BidEntry& a, const BidEntry& b) {
-                     return a.value < b.value;
-                   });
+  stable_rank(buyers_, [](const BidEntry& a, const BidEntry& b) {
+    return a.value > b.value;
+  });
+  stable_rank(sellers_, [](const BidEntry& a, const BidEntry& b) {
+    return a.value < b.value;
+  });
 }
 
 namespace {

@@ -82,8 +82,10 @@ class SortedBook {
   SortedBook(const OrderBook& book, Rng& rng);
 
   /// Re-ranks `book` in place, reusing this object's buffers (no
-  /// allocation once capacity has grown to the workload's book size).
-  /// Equivalent to assigning a freshly constructed SortedBook.
+  /// allocation once capacity has grown to the workload's book size,
+  /// for lanes of up to 64 entries; longer lanes rank through
+  /// std::stable_sort and its temporary buffer).  Equivalent to
+  /// assigning a freshly constructed SortedBook.
   void rebuild(const OrderBook& book, Rng& rng);
 
   /// Adopts vectors that are ALREADY ranked (buyers descending, sellers

@@ -33,8 +33,8 @@ constexpr std::uint64_t kStreamGamma = 0x9e3779b97f4a7c15ULL;
 
 /// Per-worker reusable buffers: the truthful book, its shared ranking and
 /// the validation lookups are refilled in place each instance, so
-/// steady-state scoring allocates only the drawn instance, the ranking's
-/// stable-sort buffers and the outcomes.
+/// steady-state scoring allocates only the drawn instance's value vectors
+/// and the outcomes' fills.
 struct ClearScratch {
   OrderBook book;
   SortedBook sorted;

@@ -9,64 +9,81 @@
 
 namespace fnda {
 
-TpdSweepBook::TpdSweepBook(const SortedBook& book) {
-  buyers_desc_.reserve(book.buyer_count());
-  for (const BidEntry& entry : book.buyers()) {
-    buyers_desc_.push_back(entry.value.micros());
-  }
-  sellers_asc_.reserve(book.seller_count());
-  for (const BidEntry& entry : book.sellers()) {
-    sellers_asc_.push_back(entry.value.micros());
-  }
+namespace {
+
+/// Length of the lane buffer for `buyers` x `sellers`: both lanes plus
+/// min(m, n) + 1 prefix sums.
+std::size_t lane_buffer_size(std::size_t buyers, std::size_t sellers) {
+  return buyers + sellers + std::min(buyers, sellers) + 1;
+}
+
+}  // namespace
+
+TpdSweepBook::TpdSweepBook(const SortedBook& book)
+    : lanes_(lane_buffer_size(book.buyer_count(), book.seller_count())),
+      buyer_count_(book.buyer_count()),
+      seller_count_(book.seller_count()) {
+  auto micros = [](const BidEntry& entry) { return entry.value.micros(); };
+  const auto sellers = std::transform(book.buyers().begin(),
+                                      book.buyers().end(), lanes_.begin(),
+                                      micros);
+  std::transform(book.sellers().begin(), book.sellers().end(), sellers,
+                 micros);
   prepare();
 }
 
-TpdSweepBook::TpdSweepBook(const SingleUnitInstance& instance) {
-  buyers_desc_.reserve(instance.buyer_values.size());
-  for (const Money value : instance.buyer_values) {
-    buyers_desc_.push_back(value.micros());
-  }
-  sellers_asc_.reserve(instance.seller_values.size());
-  for (const Money value : instance.seller_values) {
-    sellers_asc_.push_back(value.micros());
-  }
-  std::sort(buyers_desc_.begin(), buyers_desc_.end(), std::greater<>());
-  std::sort(sellers_asc_.begin(), sellers_asc_.end());
+TpdSweepBook::TpdSweepBook(const SingleUnitInstance& instance)
+    : lanes_(lane_buffer_size(instance.buyer_values.size(),
+                              instance.seller_values.size())),
+      buyer_count_(instance.buyer_values.size()),
+      seller_count_(instance.seller_values.size()) {
+  auto micros = [](Money value) { return value.micros(); };
+  const auto sellers =
+      std::transform(instance.buyer_values.begin(),
+                     instance.buyer_values.end(), lanes_.begin(), micros);
+  const auto prefix = std::transform(instance.seller_values.begin(),
+                                     instance.seller_values.end(), sellers,
+                                     micros);
+  std::sort(lanes_.begin(), sellers, std::greater<>());
+  std::sort(sellers, prefix);
   prepare();
 }
 
 void TpdSweepBook::prepare() {
-  const std::size_t limit = std::min(buyers_desc_.size(), sellers_asc_.size());
-  pair_surplus_prefix_.assign(limit + 1, 0);
+  const std::int64_t* buyers = lanes_.data();
+  const std::int64_t* sellers = buyers + buyer_count_;
+  std::int64_t* prefix = lanes_.data() + buyer_count_ + seller_count_;
+  const std::size_t limit = std::min(buyer_count_, seller_count_);
+  prefix[0] = 0;
   for (std::size_t t = 0; t < limit; ++t) {
-    pair_surplus_prefix_[t + 1] =
-        pair_surplus_prefix_[t] + (buyers_desc_[t] - sellers_asc_[t]);
+    prefix[t + 1] = prefix[t] + (buyers[t] - sellers[t]);
   }
 }
 
 TpdThresholdOutcome TpdSweepBook::evaluate(Money r) const {
+  const std::int64_t* buyers = lanes_.data();
+  const std::int64_t* sellers = buyers + buyer_count_;
+  const std::int64_t* prefix = sellers + seller_count_;
   // i = |{b >= r}|, j = |{s <= r}|: partition points over the ranked
   // lanes, computed by the branchless/SIMD kernel (identical to the
   // lower_bound formulation this code used to spell out).
   const std::int64_t threshold = r.micros();
-  const std::size_t i =
-      simd::count_ge_desc(buyers_desc_.data(), buyers_desc_.size(), threshold);
-  const std::size_t j =
-      simd::count_le_asc(sellers_asc_.data(), sellers_asc_.size(), threshold);
+  const std::size_t i = simd::count_ge_desc(buyers, buyer_count_, threshold);
+  const std::size_t j = simd::count_le_asc(sellers, seller_count_, threshold);
 
   TpdThresholdOutcome outcome;
   outcome.trades = std::min(i, j);
-  outcome.total = Money::from_micros(pair_surplus_prefix_[outcome.trades]);
+  outcome.total = Money::from_micros(prefix[outcome.trades]);
   if (i > j) {
     // Sellers are the short side: each buyer pays b(j+1) (>= r since
     // j + 1 <= i), each seller receives r.
     outcome.auctioneer = static_cast<std::int64_t>(j) *
-                         Money::from_micros(buyers_desc_[j] - threshold);
+                         Money::from_micros(buyers[j] - threshold);
   } else if (i < j) {
     // Buyers are the short side: each buyer pays r, each seller receives
     // s(i+1) (<= r since i + 1 <= j).
     outcome.auctioneer = static_cast<std::int64_t>(i) *
-                         Money::from_micros(threshold - sellers_asc_[i]);
+                         Money::from_micros(threshold - sellers[i]);
   }
   return outcome;
 }

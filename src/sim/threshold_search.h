@@ -66,19 +66,22 @@ class TpdSweepBook {
   /// same partition points), whichever kernel flavour is compiled.
   TpdThresholdOutcome evaluate(Money r) const;
 
-  std::size_t buyer_count() const { return buyers_desc_.size(); }
-  std::size_t seller_count() const { return sellers_asc_.size(); }
+  std::size_t buyer_count() const { return buyer_count_; }
+  std::size_t seller_count() const { return seller_count_; }
 
  private:
+  /// Fills the prefix sums behind the two ranked lanes.
   void prepare();
 
-  /// Ranked value lanes in raw micros: dense int64 arrays are what the
-  /// branchless/SIMD partition kernel (common/sweep_kernel.h) consumes.
-  std::vector<std::int64_t> buyers_desc_;  // b(1) >= b(2) >= ...
-  std::vector<std::int64_t> sellers_asc_;  // s(1) <= s(2) <= ...
-  /// pair_surplus_prefix_[t] = sum_{rank=1..t} (b(rank) - s(rank)) in
-  /// micros; index 0 is 0, length min(m, n) + 1.
-  std::vector<std::int64_t> pair_surplus_prefix_;
+  /// One buffer of raw micros laid out as [buyers desc | sellers asc |
+  /// prefix]: b(1) >= b(2) >= ..., then s(1) <= s(2) <= ..., then
+  /// prefix[t] = sum_{rank=1..t} (b(rank) - s(rank)) for t in
+  /// [0, min(m, n)].  Dense int64 lanes are what the branchless/SIMD
+  /// partition kernel (common/sweep_kernel.h) consumes, and one buffer is
+  /// one allocation per book.
+  std::vector<std::int64_t> lanes_;
+  std::size_t buyer_count_ = 0;
+  std::size_t seller_count_ = 0;
 };
 
 /// Evaluates TPD at every threshold in `thresholds` against one ranked

@@ -246,7 +246,9 @@ TEST(LiveBookTest, MultiChunkBooksMatchReferenceAndSplitChunks) {
     // All-equal books (span 0) append every entry at the lane tail, which
     // opens fresh chunks without ever splitting one; any value spread
     // forces mid-lane inserts and therefore splits at this size.
-    if (span > 0) EXPECT_GT(live.stats().chunk_splits, 0u);
+    if (span > 0) {
+      EXPECT_GT(live.stats().chunk_splits, 0u);
+    }
 
     const std::uint64_t seed = meta();
     Rng reference_rng(seed);

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <vector>
 
 namespace fnda {
 namespace {
@@ -181,6 +183,66 @@ TEST(SortedBookTest, SameSeedSameOrder) {
   const SortedBook b(book, rng2);
   for (std::size_t rank = 1; rank <= 8; ++rank) {
     EXPECT_EQ(a.buyer(rank).identity, b.buyer(rank).identity);
+  }
+}
+
+enum class LaneKind { kRandom, kTieDense, kAllEqual };
+
+Money lane_value(LaneKind kind, Rng& rng) {
+  switch (kind) {
+    case LaneKind::kRandom:
+      return Money::from_micros(
+          static_cast<std::int64_t>(rng.below(100'000'001)));
+    case LaneKind::kTieDense:
+      return Money::from_units(static_cast<std::int64_t>(rng.below(11)));
+    case LaneKind::kAllEqual:
+      break;
+  }
+  return Money::from_units(7);
+}
+
+TEST(SortedBookTest, RebuildMatchesShuffleThenStableSortOracle) {
+  // The footnote-5 ranking spelled out: copy each lane, shuffle buyers
+  // then sellers, then std::stable_sort by value.  rebuild must produce
+  // the same entries in the same order and leave the Rng in the same
+  // state, on both sides of the lane length where it stops ranking by
+  // insertion sort.
+  Rng values(0x0dd5eed);
+  for (const LaneKind kind :
+       {LaneKind::kRandom, LaneKind::kTieDense, LaneKind::kAllEqual}) {
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{63},
+          std::size_t{64}, std::size_t{65}, std::size_t{500}}) {
+      OrderBook book;
+      for (std::size_t i = 0; i < n; ++i) {
+        book.add_buyer(IdentityId{i}, lane_value(kind, values));
+        book.add_seller(IdentityId{n + i}, lane_value(kind, values));
+      }
+      const std::uint64_t seed = values();
+      Rng oracle_rng(seed);
+      std::vector<BidEntry> buyers = book.buyers();
+      std::vector<BidEntry> sellers = book.sellers();
+      oracle_rng.shuffle(buyers.begin(), buyers.end());
+      oracle_rng.shuffle(sellers.begin(), sellers.end());
+      std::stable_sort(buyers.begin(), buyers.end(),
+                       [](const BidEntry& a, const BidEntry& b) {
+                         return a.value > b.value;
+                       });
+      std::stable_sort(sellers.begin(), sellers.end(),
+                       [](const BidEntry& a, const BidEntry& b) {
+                         return a.value < b.value;
+                       });
+
+      Rng rng(seed);
+      SortedBook sorted;
+      sorted.rebuild(book, rng);
+      EXPECT_EQ(sorted.buyers(), buyers)
+          << "kind " << static_cast<int>(kind) << " n=" << n;
+      EXPECT_EQ(sorted.sellers(), sellers)
+          << "kind " << static_cast<int>(kind) << " n=" << n;
+      EXPECT_EQ(rng(), oracle_rng())
+          << "kind " << static_cast<int>(kind) << " n=" << n;
+    }
   }
 }
 

@@ -24,8 +24,10 @@
 //    allocates nothing.  The counter is atomic, so it sees the pool's
 //    worker threads too.
 //  - Monte-Carlo scoring.  run_comparison refills one book, ranking and
-//    validation scratch per instance, so an instance allocates only its
-//    drawn values, the sort buffers and the outcomes, never identity maps.
+//    validation scratch per instance, and ranks a 50-entry lane without a
+//    sort buffer, so an instance allocates only its drawn values and the
+//    outcomes, never identity maps.  A threshold-sweep book holds its
+//    ranked lanes and prefix sums in one buffer.
 #include <malloc.h>
 
 #include <algorithm>
@@ -47,6 +49,7 @@
 #include "protocols/pmd.h"
 #include "protocols/tpd.h"
 #include "sim/experiment.h"
+#include "sim/threshold_search.h"
 
 namespace {
 
@@ -348,11 +351,30 @@ TEST(MonteCarloFootprintTest, WarmComparisonAllocatesFewTimesPerInstance) {
   const ComparisonResult result = run_comparison(generator, protocols, config);
   const std::size_t allocations = g_allocations.load() - before;
   ASSERT_EQ(result.pareto.count(), kInstances);
-  // Identity maps per instance and hash tables per validation cost
-  // hundreds of allocations per instance.
-  EXPECT_LE(allocations, 8 * kInstances)
+  // About 4 per instance: the drawn instance's two value vectors and the
+  // two outcomes' fills.  Identity maps per instance and hash tables per
+  // validation cost hundreds; std::stable_sort's buffer per ranked lane
+  // would cost two more.
+  EXPECT_LE(allocations, 5 * kInstances)
       << "a warm run_comparison allocated "
       << static_cast<double>(allocations) / kInstances << " times per instance";
+}
+
+TEST(MonteCarloFootprintTest, SweepBookAllocatesOneBufferBeyondItsDraw) {
+  // paper_offline's Figure-1 sweep shape: n = m = 50 books.
+  constexpr std::size_t kBooks = 1000;
+  const InstanceGenerator generator = fixed_count_generator(50, 50);
+  const std::size_t before = g_allocations.load();
+  const std::vector<TpdSweepBook> books =
+      prepare_tpd_sweep(generator, kBooks, 11);
+  const std::size_t allocations = g_allocations.load() - before;
+  ASSERT_EQ(books.size(), kBooks);
+  // Per book: the drawn instance's two value vectors and one lane buffer
+  // for the buyers, the sellers and the prefix sums.  Three separate
+  // vectors per book would make it five.
+  EXPECT_LE(allocations, 3 * kBooks + 8)
+      << "prepare_tpd_sweep allocated "
+      << static_cast<double>(allocations) / kBooks << " times per book";
 }
 
 }  // namespace

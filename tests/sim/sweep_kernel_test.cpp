@@ -151,6 +151,118 @@ TEST(SweepKernelTest, ExtremeValuesDoNotOverflow) {
   }
 }
 
+constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+
+/// Sizes around the vector width and its unrolled step, sizes whose tail
+/// is 3, 0 and 1 entries past a 4-wide step, and one lane long enough to
+/// narrow the bracket before counting.
+const std::size_t kEdgeSizes[] = {0, 1, 2, 3, 4, 5, 63, 64, 65, 500};
+
+/// Every element and its neighbours (saturated at the int64 limits), and
+/// both limits themselves: each window endpoint +-1 is among them.
+std::vector<std::int64_t> edge_thresholds(
+    const std::vector<std::int64_t>& lane) {
+  std::vector<std::int64_t> probes{kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  for (const std::int64_t v : lane) {
+    probes.push_back(v);
+    probes.push_back(v == kMin ? v : v - 1);
+    probes.push_back(v == kMax ? v : v + 1);
+  }
+  return probes;
+}
+
+/// Sorted lane whose values sit within 3 of the given anchors, so runs of
+/// ties meet the extremes.
+std::vector<std::int64_t> anchored_lane(
+    Rng& rng, std::size_t n, const std::vector<std::int64_t>& anchors,
+    bool descending) {
+  std::vector<std::int64_t> lane;
+  lane.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t anchor = anchors[rng.below(anchors.size())];
+    const auto offset = static_cast<std::int64_t>(rng.below(4));
+    lane.push_back(anchor == kMax ? anchor - offset : anchor + offset);
+  }
+  std::sort(lane.begin(), lane.end());
+  if (descending) std::reverse(lane.begin(), lane.end());
+  return lane;
+}
+
+/// Dispatch, scalar reference and std::partition_point agree on both lanes
+/// at every edge threshold.
+void expect_edge_counts_match(const std::vector<std::int64_t>& desc,
+                              const std::vector<std::int64_t>& asc,
+                              const char* label) {
+  for (const std::int64_t r : edge_thresholds(desc)) {
+    const auto expected = static_cast<std::size_t>(
+        std::partition_point(desc.begin(), desc.end(),
+                             [r](std::int64_t v) { return v >= r; }) -
+        desc.begin());
+    EXPECT_EQ(simd::count_ge_desc(desc.data(), desc.size(), r),
+              simd::count_ge_desc_scalar(desc.data(), desc.size(), r))
+        << label << " n=" << desc.size() << " r=" << r;
+    EXPECT_EQ(simd::count_ge_desc(desc.data(), desc.size(), r), expected)
+        << label << " n=" << desc.size() << " r=" << r;
+  }
+  for (const std::int64_t r : edge_thresholds(asc)) {
+    const auto expected = static_cast<std::size_t>(
+        std::partition_point(asc.begin(), asc.end(),
+                             [r](std::int64_t v) { return v <= r; }) -
+        asc.begin());
+    EXPECT_EQ(simd::count_le_asc(asc.data(), asc.size(), r),
+              simd::count_le_asc_scalar(asc.data(), asc.size(), r))
+        << label << " n=" << asc.size() << " r=" << r;
+    EXPECT_EQ(simd::count_le_asc(asc.data(), asc.size(), r), expected)
+        << label << " n=" << asc.size() << " r=" << r;
+  }
+}
+
+TEST(SweepKernelTest, WindowEndpointThresholdsMatchScalar) {
+  // The endpoint guard returns early just outside a window and hands the
+  // rest to the subtract-and-shift count: probe both sides of each
+  // endpoint, and the int64 limits, at every edge size.
+  Rng rng(0xed6e0001);
+  for (const std::size_t n : kEdgeSizes) {
+    expect_edge_counts_match(random_lane(rng, n, -50, 50, true),
+                             random_lane(rng, n, -50, 50, false), "small");
+    expect_edge_counts_match(
+        random_lane(rng, n, 0, 100'000'000, true),
+        random_lane(rng, n, 0, 100'000'000, false), "micros");
+  }
+}
+
+TEST(SweepKernelTest, OverflowingSpreadFallsBackToScalar) {
+  // Lanes holding values near both int64 limits: max - min does not fit
+  // in int64, so a sign bit is no longer the comparison and the guard
+  // must take the scalar count.
+  Rng rng(0xed6e0002);
+  const std::vector<std::int64_t> anchors{kMin, -1, 0, kMax};
+  for (const std::size_t n : kEdgeSizes) {
+    expect_edge_counts_match(anchored_lane(rng, n, anchors, true),
+                             anchored_lane(rng, n, anchors, false), "both");
+  }
+  // The smallest overflowing spread, and the largest that still fits.
+  const std::vector<std::int64_t> overflowing_desc{kMax, 0, -1};
+  const std::vector<std::int64_t> overflowing_asc{-1, 0, kMax};
+  expect_edge_counts_match(overflowing_desc, overflowing_asc, "2^63");
+  const std::vector<std::int64_t> fitting_desc{kMax - 1, 0, -1};
+  const std::vector<std::int64_t> fitting_asc{-1, 0, kMax - 1};
+  expect_edge_counts_match(fitting_desc, fitting_asc, "2^63-1");
+}
+
+TEST(SweepKernelTest, LanesHuggingOneLimitMatchScalar) {
+  // The spread fits but every value sits at one limit, so r - 1 and
+  // r + 1 wrap in the unsigned lanes whenever r is that limit.
+  Rng rng(0xed6e0003);
+  for (const std::size_t n : kEdgeSizes) {
+    expect_edge_counts_match(anchored_lane(rng, n, {kMin}, true),
+                             anchored_lane(rng, n, {kMin}, false), "min");
+    expect_edge_counts_match(anchored_lane(rng, n, {kMax}, true),
+                             anchored_lane(rng, n, {kMax}, false), "max");
+  }
+}
+
 TEST(SweepKernelTest, NameAndLaneWidthAreConsistent) {
   // The dispatch build flavor fixes lane width and name together.
   if (simd::kernel_lane_width() == 1) {
