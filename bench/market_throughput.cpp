@@ -47,6 +47,7 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "common/worker_pool.h"
 #include "core/live_book.h"
 #include "market/bus.h"
 #include "market/clock.h"
@@ -301,8 +302,7 @@ int main(int argc, char** argv) {
 
   // Host caveats ride inside every JSON record (a row pasted into a
   // report keeps its caveat), not just on stderr.
-  const unsigned num_cpus =
-      std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t num_cpus = fnda::resolve_threads(0);
   std::vector<std::string> host_warnings;
   if (num_cpus <= 1) {
     host_warnings.push_back(

@@ -7,8 +7,8 @@
 #include <limits>
 #include <memory>
 #include <sstream>
-#include <thread>
 
+#include "common/worker_pool.h"
 #include "core/validation.h"
 #include "ops/command.h"
 #include "ops/console.h"
@@ -569,8 +569,7 @@ int cmd_market_bench(const Invocation& args, std::istream&, std::ostream& out,
   // numbers from an oversubscribed host are not parallel speedup.
   // --threads 0 resolves to hardware concurrency, so it never
   // oversubscribes.
-  const unsigned num_cpus =
-      std::max(1u, std::thread::hardware_concurrency());
+  const std::size_t num_cpus = resolve_threads(0);
   if (config.threads > num_cpus) {
     err << "warning: " << config.threads << " worker threads on a "
         << num_cpus

@@ -37,26 +37,11 @@ std::vector<BidEntry> residual_entries(const std::vector<BidEntry>& lane,
 
 AttackScheduler::AttackScheduler(MultiServerExchange& exchange,
                                  AttackSchedulerConfig config)
-    : exchange_(exchange), config_(std::move(config)) {
-  if (config_.pool_threads == 0) config_.pool_threads = 1;
+    : exchange_(exchange),
+      config_(std::move(config)),
+      pool_(std::max<std::size_t>(config_.pool_threads, 1) + 1) {
   snapshots_.resize(exchange_.shard_count());
-}
-
-AttackScheduler::~AttackScheduler() {
-  try {
-    join();
-  } catch (...) {
-    // Worker exceptions surface at the explicit join(); a scheduler torn
-    // down with searches in flight only needs the threads reaped.
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stopping_ = true;
-  }
-  wake_.notify_all();
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  scratch_.resize(pool_.lanes());
 }
 
 void AttackScheduler::add_attacker(TradingClient client) {
@@ -119,15 +104,6 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
   ++counters_.rounds;
   ++plan_rounds_;
 
-  // Start workers up to this round's fan-out (parked at the current
-  // generation, so they wait for the wake below), then wake the pool.
-  const std::size_t wanted = std::max<std::size_t>(
-      1, std::min(config_.pool_threads, plan_list_.size()));
-  while (workers_.size() < wanted) {
-    Worker& worker = *workers_.emplace_back(std::make_unique<Worker>());
-    worker.thread = std::thread(
-        [this, &worker, seen = generation_] { run_worker(worker, seen); });
-  }
   // Size every worker's scratch for the largest lanes here, whichever
   // worker ends up claiming which search.
   std::size_t most_buyers = 0;
@@ -136,43 +112,17 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
     most_buyers = std::max(most_buyers, snap.buyers.size());
     most_sellers = std::max(most_sellers, snap.sellers.size());
   }
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    worker->buyer_values.reserve(most_buyers);
-    worker->seller_values.reserve(most_sellers);
-  }
-  next_.store(0, std::memory_order_relaxed);
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    busy_ = workers_.size();
-    ++generation_;
+  for (std::size_t w = 1; w < scratch_.size(); ++w) {
+    scratch_[w].buyer_values.reserve(most_buyers);
+    scratch_[w].seller_values.reserve(most_sellers);
   }
   inflight_ = true;
-  wake_.notify_all();
+  pool_.launch(plan_list_.size(), [this](std::size_t slot, std::size_t w) {
+    search_one(attackers_[plan_list_[slot]], scratch_[w]);
+  });
 }
 
-void AttackScheduler::run_worker(Worker& worker, std::uint64_t seen) {
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [&] { return stopping_ || generation_ != seen; });
-      if (stopping_) return;
-      seen = generation_;
-    }
-    try {
-      for (;;) {
-        const std::size_t slot = next_.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= plan_list_.size()) break;
-        search_one(attackers_[plan_list_[slot]], worker);
-      }
-    } catch (...) {
-      worker.error = std::current_exception();
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (--busy_ == 0) idle_.notify_one();
-  }
-}
-
-void AttackScheduler::search_one(Attacker& attacker, Worker& worker) {
+void AttackScheduler::search_one(Attacker& attacker, Scratch& scratch) {
   const auto started = std::chrono::steady_clock::now();
   const ShardSnapshot& snap = snapshots_[attacker.shard];
   const AccountId account = attacker.client.account();
@@ -191,11 +141,11 @@ void AttackScheduler::search_one(Attacker& attacker, Worker& worker) {
   const SearchResult* hit = nullptr;
   if (config_.warm) {
     residual_values(snap.buyers, snap.buyer_owner, account,
-                    worker.buyer_values);
+                    scratch.buyer_values);
     residual_values(snap.sellers, snap.seller_owner, account,
-                    worker.seller_values);
+                    scratch.seller_values);
     hit = warm_cache_hit(protocol, domain, role, true_value,
-                         worker.buyer_values, worker.seller_values, eval,
+                         scratch.buyer_values, scratch.seller_values, eval,
                          config_.search, attacker.state);
   }
   SearchResult searched;
@@ -226,17 +176,8 @@ void AttackScheduler::search_one(Attacker& attacker, Worker& worker) {
 
 void AttackScheduler::join() {
   if (!inflight_) return;
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    idle_.wait(lock, [this] { return busy_ == 0; });
-  }
   inflight_ = false;
-  std::exception_ptr first;
-  for (const std::unique_ptr<Worker>& worker : workers_) {
-    if (!first) first = worker->error;
-    worker->error = nullptr;
-  }
-  if (first) std::rethrow_exception(first);
+  pool_.wait();
   // Fold in account order — sums of per-attacker values are independent
   // of which pool worker ran which search, so every counter here is
   // deterministic for any pool size (wall time and latency excepted).

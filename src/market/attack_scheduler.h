@@ -13,10 +13,10 @@
 //     background worker pool to run the searches.  The exchange
 //     immediately proceeds to open and drive the next round; search and
 //     clearing overlap in wall-clock time.
-//   * Parked pool.  The workers are started by the first `plan_from`
-//     and stay parked on a condition variable between rounds:
-//     `plan_from` wakes them, `join` waits until the last one parks
-//     again, and the destructor reaps them.  Each worker keeps its
+//   * Parked pool.  The searches are the blocks of a WorkerPool
+//     `launch`: its workers start at the first `plan_from` and stay
+//     parked between rounds, `join` waits for the round's last search,
+//     and destroying the scheduler reaps them.  Each worker keeps its
 //     scratch (an attacker's residual value lanes) from round to round.
 //   * Bounded staleness.  A strategy computed from round r's book is
 //     submitted for round r+1 (`apply_and_submit`, called after the
@@ -44,15 +44,10 @@
 // shrink the previously applied declaration set (`withdrawals`).
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
+#include "common/worker_pool.h"
 #include "market/multi_exchange.h"
 #include "mechanism/manipulation.h"
 #include "mechanism/search_telemetry.h"
@@ -83,7 +78,6 @@ struct AttackSchedulerConfig {
 class AttackScheduler {
  public:
   AttackScheduler(MultiServerExchange& exchange, AttackSchedulerConfig config);
-  ~AttackScheduler();
 
   AttackScheduler(const AttackScheduler&) = delete;
   AttackScheduler& operator=(const AttackScheduler&) = delete;
@@ -99,8 +93,9 @@ class AttackScheduler {
 
   /// Blocks until every in-flight search finishes and the workers are
   /// parked again, folds the counters (deterministically, in account
-  /// order), and rethrows the lowest-index worker's exception if any; the
-  /// pool stays usable for the next `plan_from`.  Idempotent.
+  /// order), and rethrows the exception of the first throwing search in
+  /// this round's plan order, if any; the pool stays usable for the next
+  /// `plan_from`.  Idempotent.
   void join();
 
   /// Installs each attacker's planned strategy and submits its latched
@@ -147,40 +142,37 @@ class AttackScheduler {
     std::uint64_t cold_runs = 0;    ///< warm=false mode bookkeeping
   };
 
-  /// One pool thread and what it keeps between rounds.
-  struct Worker {
-    std::thread thread;
+  /// What one pool worker keeps between rounds; cache-line aligned, as
+  /// the workers' scratch sits side by side.
+  struct alignas(64) Scratch {
     std::vector<Money> buyer_values;   // residual value lanes of the
     std::vector<Money> seller_values;  // attacker being searched
-    std::exception_ptr error;          // this round's first throw
   };
 
-  void run_worker(Worker& worker, std::uint64_t seen);
-  void search_one(Attacker& attacker, Worker& worker);
+  void search_one(Attacker& attacker, Scratch& scratch);
 
   MultiServerExchange& exchange_;
   AttackSchedulerConfig config_;
   std::vector<Attacker> attackers_;  // account order
   std::vector<ShardSnapshot> snapshots_;
   std::vector<std::size_t> plan_list_;  // attacker indexes searched this round
-  std::vector<std::unique_ptr<Worker>> workers_;  // stable addresses
-  std::atomic<std::size_t> next_{0};
   std::size_t plan_rounds_ = 0;
   bool inflight_ = false;
-
-  // Park/wake handshake, all guarded by `mutex_`.
-  std::mutex mutex_;
-  std::condition_variable wake_;  // plan_from -> parked workers
-  std::condition_variable idle_;  // last busy worker -> join
-  std::uint64_t generation_ = 0;  // planning rounds launched
-  std::size_t busy_ = 0;          // workers not yet parked this round
-  bool stopping_ = false;
 
   AttackSearchCounters counters_{};
   std::uint64_t search_wall_ns_ = 0;
   double planned_gain_total_ = 0.0;
   std::uint64_t profitable_searches_ = 0;
   obs::Histogram* latency_hist_ = nullptr;
+
+  /// Indexed by worker; lane 0 is the caller's, which runs no launched
+  /// search.
+  std::vector<Scratch> scratch_;
+  /// `pool_threads` background lanes plus the caller's.  Declared last,
+  /// so it is destroyed first: a scheduler torn down with searches in
+  /// flight finishes them (dropping their error) while everything they
+  /// touch is still alive, then reaps the workers.
+  WorkerPool pool_;
 };
 
 }  // namespace fnda

@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace fnda {
@@ -20,9 +19,10 @@ constexpr SimTime kUnboundedWindow{std::numeric_limits<std::int64_t>::max() /
 
 }  // namespace
 
-EpochDriver::EpochDriver(std::vector<EventQueue*> queues, SimTime lookahead,
-                         bool adaptive)
+EpochDriver::EpochDriver(std::vector<EventQueue*> queues, WorkerPool& pool,
+                         SimTime lookahead, bool adaptive)
     : queues_(std::move(queues)),
+      pool_(pool),
       lookahead_(std::max(lookahead, SimTime{1})),
       adaptive_(adaptive),
       lanes_(queues_.size()) {}
@@ -221,19 +221,18 @@ void EpochDriver::finish_run() noexcept {
   }
 }
 
-EpochStats EpochDriver::drive(std::size_t threads) {
+EpochStats EpochDriver::drive() {
   bounds_ = nullptr;
-  return drive_impl(threads);
+  return drive_impl();
 }
 
-EpochStats EpochDriver::drive_until(const std::vector<SimTime>& bounds,
-                                    std::size_t threads) {
+EpochStats EpochDriver::drive_until(const std::vector<SimTime>& bounds) {
   if (bounds.size() != queues_.size()) {
     throw std::invalid_argument("drive_until: one bound per shard required");
   }
   bounds_ = &bounds;
   try {
-    const EpochStats stats = drive_impl(threads);
+    const EpochStats stats = drive_impl();
     bounds_ = nullptr;
     return stats;
   } catch (...) {
@@ -242,10 +241,10 @@ EpochStats EpochDriver::drive_until(const std::vector<SimTime>& bounds,
   }
 }
 
-EpochStats EpochDriver::drive_impl(std::size_t threads) {
+EpochStats EpochDriver::drive_impl() {
   const std::size_t shard_count = queues_.size();
-  workers_ =
-      std::clamp<std::size_t>(threads, 1, shard_count == 0 ? 1 : shard_count);
+  const std::size_t workers =
+      std::min(pool_.lanes(), std::max<std::size_t>(shard_count, 1));
   stop_ = false;
   failed_.store(false, std::memory_order_relaxed);
   stats_ = EpochStats{};
@@ -254,12 +253,15 @@ EpochStats EpochDriver::drive_impl(std::size_t threads) {
   head_claim_.store(0, std::memory_order_relaxed);
   run_claim_.store(0, std::memory_order_relaxed);
 
-  std::barrier window_barrier(static_cast<std::ptrdiff_t>(workers_),
+  std::barrier window_barrier(static_cast<std::ptrdiff_t>(workers),
                               [this]() noexcept { advance_window(); });
-  std::barrier drain_barrier(static_cast<std::ptrdiff_t>(workers_),
+  std::barrier drain_barrier(static_cast<std::ptrdiff_t>(workers),
                              [this]() noexcept { finish_run(); });
 
-  auto worker = [&](std::size_t) {
+  // Each block parks in the barriers until every block has arrived, so a
+  // block must never wait for a free lane: issue no more blocks than the
+  // pool has lanes.
+  pool_.run_blocks(workers, [&](std::size_t, std::size_t) {
     head_phase();
     for (;;) {
       window_barrier.arrive_and_wait();  // completion step ran before release
@@ -268,19 +270,7 @@ EpochStats EpochDriver::drive_impl(std::size_t threads) {
       drain_barrier.arrive_and_wait();
       head_phase();
     }
-  };
-
-  if (workers_ == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers_ - 1);
-    for (std::size_t w = 1; w < workers_; ++w) {
-      pool.emplace_back(worker, w);
-    }
-    worker(0);
-    for (std::thread& thread : pool) thread.join();
-  }
+  });
 
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (errors_[s] != nullptr) std::rethrow_exception(errors_[s]);

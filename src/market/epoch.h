@@ -20,11 +20,15 @@
 //   4. (drain barrier, serial completion) per-shard stall accounting;
 //      the cycle repeats until no shard has a pending event.
 //
+// The workers are the lanes of the exchange's WorkerPool: each drive is
+// one run_blocks call with one block per worker, and every block runs the
+// loop above, parked in the barriers between phases.  The pool's threads
+// stay parked between drives, so a drive starts no thread.
+//
 // Dynamic claiming doubles as load balancing: when several shards close
 // rounds at the same epoch boundary, the clearing/validation work fans
-// out across the worker pool instead of serializing behind a static
-// stride, and a worker that finishes a cheap shard immediately claims
-// the next.
+// out across the workers instead of serializing behind a static stride,
+// and a worker that finishes a cheap shard immediately claims the next.
 //
 // Determinism: within a phase each claimed shard is touched by exactly
 // one worker, phases are barrier-separated, and the window is computed
@@ -40,6 +44,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/worker_pool.h"
 #include "market/clock.h"
 #include "obs/telemetry.h"
 
@@ -61,23 +66,24 @@ struct EpochStats {
   }
 };
 
-/// Drives a set of per-shard event queues to quiescence on `threads`
-/// workers.  Stateless between drives; construct once per exchange and
-/// call drive() whenever work is pending.
+/// Drives a set of per-shard event queues to quiescence on the lanes of
+/// a borrowed WorkerPool.  Stateless between drives; construct once per
+/// exchange and call drive() whenever work is pending.
 class EpochDriver {
  public:
+  /// `pool` must outlive the driver and run nothing else during a drive.
   /// `lookahead` (>= 1 µs) is the fixed window length.  `adaptive` runs
   /// each drive as one unbounded window; turning it off forces the
   /// fixed-lookahead schedule (the bench's barrier-reduction baseline).
-  EpochDriver(std::vector<EventQueue*> queues, SimTime lookahead,
-              bool adaptive = true);
+  EpochDriver(std::vector<EventQueue*> queues, WorkerPool& pool,
+              SimTime lookahead, bool adaptive = true);
 
-  /// Runs until every queue is empty.  `threads` is clamped to
-  /// [1, shard_count]; the calling thread is worker 0.  If a shard's
-  /// event handler throws, every worker stops at the next window barrier
-  /// and the lowest-shard-index exception is rethrown here — no hang, no
-  /// partial epoch on other shards beyond the one in flight.
-  EpochStats drive(std::size_t threads);
+  /// Runs until every queue is empty, on min(pool lanes, shard count)
+  /// workers; the calling thread is worker 0.  If a shard's event handler
+  /// throws, every worker stops at the next window barrier and the
+  /// lowest-shard-index exception is rethrown here — no hang, no partial
+  /// epoch on other shards beyond the one in flight.
+  EpochStats drive();
 
   /// Bounded drive: like drive(), but shard `s` executes only events
   /// strictly before `bounds[s]` (one entry per shard).  Events at or
@@ -86,8 +92,7 @@ class EpochDriver {
   /// drive()/drive_until() resumes them.  Used by the adversarial
   /// co-simulation to stop every shard mid-round (before its round
   /// close) while attack searches overlap on background threads.
-  EpochStats drive_until(const std::vector<SimTime>& bounds,
-                         std::size_t threads);
+  EpochStats drive_until(const std::vector<SimTime>& bounds);
 
   /// Wires the driver into the session telemetry: cumulative epoch,
   /// barrier-crossing, and widened-window counters (the per-drive
@@ -121,9 +126,10 @@ class EpochDriver {
   void run_phase() noexcept;
   void advance_window() noexcept;  // window barrier completion
   void finish_run() noexcept;      // drain barrier completion
-  EpochStats drive_impl(std::size_t threads);
+  EpochStats drive_impl();
 
   std::vector<EventQueue*> queues_;
+  WorkerPool& pool_;
   SimTime lookahead_;
   bool adaptive_;
   /// Per-shard execution bounds for the current drive (null: unbounded).
@@ -135,7 +141,6 @@ class EpochDriver {
   bool stop_ = false;
   EpochStats stats_;
   std::vector<ShardLane> lanes_;
-  std::size_t workers_ = 1;
   alignas(64) std::atomic<std::size_t> head_claim_{0};
   alignas(64) std::atomic<std::size_t> run_claim_{0};
   std::vector<std::exception_ptr> errors_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
-#include <thread>
 
 #include "common/fnv.h"
 
@@ -18,12 +17,8 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   if (config_.shards == 0) {
     throw std::invalid_argument("MultiServerExchange: shards must be >= 1");
   }
-  threads_ = config_.threads;
-  if (threads_ == 0) {
-    threads_ = std::thread::hardware_concurrency();
-    if (threads_ == 0) threads_ = 1;
-  }
-  threads_ = std::min(threads_, config_.shards);
+  pool_ = std::make_unique<WorkerPool>(
+      std::min(resolve_threads(config_.threads), config_.shards));
 
   // RNG derivation order is part of the replay contract.  The seed root
   // hands out one stream for the bus layer, then one server stream per
@@ -62,8 +57,8 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   queues.reserve(shards_.size());
   for (Shard& shard : shards_) queues.push_back(&shard.queue);
   const SimTime lookahead = std::max(SimTime{1}, config_.bus.base_latency);
-  driver_ = std::make_unique<EpochDriver>(std::move(queues), lookahead,
-                                          config_.adaptive_epochs);
+  driver_ = std::make_unique<EpochDriver>(std::move(queues), *pool_,
+                                          lookahead, config_.adaptive_epochs);
 
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::SessionTelemetry>(config_.shards,
@@ -181,7 +176,7 @@ std::size_t MultiServerExchange::paused_count() const {
 
 EpochStats MultiServerExchange::drive_until(
     const std::vector<SimTime>& bounds) {
-  const EpochStats stats = driver_->drive_until(bounds, threads_);
+  const EpochStats stats = driver_->drive_until(bounds);
   epoch_totals_.merge(stats);
   return stats;
 }
@@ -189,7 +184,7 @@ EpochStats MultiServerExchange::drive_until(
 void MultiServerExchange::drive_to_quiescence() {
   // One full drive's stats become last_drive_ — run_round keeps reporting
   // exactly what it always has, whether or not bounded drives preceded it.
-  last_drive_ = driver_->drive(threads_);
+  last_drive_ = driver_->drive();
   epoch_totals_.merge(last_drive_);
 }
 

@@ -150,7 +150,7 @@ class MultiServerExchange {
   /// The resolved construction config (domain, latencies, ...).
   const MultiExchangeConfig& config() const { return config_; }
   /// Resolved worker count (after 0 -> hardware, clamp to shards).
-  std::size_t thread_count() const { return threads_; }
+  std::size_t thread_count() const { return pool_->lanes(); }
   AuctionServer& server(std::size_t shard) { return *shards_[shard].server; }
   const AuctionServer& server(std::size_t shard) const {
     return *shards_[shard].server;
@@ -253,7 +253,6 @@ class MultiServerExchange {
 
   MultiExchangeConfig config_;
   const DoubleAuctionProtocol* protocol_ = nullptr;
-  std::size_t threads_ = 1;
   RuntimeConfig runtime_config_;
   std::vector<bool> paused_;
   /// Monotone open_rounds counter — the stamp runtime-config generations
@@ -265,6 +264,9 @@ class MultiServerExchange {
   /// Names and owners shared by every shard's bus; outlives the shards.
   std::unique_ptr<AddressSpace> addresses_ = std::make_unique<AddressSpace>();
   std::deque<Shard> shards_;
+  /// The shard drive's lanes (config.threads, resolved and clamped to
+  /// the shard count); outlives the driver that borrows it.
+  std::unique_ptr<WorkerPool> pool_;
   std::unique_ptr<EpochDriver> driver_;
   /// Views into the shard populations, in add order; a deque so the
   /// references add_trader returns stay valid.

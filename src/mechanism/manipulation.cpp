@@ -1,17 +1,16 @@
 #include "mechanism/manipulation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <exception>
 #include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "common/fnv.h"
+#include "common/worker_pool.h"
 
 namespace fnda {
 namespace {
@@ -304,8 +303,8 @@ void SearchStats::merge_from(const SearchStats& other) {
 // Partition: a slice is every tuple of one size sharing its first
 // alphabet index — a contiguous run of the serial order whose length is a
 // closed-form multiset count.  Slices are grouped, still in serial order,
-// into at most 64 blocks of roughly equal leaf count; workers claim
-// blocks through an atomic cursor.  Each block keeps a BLOCK-LOCAL prune
+// into at most 64 blocks of roughly equal leaf count, which a WorkerPool
+// hands out in block order.  Each block keeps a BLOCK-LOCAL prune
 // incumbent seeded from max(truthful, absence) only — never from another
 // block — so which candidates get pruned is a function of the partition
 // alone, not of thread timing.  The final best response is folded in
@@ -426,8 +425,9 @@ double strategy_bound(const SearchContext& ctx, bool tb, bool ts) {
 
 /// Per-worker search state: one incrementally patched SortedBook (and rng
 /// checkpoint ladder) per replicate.  Everything here is private to the
-/// worker; the shared residual rankings are only read.
-class BlockWorker {
+/// worker; the shared residual rankings are only read.  Cache-line
+/// aligned, since the engine keeps one per pool worker side by side.
+class alignas(64) BlockWorker {
  public:
   explicit BlockWorker(const SearchContext& ctx) : ctx_(ctx) {}
 
@@ -814,43 +814,14 @@ SearchResult find_best_deviation(const DeviationEvaluator& evaluator,
   }
 
   std::vector<BlockOutcome> outcomes(ctx.blocks.size());
-  std::size_t thread_count =
-      config.threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.threads;
-  thread_count =
-      std::max<std::size_t>(1, std::min(thread_count, ctx.blocks.size()));
-
-  std::atomic<std::size_t> next_block{0};
-  auto worker_loop = [&] {
-    BlockWorker worker(ctx);
-    while (true) {
-      const std::size_t b = next_block.fetch_add(1);
-      if (b >= ctx.blocks.size()) break;
-      worker.run_block(ctx.blocks[b].first, ctx.blocks[b].second,
-                       &outcomes[b]);
-    }
-  };
-  if (thread_count <= 1) {
-    worker_loop();
-  } else {
-    std::vector<std::thread> pool;
-    std::vector<std::exception_ptr> errors(thread_count);
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      pool.emplace_back([&, t] {
-        try {
-          worker_loop();
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& thread : pool) thread.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
+  WorkerPool pool(std::min(resolve_threads(config.threads),
+                           std::max<std::size_t>(ctx.blocks.size(), 1)));
+  std::vector<std::optional<BlockWorker>> workers(pool.lanes());
+  pool.run_blocks(ctx.blocks.size(), [&](std::size_t b, std::size_t w) {
+    if (!workers[w]) workers[w].emplace(ctx);
+    workers[w]->run_block(ctx.blocks[b].first, ctx.blocks[b].second,
+                          &outcomes[b]);
+  });
 
   // Merge in block (= serial) order with a strictly-greater test: the
   // first block whose champion achieves the maximum wins, reproducing the
@@ -866,7 +837,7 @@ SearchResult find_best_deviation(const DeviationEvaluator& evaluator,
   result.strategies_evaluated = static_cast<std::size_t>(considered);
   result.stats.strategies_enumerated = static_cast<std::size_t>(considered);
   result.stats.dedup_skipped = static_cast<std::size_t>(dedup);
-  result.stats.threads_used = thread_count;
+  result.stats.threads_used = pool.lanes();
   result.stats.wall_time_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - started)

@@ -150,8 +150,10 @@ struct SearchConfig {
   std::vector<Money> extra_candidates;
   /// Hard cap on strategies evaluated (the enumeration is combinatorial).
   std::size_t max_strategies = 250'000;
-  /// Worker threads for the engine (0 = hardware concurrency).  Results
-  /// are bit-identical for every thread count.
+  /// Lanes of the engine's call-local WorkerPool (0 = hardware
+  /// concurrency; 1 runs inline).  Results are bit-identical for every
+  /// thread count, and so is a failure: the lowest throwing block's
+  /// exception is rethrown.
   std::size_t threads = 1;
   /// Bound-based pruning via DoubleAuctionProtocol::price_bracket.  Sound
   /// (never changes the result); disable to measure its effect.

@@ -1,12 +1,11 @@
 #include "mechanism/multi_manipulation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
+#include "common/worker_pool.h"
 #include "core/instance.h"
 
 namespace fnda {
@@ -201,9 +200,10 @@ MultiSearchResult find_best_multi_deviation(
   const std::uint32_t masks =
       units == 0 ? 1u : (1u << static_cast<std::uint32_t>(units));
 
-  // Deterministic contiguous mask ranges (at most 64), claimed by workers
-  // through an atomic cursor.  `evaluate` builds all its state locally,
-  // so sharing the evaluator read-only across threads is safe.
+  // Deterministic contiguous mask ranges (at most 64), handed out in
+  // range order by a call-local WorkerPool.  `evaluate` builds all its
+  // state locally, so sharing the evaluator read-only across threads is
+  // safe.
   const std::uint32_t range_count = std::min<std::uint32_t>(64, masks);
   std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
   ranges.reserve(range_count);
@@ -217,43 +217,12 @@ MultiSearchResult find_best_multi_deviation(
   }
 
   std::vector<MaskRangeOutcome> outcomes(ranges.size());
-  std::size_t thread_count =
-      config.threads == 0
-          ? std::max<std::size_t>(1, std::thread::hardware_concurrency())
-          : config.threads;
-  thread_count =
-      std::max<std::size_t>(1, std::min(thread_count, ranges.size()));
-
-  std::atomic<std::size_t> next_range{0};
+  WorkerPool pool(std::min(resolve_threads(config.threads), ranges.size()));
   const double base_utility = result.best_utility;
-  auto worker_loop = [&] {
-    while (true) {
-      const std::size_t r = next_range.fetch_add(1);
-      if (r >= ranges.size()) break;
-      search_mask_range(evaluator, config.shade_factors, base_utility,
-                        ranges[r].first, ranges[r].second, &outcomes[r]);
-    }
-  };
-  if (thread_count <= 1) {
-    worker_loop();
-  } else {
-    std::vector<std::thread> pool;
-    std::vector<std::exception_ptr> errors(thread_count);
-    pool.reserve(thread_count);
-    for (std::size_t t = 0; t < thread_count; ++t) {
-      pool.emplace_back([&, t] {
-        try {
-          worker_loop();
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      });
-    }
-    for (std::thread& thread : pool) thread.join();
-    for (const std::exception_ptr& error : errors) {
-      if (error) std::rethrow_exception(error);
-    }
-  }
+  pool.run_blocks(ranges.size(), [&](std::size_t r, std::size_t) {
+    search_mask_range(evaluator, config.shade_factors, base_utility,
+                      ranges[r].first, ranges[r].second, &outcomes[r]);
+  });
 
   for (const MaskRangeOutcome& range : outcomes) {
     result.strategies_evaluated += range.evaluated;
@@ -265,7 +234,7 @@ MultiSearchResult find_best_multi_deviation(
   result.stats.strategies_enumerated = result.strategies_evaluated;
   result.stats.strategies_evaluated = result.strategies_evaluated;
   result.stats.clears_performed = result.strategies_evaluated;
-  result.stats.threads_used = thread_count;
+  result.stats.threads_used = pool.lanes();
   result.stats.wall_time_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - started)

@@ -88,11 +88,13 @@ struct MultiSearchConfig {
   /// Per-identity scaling factors applied to each split half (clamped to
   /// keep schedules non-increasing and non-negative).
   std::vector<double> shade_factors = {0.5, 0.75, 0.9, 1.0, 1.1, 1.5};
-  /// Worker threads over the split-mask space (0 = hardware concurrency).
-  /// Results are bit-identical for every thread count: masks are
-  /// partitioned into deterministic contiguous ranges and merged in range
-  /// order with a strictly-greater test, and `evaluate` is a pure
-  /// function of the strategy.  No pruning here — GVA payments depend on
+  /// Lanes of the call-local WorkerPool over the split-mask space (0 =
+  /// hardware concurrency; 1 runs inline).  Results are bit-identical for
+  /// every thread count: masks are partitioned into deterministic
+  /// contiguous ranges and merged in range order with a strictly-greater
+  /// test, and `evaluate` is a pure function of the strategy.  If
+  /// `evaluate` throws, the lowest throwing range's exception is rethrown,
+  /// whatever the thread count.  No pruning here — GVA payments depend on
   /// whole-book reallocations, so no cheap sound price bracket exists.
   std::size_t threads = 1;
 };

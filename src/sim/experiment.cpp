@@ -1,9 +1,8 @@
 #include "sim/experiment.h"
 
-#include <atomic>
-#include <exception>
 #include <stdexcept>
-#include <thread>
+
+#include "common/worker_pool.h"
 
 namespace fnda {
 
@@ -34,8 +33,9 @@ constexpr std::uint64_t kStreamGamma = 0x9e3779b97f4a7c15ULL;
 /// Per-worker reusable buffers: the truthful book, its shared ranking and
 /// the validation lookups are refilled in place each instance, so
 /// steady-state scoring allocates only the drawn instance's value vectors
-/// and the outcomes' fills.
-struct ClearScratch {
+/// and the outcomes' fills.  Cache-line aligned: the parallel runner keeps
+/// one per worker side by side, and each is written on every instance.
+struct alignas(64) ClearScratch {
   OrderBook book;
   SortedBook sorted;
   ValidationScratch validation;
@@ -118,10 +118,6 @@ ComparisonResult run_comparison_parallel(
     const InstanceGenerator& generator,
     const std::vector<const DoubleAuctionProtocol*>& protocols,
     const ExperimentConfig& config, std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-
   // The work is partitioned into a FIXED number of blocks (independent of
   // the thread count), each with its own accumulators; blocks are merged
   // in index order.  Floating-point accumulation order is therefore a
@@ -129,46 +125,28 @@ ComparisonResult run_comparison_parallel(
   // for every thread count.
   const std::size_t blocks =
       std::min<std::size_t>(std::max<std::size_t>(config.instances, 1), 64);
-  threads = std::min(threads, blocks);
 
   std::vector<ComparisonResult> partials;
   partials.reserve(blocks);
   for (std::size_t b = 0; b < blocks; ++b) {
     partials.push_back(make_result_shell(protocols));
   }
-  std::vector<std::exception_ptr> errors(threads);
-  std::atomic<std::size_t> next_block{0};
-
-  auto worker = [&](std::size_t thread_index) {
-    try {
-      ClearScratch scratch;  // reused across every instance this thread runs
-      while (true) {
-        const std::size_t block = next_block.fetch_add(1);
-        if (block >= blocks) return;
-        const std::size_t begin = config.instances * block / blocks;
-        const std::size_t end = config.instances * (block + 1) / blocks;
-        for (std::size_t run = begin; run < end; ++run) {
-          // Counter-based derivation: independent of scheduling.
-          Rng rng(config.seed ^ (kStreamGamma * (run + 1)));
-          const SingleUnitInstance instance = generator(rng);
-          Rng pareto_rng = rng.split();
-          const std::uint64_t clear_seed = rng();
-          score_instance(instance, protocols, config, pareto_rng, clear_seed,
-                         scratch, partials[block]);
-        }
-      }
-    } catch (...) {
-      errors[thread_index] = std::current_exception();
+  WorkerPool pool(std::min(resolve_threads(threads), blocks));
+  // One scratch per worker, reused across every instance it runs.
+  std::vector<ClearScratch> scratch(pool.lanes());
+  pool.run_blocks(blocks, [&](std::size_t block, std::size_t worker) {
+    const std::size_t begin = config.instances * block / blocks;
+    const std::size_t end = config.instances * (block + 1) / blocks;
+    for (std::size_t run = begin; run < end; ++run) {
+      // Counter-based derivation: independent of scheduling.
+      Rng rng(config.seed ^ (kStreamGamma * (run + 1)));
+      const SingleUnitInstance instance = generator(rng);
+      Rng pareto_rng = rng.split();
+      const std::uint64_t clear_seed = rng();
+      score_instance(instance, protocols, config, pareto_rng, clear_seed,
+                     scratch[worker], partials[block]);
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker, t);
-  for (std::thread& thread : pool) thread.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  });
 
   ComparisonResult result = make_result_shell(protocols);
   for (const ComparisonResult& partial : partials) {

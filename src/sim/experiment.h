@@ -68,11 +68,15 @@ ComparisonResult run_comparison(
 
 /// Parallel variant.  Each instance's randomness is derived from
 /// (config.seed, instance index) rather than one sequential stream, and
-/// per-thread accumulators are merged in index order — so the result is
+/// the instances are split into at most 64 fixed blocks whose
+/// accumulators are merged in block order — so the result is
 /// bit-identical for EVERY thread count (including 1), though it differs
-/// from run_comparison's draw order.  `threads` == 0 uses the hardware
-/// concurrency.  Exceptions from worker threads (e.g. validation
-/// failures) are rethrown on the calling thread.
+/// from run_comparison's draw order.  The blocks run on a call-local
+/// WorkerPool of `threads` lanes (0 = hardware concurrency; 1 runs
+/// inline).  If instances throw (e.g. validation failures), the
+/// lowest-index throwing instance's exception is rethrown on the calling
+/// thread, whatever the thread count: blocks are contiguous index ranges
+/// and the pool rethrows the lowest throwing block's.
 ComparisonResult run_comparison_parallel(
     const InstanceGenerator& generator,
     const std::vector<const DoubleAuctionProtocol*>& protocols,

@@ -460,8 +460,8 @@ struct ShardPair {
     timers_b.schedule(queue_b, at, std::move(callback), timers_at_b);
   }
 
-  EpochDriver driver(bool adaptive = true) {
-    return EpochDriver({&queue_a, &queue_b}, SimTime{1000}, adaptive);
+  EpochDriver driver(WorkerPool& pool, bool adaptive = true) {
+    return EpochDriver({&queue_a, &queue_b}, pool, SimTime{1000}, adaptive);
   }
 };
 
@@ -485,8 +485,9 @@ TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
     bool late_ran = false;
     pair.on_b(SimTime::seconds(10), [&] { late_ran = true; });
 
-    EpochDriver driver = pair.driver(/*adaptive=*/false);
-    EXPECT_THROW(driver.drive(threads), std::runtime_error)
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool, /*adaptive=*/false);
+    EXPECT_THROW(driver.drive(), std::runtime_error)
         << "threads=" << threads;
     EXPECT_FALSE(late_ran);
     EXPECT_TRUE(other_ran);  // the in-flight epoch itself completes
@@ -509,8 +510,9 @@ TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
     bool other_late_ran = false;
     pair.on_b(SimTime::seconds(10), [&] { other_late_ran = true; });
 
-    EpochDriver driver = pair.driver(/*adaptive=*/true);
-    EXPECT_THROW(driver.drive(threads), std::runtime_error)
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool, /*adaptive=*/true);
+    EXPECT_THROW(driver.drive(), std::runtime_error)
         << "threads=" << threads;
     EXPECT_FALSE(failing_later_ran) << "threads=" << threads;
     EXPECT_TRUE(other_ran) << "threads=" << threads;
@@ -522,14 +524,15 @@ TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
 TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
   ShardPair pair;
   pair.on_a(SimTime{1}, [] { throw std::logic_error("boom"); });
-  EpochDriver driver = pair.driver(/*adaptive=*/false);
-  EXPECT_THROW(driver.drive(1), std::logic_error);
+  WorkerPool pool(1);
+  EpochDriver driver = pair.driver(pool, /*adaptive=*/false);
+  EXPECT_THROW(driver.drive(), std::logic_error);
 
   bool ran_a = false;
   bool ran_b = false;
   pair.on_a(SimTime{2}, [&] { ran_a = true; });
   pair.on_b(SimTime{2}, [&] { ran_b = true; });
-  driver.drive(1);
+  driver.drive();
   EXPECT_TRUE(ran_a);
   EXPECT_TRUE(ran_b);
 }
@@ -595,9 +598,10 @@ TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
       pair.bus_a.send(from, to, RoundOpenMsg{RoundId{0}, SimTime{1}});
     });
 
-    EpochDriver driver = pair.driver();
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool);
     try {
-      driver.drive(threads);
+      driver.drive();
       ADD_FAILURE() << "cross-shard send did not throw, threads=" << threads;
     } catch (const std::logic_error& error) {
       const std::string what = error.what();
@@ -622,8 +626,9 @@ TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
     pair.on_b(SimTime{t + 3}, [&ran_b, t] { ran_b.push_back(t + 3); });
   }
 
-  EpochDriver driver = pair.driver();
-  const EpochStats stats = driver.drive(2);
+  WorkerPool pool(2);
+  EpochDriver driver = pair.driver(pool);
+  const EpochStats stats = driver.drive();
   EXPECT_EQ(stats.epochs, 1u);
   EXPECT_EQ(stats.barriers, 3u);
   EXPECT_EQ(stats.widened, 1u);
