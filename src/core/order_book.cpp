@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "common/bucket_rank.h"
+
 namespace fnda {
 
 namespace {
@@ -14,30 +16,24 @@ void check_domain(const ValueDomain& domain) {
   }
 }
 
-/// Lanes up to this length are ranked by insertion sort instead of
-/// std::stable_sort, which takes a temporary buffer from the heap per
-/// call; longer lanes (Figure 1's n = 500 books) keep std::stable_sort.
-constexpr std::size_t kInsertionRankMax = 64;
-
-/// Stable sort of `lane` by `before` (a strict order on values).
-/// Insertion sort only moves an entry past entries it strictly precedes,
-/// so equal values keep their order, exactly as std::stable_sort leaves
-/// them.
-template <typename Before>
-void stable_rank(std::vector<BidEntry>& lane, Before before) {
-  if (lane.size() > kInsertionRankMax) {
-    std::stable_sort(lane.begin(), lane.end(), before);
+/// Stable rank of `lane` in `kOrder` by value.  Lanes of up to
+/// kBucketRankMax entries (every Table 1 book) go through the
+/// allocation-free bucket_rank kernel; longer lanes (Figure 1's n = 500
+/// books) keep std::stable_sort and its temporary buffer.  Both are
+/// stable, so equal values keep their order either way.
+template <RankOrder kOrder>
+void stable_rank(std::vector<BidEntry>& lane) {
+  if (lane.size() <= kBucketRankMax) {
+    bucket_rank<kOrder>(std::span<BidEntry>(lane), [](const BidEntry& entry) {
+      return entry.value.micros();
+    });
     return;
   }
-  for (std::size_t i = 1; i < lane.size(); ++i) {
-    const BidEntry entry = lane[i];
-    std::size_t j = i;
-    while (j > 0 && before(entry, lane[j - 1])) {
-      lane[j] = lane[j - 1];
-      --j;
-    }
-    lane[j] = entry;
-  }
+  std::stable_sort(lane.begin(), lane.end(),
+                   [](const BidEntry& a, const BidEntry& b) {
+                     return kOrder == RankOrder::kAscending ? a.value < b.value
+                                                            : a.value > b.value;
+                   });
 }
 
 }  // namespace
@@ -72,16 +68,12 @@ void SortedBook::rebuild(const OrderBook& book, Rng& rng) {
   domain_ = book.domain();
   buyers_.assign(book.buyers().begin(), book.buyers().end());
   sellers_.assign(book.sellers().begin(), book.sellers().end());
-  // Random tie-breaking (paper footnote 5): shuffle first, then stable-sort
-  // by value only.  Equal-valued bids end up in the shuffled order.
+  // Random tie-breaking (paper footnote 5): shuffle first, then rank
+  // stably by value only.  Equal-valued bids end up in the shuffled order.
   rng.shuffle(buyers_.begin(), buyers_.end());
   rng.shuffle(sellers_.begin(), sellers_.end());
-  stable_rank(buyers_, [](const BidEntry& a, const BidEntry& b) {
-    return a.value > b.value;
-  });
-  stable_rank(sellers_, [](const BidEntry& a, const BidEntry& b) {
-    return a.value < b.value;
-  });
+  stable_rank<RankOrder::kDescending>(buyers_);
+  stable_rank<RankOrder::kAscending>(sellers_);
 }
 
 namespace {

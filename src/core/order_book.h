@@ -83,8 +83,9 @@ class SortedBook {
 
   /// Re-ranks `book` in place, reusing this object's buffers (no
   /// allocation once capacity has grown to the workload's book size,
-  /// for lanes of up to 64 entries; longer lanes rank through
-  /// std::stable_sort and its temporary buffer).  Equivalent to
+  /// for lanes of up to 64 entries, which the stable bucket_rank kernel
+  /// of common/bucket_rank.h ranks on the stack; longer lanes rank
+  /// through std::stable_sort and its temporary buffer).  Equivalent to
   /// assigning a freshly constructed SortedBook.
   void rebuild(const OrderBook& book, Rng& rng);
 

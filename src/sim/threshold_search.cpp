@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "common/bucket_rank.h"
 #include "common/statistics.h"
 #include "common/sweep_kernel.h"
 
@@ -15,6 +16,20 @@ namespace {
 /// min(m, n) + 1 prefix sums.
 std::size_t lane_buffer_size(std::size_t buyers, std::size_t sellers) {
   return buyers + sellers + std::min(buyers, sellers) + 1;
+}
+
+/// Ranks one lane of raw micros in `kOrder`: the bucket_rank kernel up to
+/// kBucketRankMax values (Table 1's n = m = 50 books), std::sort beyond.
+/// Equal micros are indistinguishable, so both give the same lane.
+template <RankOrder kOrder>
+void rank_lane(std::span<std::int64_t> lane) {
+  if (lane.size() <= kBucketRankMax) {
+    bucket_rank<kOrder>(lane, [](std::int64_t micros) { return micros; });
+  } else if (kOrder == RankOrder::kDescending) {
+    std::sort(lane.begin(), lane.end(), std::greater<>());
+  } else {
+    std::sort(lane.begin(), lane.end());
+  }
 }
 
 }  // namespace
@@ -44,8 +59,8 @@ TpdSweepBook::TpdSweepBook(const SingleUnitInstance& instance)
   const auto prefix = std::transform(instance.seller_values.begin(),
                                      instance.seller_values.end(), sellers,
                                      micros);
-  std::sort(lanes_.begin(), sellers, std::greater<>());
-  std::sort(sellers, prefix);
+  rank_lane<RankOrder::kDescending>(std::span(lanes_.begin(), sellers));
+  rank_lane<RankOrder::kAscending>(std::span(sellers, prefix));
   prepare();
 }
 

@@ -186,9 +186,28 @@ TEST(SortedBookTest, SameSeedSameOrder) {
   }
 }
 
-enum class LaneKind { kRandom, kTieDense, kAllEqual };
+enum class LaneKind {
+  kRandom,
+  kTieDense,
+  kAllEqual,
+  kOutlierCluster,  // one far value, the rest inside one bucket
+  kNegative,
+  kFullRange,  // the limits of an all-int64 domain: hi - lo overflows int64
+};
 
-Money lane_value(LaneKind kind, Rng& rng) {
+ValueDomain lane_domain(LaneKind kind) {
+  switch (kind) {
+    case LaneKind::kNegative:
+      return {Money::from_units(-1'000), Money::from_units(0)};
+    case LaneKind::kFullRange:
+      return {Money::min_value(), Money::max_value()};
+    default:
+      return {};
+  }
+}
+
+/// The value of entry `index` of a lane of `kind`.
+Money lane_value(LaneKind kind, Rng& rng, std::size_t index) {
   switch (kind) {
     case LaneKind::kRandom:
       return Money::from_micros(
@@ -197,6 +216,31 @@ Money lane_value(LaneKind kind, Rng& rng) {
       return Money::from_units(static_cast<std::int64_t>(rng.below(11)));
     case LaneKind::kAllEqual:
       break;
+    case LaneKind::kOutlierCluster:
+      // A 1e9-unit span puts every cluster value, 50 units plus at most
+      // 100 micros, into the same bucket.
+      if (index == 0) return Money::from_units(1'000'000'000);
+      return Money::from_micros(50'000'000 +
+                                static_cast<std::int64_t>(rng.below(101)));
+    case LaneKind::kNegative:
+      return Money::from_micros(-static_cast<std::int64_t>(
+          rng.below(1'000'000'001)));
+    case LaneKind::kFullRange: {
+      const std::int64_t lowest = Money::min_value().micros();
+      const std::int64_t highest = Money::max_value().micros();
+      switch (rng.below(5)) {
+        case 0:
+          return Money::from_micros(lowest +
+                                    static_cast<std::int64_t>(rng.below(2)));
+        case 1:
+          return Money::from_micros(highest -
+                                    static_cast<std::int64_t>(rng.below(2)));
+        case 2:
+          return Money::from_micros(0);
+        default:
+          return Money::from_micros(static_cast<std::int64_t>(rng()));
+      }
+    }
   }
   return Money::from_units(7);
 }
@@ -205,18 +249,22 @@ TEST(SortedBookTest, RebuildMatchesShuffleThenStableSortOracle) {
   // The footnote-5 ranking spelled out: copy each lane, shuffle buyers
   // then sellers, then std::stable_sort by value.  rebuild must produce
   // the same entries in the same order and leave the Rng in the same
-  // state, on both sides of the lane length where it stops ranking by
-  // insertion sort.
+  // state, around the bucket kernel's limits: bucket boundaries at 31-33
+  // entries, the 64-entry cap where it hands over to std::stable_sort,
+  // and lanes whose span or sign stress its bucket map.
   Rng values(0x0dd5eed);
   for (const LaneKind kind :
-       {LaneKind::kRandom, LaneKind::kTieDense, LaneKind::kAllEqual}) {
+       {LaneKind::kRandom, LaneKind::kTieDense, LaneKind::kAllEqual,
+        LaneKind::kOutlierCluster, LaneKind::kNegative,
+        LaneKind::kFullRange}) {
     for (const std::size_t n :
-         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{63},
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{63},
           std::size_t{64}, std::size_t{65}, std::size_t{500}}) {
-      OrderBook book;
+      OrderBook book(lane_domain(kind));
       for (std::size_t i = 0; i < n; ++i) {
-        book.add_buyer(IdentityId{i}, lane_value(kind, values));
-        book.add_seller(IdentityId{n + i}, lane_value(kind, values));
+        book.add_buyer(IdentityId{i}, lane_value(kind, values, i));
+        book.add_seller(IdentityId{n + i}, lane_value(kind, values, i));
       }
       const std::uint64_t seed = values();
       Rng oracle_rng(seed);

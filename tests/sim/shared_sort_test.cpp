@@ -10,6 +10,7 @@
 //   * validation failures inside worker threads still propagate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -141,31 +142,86 @@ TEST(SweepKernelTest, MatchesTpdClearExactlyOnRandomBooks) {
   }
 }
 
-TEST(SweepKernelTest, InstanceAndSortedBookPreparationsAgree) {
-  Rng rng(0xabcde);
-  for (int trial = 0; trial < 20; ++trial) {
-    SingleUnitInstance instance;
-    const std::size_t m = rng.below(10);
-    const std::size_t n = rng.below(10);
-    for (std::size_t i = 0; i < m; ++i) {
-      instance.buyer_values.push_back(
-          Money::from_units(static_cast<std::int64_t>(rng.below(101))));
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      instance.seller_values.push_back(
-          Money::from_units(static_cast<std::int64_t>(rng.below(101))));
-    }
-    const InstantiatedMarket market = instantiate_truthful(instance);
-    const SortedBook sorted(market.book, rng);
+enum class SweepShape { kRandom, kTieDense, kOutlierCluster, kNegative };
 
-    const TpdSweepBook from_instance(instance);
-    const TpdSweepBook from_book(sorted);
-    for (int r = 0; r <= 100; r += 10) {
-      const TpdThresholdOutcome a = from_instance.evaluate(money(r));
-      const TpdThresholdOutcome b = from_book.evaluate(money(r));
-      EXPECT_EQ(a.trades, b.trades);
-      EXPECT_EQ(a.total, b.total);
-      EXPECT_EQ(a.auctioneer, b.auctioneer);
+/// `count` values of `shape`; kOutlierCluster puts one value 1e6 units
+/// away from a cluster 100 micros wide, so the rest share one bucket.
+std::vector<Money> sweep_lane(SweepShape shape, std::size_t count, Rng& rng) {
+  std::vector<Money> lane;
+  for (std::size_t i = 0; i < count; ++i) {
+    switch (shape) {
+      case SweepShape::kRandom:
+        lane.push_back(Money::from_micros(
+            static_cast<std::int64_t>(rng.below(100'000'001))));
+        break;
+      case SweepShape::kTieDense:
+        lane.push_back(
+            Money::from_units(static_cast<std::int64_t>(rng.below(11))));
+        break;
+      case SweepShape::kOutlierCluster:
+        lane.push_back(i == 0 ? Money::from_units(1'000'000)
+                              : Money::from_micros(
+                                    50'000'000 +
+                                    static_cast<std::int64_t>(rng.below(101))));
+        break;
+      case SweepShape::kNegative:
+        lane.push_back(Money::from_micros(
+            -static_cast<std::int64_t>(rng.below(100'000'001))));
+        break;
+    }
+  }
+  return lane;
+}
+
+TEST(SweepKernelTest, InstanceAndSortedBookPreparationsAgree) {
+  // TpdSweepBook(instance) ranks raw micros with the bucket kernel up to
+  // 64 values and std::sort beyond; TpdSweepBook(SortedBook) copies the
+  // SortedBook's ranking.  Every lane size 0-65 on each side, at every
+  // threshold of a grid that includes each lane's endpoints +-1 micro.
+  // Lanes spanning all of int64 stay in the rank oracles: the sweep
+  // book's prefix sums and payments subtract values in int64, which
+  // would overflow there.
+  Rng rng(0xabcde);
+  for (const SweepShape shape :
+       {SweepShape::kRandom, SweepShape::kTieDense,
+        SweepShape::kOutlierCluster, SweepShape::kNegative}) {
+    for (std::size_t size = 0; size <= 65; ++size) {
+      for (const std::size_t other : {size, std::size_t{65} - size}) {
+        SingleUnitInstance instance;
+        instance.domain = {Money::from_units(-1'000),
+                           Money::from_units(1'000'000)};
+        instance.buyer_values = sweep_lane(shape, size, rng);
+        instance.seller_values = sweep_lane(shape, other, rng);
+        const InstantiatedMarket market = instantiate_truthful(instance);
+        const SortedBook sorted(market.book, rng);
+
+        std::vector<std::int64_t> grid;
+        for (int r = -100; r <= 100; r += 10) grid.push_back(money(r).micros());
+        for (const auto* lane :
+             {&instance.buyer_values, &instance.seller_values}) {
+          if (lane->empty()) continue;
+          const auto [lo, hi] = std::minmax_element(lane->begin(), lane->end());
+          for (const std::int64_t endpoint : {lo->micros(), hi->micros()}) {
+            for (const std::int64_t delta : {-1, 0, 1}) {
+              grid.push_back(endpoint + delta);
+            }
+          }
+        }
+
+        const TpdSweepBook from_instance(instance);
+        const TpdSweepBook from_book(sorted);
+        for (const std::int64_t micros : grid) {
+          const Money r = Money::from_micros(micros);
+          const TpdThresholdOutcome a = from_instance.evaluate(r);
+          const TpdThresholdOutcome b = from_book.evaluate(r);
+          SCOPED_TRACE(testing::Message()
+                       << "shape " << static_cast<int>(shape) << " m=" << size
+                       << " n=" << other << " r=" << micros);
+          EXPECT_EQ(a.trades, b.trades);
+          EXPECT_EQ(a.total, b.total);
+          EXPECT_EQ(a.auctioneer, b.auctioneer);
+        }
+      }
     }
   }
 }
