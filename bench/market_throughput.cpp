@@ -16,10 +16,6 @@
 // the JSON).  --assert-speedup X turns the shards=4 threads=4-vs-1 ratio
 // into a hard gate (requires >= 4 real CPUs).
 //
-// An epoch-barrier axis (the same session with adaptive epoch windows on
-// vs off, deterministic counters so one run each) is always recorded;
-// --assert-barrier-reduction X gates the crossing reduction ratio.
-//
 // A telemetry overhead axis (market_session with the obs registry live
 // versus runtime-disabled, interleaved best-of---reps) is appended unless
 // --telemetry-axis 0; --assert-overhead PCT turns the measured overhead
@@ -219,9 +215,9 @@ int usage(const char* argv0) {
                "       [--reps N] [--drop P] [--duplicate P] [--seed S]\n"
                "       [--json PATH] [--scale 0|1] [--scale-reps N]\n"
                "       [--bids-axis 0|1] [--telemetry-axis 0|1]\n"
-               "       [--adaptive 0|1] [--allow-oversubscribed]\n"
+               "       [--allow-oversubscribed]\n"
                "       [--assert-overhead PCT] [--assert-ns-per-message NS]\n"
-               "       [--assert-speedup X] [--assert-barrier-reduction X]\n";
+               "       [--assert-speedup X]\n";
   return 2;
 }
 
@@ -240,8 +236,6 @@ int main(int argc, char** argv) {
   double assert_overhead = -1.0;        // < 0 disables the assertion
   double assert_ns_per_message = -1.0;  // < 0 disables the gate
   double assert_speedup = -1.0;         // < 0 disables the gate
-  double assert_barrier_reduction = -1.0;  // < 0 disables the gate
-  bool adaptive = true;
   bool allow_oversubscribed = false;
   double drop = 0.0;
   double duplicate = 0.0;
@@ -276,10 +270,6 @@ int main(int argc, char** argv) {
       assert_ns_per_message = std::stod(value);
     } else if (arg == "--assert-speedup" && (value = next())) {
       assert_speedup = std::stod(value);
-    } else if (arg == "--assert-barrier-reduction" && (value = next())) {
-      assert_barrier_reduction = std::stod(value);
-    } else if (arg == "--adaptive" && (value = next())) {
-      adaptive = std::stoull(value) != 0;
     } else if (arg == "--allow-oversubscribed") {
       allow_oversubscribed = true;
     } else if (arg == "--scale-reps" && (value = next())) {
@@ -344,7 +334,6 @@ int main(int argc, char** argv) {
   session.drop_probability = drop;
   session.duplicate_probability = duplicate;
   session.seed = seed;
-  session.adaptive = adaptive;
 
   const auto start = Clock::now();
   const fnda::ThroughputResult result =
@@ -366,10 +355,8 @@ int main(int argc, char** argv) {
         {"trades", static_cast<double>(result.trades)},
         {"shards", static_cast<double>(result.shards)},
         {"threads", static_cast<double>(result.threads)},
-        {"adaptive", adaptive ? 1.0 : 0.0},
         {"epoch_epochs", static_cast<double>(result.epoch.epochs)},
-        {"epoch_barriers", static_cast<double>(result.epoch.barriers)},
-        {"epoch_widened", static_cast<double>(result.epoch.widened)}},
+        {"epoch_barriers", static_cast<double>(result.epoch.barriers)}},
        {}});
   std::cout << "full session:      " << result.bus.sent << " messages, "
             << result.bids_accepted << " bids, " << result.trades
@@ -377,7 +364,7 @@ int main(int argc, char** argv) {
             << result.threads << " thread(s) in " << elapsed << " s  ("
             << messages_per_second << " msg/s; " << result.epoch.barriers
             << " epoch barriers over " << result.epoch.epochs
-            << " epochs, adaptive " << (adaptive ? "on" : "off") << ")\n";
+            << " epochs)\n";
   for (std::size_t s = 0; s < result.shard_bus.size(); ++s) {
     const fnda::BusStats& stats = result.shard_bus[s];
     std::cout << "  shard " << s << ": delivered " << stats.delivered
@@ -427,51 +414,6 @@ int main(int argc, char** argv) {
       std::cerr << "session hot path " << ns_per_message
                 << " ns/message exceeds the asserted bound of "
                 << assert_ns_per_message << " ns\n";
-      return 1;
-    }
-  }
-
-  {
-    // Epoch-barrier axis: the headline workload with adaptive lookahead
-    // batching on versus off.  Barrier counts are deterministic functions
-    // of the workload (thread- and wallclock-invariant), so one run per
-    // arm suffices; one thread keeps the runs cheap.
-    fnda::ThroughputConfig arm = session;
-    arm.threads = 1;
-    fnda::ThroughputResult arms[2];
-    for (const bool on : {false, true}) {
-      arm.adaptive = on;
-      arms[on] = fnda::run_throughput_session(protocol, arm);
-    }
-    const double off_barriers = static_cast<double>(arms[0].epoch.barriers);
-    const double on_barriers =
-        static_cast<double>(std::max<std::size_t>(arms[1].epoch.barriers, 1));
-    const double reduction = off_barriers / on_barriers;
-    for (const bool on : {false, true}) {
-      const fnda::ThroughputResult& sample = arms[on];
-      fnda::bench::JsonBenchRecord record{
-          std::string("epoch_barriers/adaptive:") + (on ? "on" : "off") +
-              size_suffix,
-          static_cast<double>(sample.epoch.barriers),
-          1,
-          0.0,
-          {{"epoch_epochs", static_cast<double>(sample.epoch.epochs)},
-           {"epoch_barriers", static_cast<double>(sample.epoch.barriers)},
-           {"epoch_widened", static_cast<double>(sample.epoch.widened)},
-           {"epoch_injected", static_cast<double>(sample.epoch.injected)},
-           {"shards", static_cast<double>(arm.shards)}},
-          {}};
-      if (on) record.counters.emplace_back("barrier_reduction", reduction);
-      records.push_back(std::move(record));
-    }
-    std::cout << "epoch barriers:    adaptive off " << arms[0].epoch.barriers
-              << ", adaptive on " << arms[1].epoch.barriers << " (x"
-              << reduction << " fewer crossings)\n";
-    if (assert_barrier_reduction >= 0.0 &&
-        reduction < assert_barrier_reduction) {
-      std::cerr << "epoch barrier reduction x" << reduction
-                << " is below the asserted bound of x"
-                << assert_barrier_reduction << '\n';
       return 1;
     }
   }

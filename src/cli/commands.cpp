@@ -1,11 +1,13 @@
 #include "cli/commands.h"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "common/worker_pool.h"
@@ -126,6 +128,22 @@ int usage_error(std::ostream& err, const std::string& message) {
   err << "error: " << message << "\nrun 'fnda help' for usage\n";
   return 2;
 }
+
+/// The --low/--high value distribution of `simulate` and `optimize`.  Its
+/// domain widens the default one just enough to hold the range, so a
+/// negative or very high range draws legal bids.  nullopt when --low
+/// exceeds --high.
+std::optional<ValueDistribution> value_distribution(const Invocation& args) {
+  const Money low = money(args.get_real("low"));
+  const Money high = money(args.get_real("high"));
+  if (high < low) return std::nullopt;
+  const ValueDomain domain;
+  return ValueDistribution{
+      low, high,
+      ValueDomain{std::min(domain.lowest, low), std::max(domain.highest, high)}};
+}
+
+constexpr const char* kInvertedRange = "--low must not exceed --high";
 
 /// Reads --book FILE or stdin into a string; returns false on I/O error.
 bool slurp_book(const Invocation& args, std::istream& in, std::ostream& err,
@@ -266,7 +284,9 @@ int cmd_clear_multi(const Invocation& args, std::istream& in,
 }
 
 int cmd_simulate(const Invocation& args, std::istream&, std::ostream& out,
-                 std::ostream&) {
+                 std::ostream& err) {
+  const std::optional<ValueDistribution> values = value_distribution(args);
+  if (!values) return usage_error(err, kInvertedRange);
   const ProtocolPtr protocol = make_protocol(args);
   const std::size_t buyers = get_size(args, "buyers");
   const std::size_t sellers = get_size(args, "sellers");
@@ -279,11 +299,10 @@ int cmd_simulate(const Invocation& args, std::istream&, std::ostream& out,
   const std::int64_t binomial = args.get_int("binomial");
   const std::size_t threads = get_size(args, "threads");
 
-  const ValueDistribution values{money(low), money(high), ValueDomain{}};
   const InstanceGenerator generator =
       binomial > 0
-          ? binomial_count_generator(static_cast<int>(binomial), 0.5, values)
-          : fixed_count_generator(buyers, sellers, values);
+          ? binomial_count_generator(static_cast<int>(binomial), 0.5, *values)
+          : fixed_count_generator(buyers, sellers, *values);
   const ComparisonResult result =
       threads > 1 ? run_comparison_parallel(generator, {protocol.get()},
                                             config, threads)
@@ -499,25 +518,23 @@ int cmd_sweep(const Invocation& args, std::istream&, std::ostream& out,
 }
 
 int cmd_optimize(const Invocation& args, std::istream&, std::ostream& out,
-                 std::ostream&) {
+                 std::ostream& err) {
+  const std::optional<ValueDistribution> values = value_distribution(args);
+  if (!values) return usage_error(err, kInvertedRange);
   const std::size_t buyers = get_size(args, "buyers");
   const std::size_t sellers = get_size(args, "sellers");
-  const double low = args.get_real("low");
-  const double high = args.get_real("high");
   ThresholdSearchConfig config;
-  config.lo = money(args.has("lo") ? args.get_real("lo") : low);
-  config.hi = money(args.has("hi") ? args.get_real("hi") : high);
+  config.lo = args.has("lo") ? money(args.get_real("lo")) : values->low;
+  config.hi = args.has("hi") ? money(args.get_real("hi")) : values->high;
   config.instances_per_eval = get_size(args, "instances");
   config.seed = get_seed(args);
   if (args.get("objective") == "traders") {
     config.objective = ThresholdObjective::kSurplusExceptAuctioneer;
   }
 
-  const ThresholdSearchResult result = optimize_threshold(
-      fixed_count_generator(buyers, sellers,
-                            ValueDistribution{money(low), money(high),
-                                              ValueDomain{}}),
-      config);
+  const ThresholdSearchResult result =
+      optimize_threshold(fixed_count_generator(buyers, sellers, *values),
+                         config);
   out << "best threshold: " << result.best_threshold << '\n'
       << "expected surplus: " << format_fixed(result.best_value, 2) << '\n';
   return 0;
@@ -549,7 +566,6 @@ int cmd_market_bench(const Invocation& args, std::istream&, std::ostream& out,
   config.drop_probability = args.get_real("drop");
   config.duplicate_probability = args.get_real("duplicate");
   config.seed = get_seed(args);
-  config.adaptive = args.get_int("adaptive") != 0;
   const Money threshold = money(args.get_real("threshold"));
   config.telemetry.wallclock = args.flag("trace-wallclock");
   config.telemetry.enabled = !args.flag("no-telemetry");
@@ -606,9 +622,7 @@ int cmd_market_bench(const Invocation& args, std::istream&, std::ostream& out,
       << result.book.chunk_splits << " chunk splits, "
       << result.book.sorts_at_close << " sorts at close\n"
       << "epochs: " << result.epoch.epochs << "  barrier crossings: "
-      << result.epoch.barriers << "  widened: " << result.epoch.widened
-      << "  cross-shard injected: " << result.epoch.injected
-      << "  (adaptive " << (config.adaptive ? "on" : "off") << ")\n"
+      << result.epoch.barriers << '\n'
       << "sim time: " << result.sim_time.micros << " us  wall: "
       << format_fixed(elapsed, 3) << " s\n"
       << "throughput: "
@@ -852,7 +866,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
        probability("drop", "message drop probability"),
        probability("duplicate", "message duplication probability"),
        money_option("threshold", "50", "TPD threshold price r"),
-       seed_option(1), toggle("adaptive", true, "adaptive epoch windows"),
+       seed_option(1),
        path_option("metrics-out", "Prometheus text file"),
        path_option("metrics-json", "JSON metrics snapshot file"),
        path_option("trace-out", "Chrome trace file")},

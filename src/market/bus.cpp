@@ -61,14 +61,6 @@ void MessageBus::bind_telemetry(obs::ShardTelemetry& telemetry) {
   registry.counter_fn("fnda_bus_dead_lettered_total", [this] {
     return static_cast<std::uint64_t>(stats_.dead_lettered);
   });
-  // Always 0 (no cross-shard traffic); exported because the exposition
-  // digest in tests/obs/metrics_test.cpp covers these two series.
-  registry.counter_fn("fnda_bus_forwarded_total", [this] {
-    return static_cast<std::uint64_t>(stats_.forwarded);
-  });
-  registry.counter_fn("fnda_mailbox_overflow_total", [this] {
-    return static_cast<std::uint64_t>(stats_.mailbox_overflow);
-  });
   delivery_latency_hist_ =
       &registry.histogram("fnda_bus_delivery_latency_us");
   batch_size_hist_ = &registry.histogram("fnda_queue_batch_size");

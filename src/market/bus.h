@@ -86,9 +86,9 @@ struct BusStats {
   std::size_t dropped = 0;
   /// Receiver detached — or detached and re-attached — before delivery.
   std::size_t dead_lettered = 0;
-  /// Always 0: shards never exchange messages.  Both stay because the
-  /// benchmark driver reads them and the metrics-exposition pin covers
-  /// their series.
+  /// Always 0: shards never exchange messages.  Both stay only because
+  /// the benchmark driver still reads them (ROADMAP item 1 stops reading
+  /// them); neither is exported as a metric.
   std::size_t forwarded = 0;
   std::size_t mailbox_overflow = 0;
 

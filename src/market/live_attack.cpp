@@ -66,7 +66,6 @@ LiveAttackResult run_live_attack_session(const DoubleAuctionProtocol& protocol,
   mx.initial_cash = MultiServerExchange::zi_endowment(
       config.rounds, config.max_declarations + 1);
   mx.seed = config.seed;
-  mx.adaptive_epochs = config.adaptive;
   mx.telemetry = config.telemetry;
 
   MultiServerExchange exchange(protocol, mx);

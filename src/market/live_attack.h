@@ -59,7 +59,6 @@ struct LiveAttackConfig {
   std::uint64_t seed = 1;
   std::int64_t value_low = 1;
   std::int64_t value_high = 100;
-  bool adaptive = true;
   obs::TelemetryOptions telemetry{};
 };
 

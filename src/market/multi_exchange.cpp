@@ -17,6 +17,11 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   if (config_.shards == 0) {
     throw std::invalid_argument("MultiServerExchange: shards must be >= 1");
   }
+  if (!config_.adaptive_epochs) {
+    throw std::invalid_argument(
+        "MultiServerExchange: adaptive_epochs must be true (every drive "
+        "runs each shard to its bound in one parallel region)");
+  }
   pool_ = std::make_unique<WorkerPool>(
       std::min(resolve_threads(config_.threads), config_.shards));
 
@@ -56,9 +61,7 @@ MultiServerExchange::MultiServerExchange(const DoubleAuctionProtocol& protocol,
   std::vector<EventQueue*> queues;
   queues.reserve(shards_.size());
   for (Shard& shard : shards_) queues.push_back(&shard.queue);
-  const SimTime lookahead = std::max(SimTime{1}, config_.bus.base_latency);
-  driver_ = std::make_unique<EpochDriver>(std::move(queues), *pool_,
-                                          lookahead, config_.adaptive_epochs);
+  driver_ = std::make_unique<EpochDriver>(std::move(queues), *pool_);
 
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<obs::SessionTelemetry>(config_.shards,

@@ -21,8 +21,8 @@
 //
 // Every trader lives in its account's home shard's TraderPopulation and
 // is wired to that shard's server, so no message crosses shards: shards
-// run to quiescence independently between barriers, and a cross-shard
-// send throws at the sender.
+// run to quiescence independently within a drive, and a cross-shard send
+// throws at the sender.
 #pragma once
 
 #include <deque>
@@ -45,9 +45,10 @@ struct MultiExchangeConfig {
   /// above `shards` are clamped (a shard is owned by one thread).  Every
   /// setting produces bit-identical results.
   std::size_t threads = 1;
-  /// Adaptive epoch windows (see EpochDriver): run each drive as one
-  /// unbounded window, since shards never affect each other.  Off forces
-  /// the fixed-lookahead schedule.
+  /// Must stay true: every drive runs each shard to its bound in one
+  /// parallel region, and the exchange throws if this is false.  Kept
+  /// only because the benchmark driver still sets it (ROADMAP item 1
+  /// stops setting it).
   bool adaptive_epochs = true;
   BusConfig bus{};
   ServerConfig server{};

@@ -37,9 +37,9 @@ struct ThroughputConfig {
   /// Completed rounds retained per shard; bounds memory in long sessions.
   std::size_t retained_rounds = 2;
   std::uint64_t seed = 1;
-  /// Adaptive epoch windows (MultiExchangeConfig::adaptive_epochs); off
-  /// forces the fixed-lookahead schedule — the bench's barrier-crossing
-  /// baseline.  Either setting is bit-identical for every `threads`.
+  /// Must stay true (MultiExchangeConfig::adaptive_epochs).  Kept only
+  /// because the benchmark driver still reads it (ROADMAP item 1 stops
+  /// reading it).
   bool adaptive = true;
   /// ZI valuation range (units).
   std::int64_t value_low = 1;
@@ -66,10 +66,9 @@ struct ThroughputResult {
   /// entries shifted, tie fixups; sorts_at_close stays 0 — the bench
   /// records these as the zero-sort-at-close evidence).
   LiveBookStats book{};
-  /// Epoch-driver counters accumulated across the whole session: epochs,
-  /// barrier crossings, widened windows.  Identical for
-  /// every `threads` value; the bench's adaptive-vs-fixed comparison
-  /// reads `epoch.barriers`.
+  /// Epoch-driver counters accumulated across the whole session: epochs
+  /// and barrier crossings (one per drive).  Identical for every
+  /// `threads` value.
   EpochStats epoch{};
   /// Unified session metrics (empty when telemetry was disabled), merged
   /// driver-then-shards in shard order at session end.

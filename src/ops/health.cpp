@@ -214,8 +214,6 @@ HealthWatchdog::HealthWatchdog(std::vector<SloRule> rules) {
 std::vector<SloRule> HealthWatchdog::default_rules() {
   const char* kDefaults[] = {
       "delivery_p99 p99(fnda_bus_delivery_latency_us) <= 250000",
-      "mailbox_shed ratio(fnda_mailbox_overflow_total,fnda_bus_sent_total) "
-      "<= 0.01",
       "attack_shed ratio(fnda_attack_shed_total,fnda_attack_searches_total) "
       "<= 0.5",
       "escrow_held max(fnda_escrow_held_micros) <= 10000000000000",

@@ -54,8 +54,8 @@ class HealthWatchdog {
   explicit HealthWatchdog(std::vector<SloRule> rules);
 
   /// The rules console sessions run by default, covering the tentpole
-  /// SLOs: p99 delivery latency, mailbox shed rate, attack-search shed
-  /// rate, and the escrow held ceiling.
+  /// SLOs: p99 delivery latency, attack-search shed rate, and the escrow
+  /// held ceiling.
   static std::vector<SloRule> default_rules();
 
   /// Evaluates every rule against one snapshot, bumping breach counters.

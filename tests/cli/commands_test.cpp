@@ -104,6 +104,33 @@ TEST(CliTest, SimulateReportsEfficiency) {
   EXPECT_NE(result.out.find("social surplus"), std::string::npos);
 }
 
+// The value domain widens to hold the --low/--high range, so a range
+// below zero draws legal bids.
+TEST(CliTest, SimulateAcceptsNegativeValueRange) {
+  const CliRun result = run({"simulate", "--buyers", "10", "--sellers", "10",
+                             "--instances", "20", "--low", "-50", "--high",
+                             "50"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("U[-50,50]"), std::string::npos) << result.out;
+  EXPECT_NE(result.out.find("social surplus"), std::string::npos);
+  const CliRun optimize = run({"optimize", "--buyers", "10", "--sellers",
+                               "10", "--instances", "20", "--low", "-50",
+                               "--high", "50"});
+  EXPECT_EQ(optimize.exit_code, 0) << optimize.err;
+  EXPECT_NE(optimize.out.find("best threshold"), std::string::npos);
+}
+
+TEST(CliTest, InvertedValueRangeIsUsageError) {
+  for (const char* command : {"simulate", "optimize"}) {
+    const CliRun result =
+        run({command, "--instances", "5", "--low", "60", "--high", "50"});
+    EXPECT_EQ(result.exit_code, 2) << command;
+    EXPECT_NE(result.err.find("--low"), std::string::npos) << result.err;
+    EXPECT_NE(result.err.find("--high"), std::string::npos) << result.err;
+    EXPECT_EQ(result.out, "") << command;
+  }
+}
+
 TEST(CliTest, SweepEmitsCsvSeries) {
   const CliRun result = run({"sweep", "--participants", "10", "--step", "50",
                              "--instances", "20"});

@@ -51,12 +51,10 @@ constexpr GoldenRound kGoldenRounds[4] = {
 };
 
 MultiServerExchange make_golden_exchange(const TpdProtocol& tpd,
-                                         std::size_t threads,
-                                         bool adaptive = true) {
+                                         std::size_t threads) {
   MultiExchangeConfig config;
   config.shards = 4;
   config.threads = threads;
-  config.adaptive_epochs = adaptive;
   config.seed = 42;
   config.bus.base_latency = SimTime{1000};
   config.bus.jitter = SimTime{0};
@@ -84,16 +82,13 @@ std::uint64_t fill_hash(const Outcome& outcome) {
   return hash;
 }
 
-// (threads, adaptive): the digest must hold for every worker count with
-// adaptive epoch windows on AND off — widening may only change *when*
-// events run relative to the barriers, never what they compute.
-class GoldenDigestTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {};
+// The digest must hold for every worker count.
+class GoldenDigestTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
-  const auto [threads, adaptive] = GetParam();
+  const std::size_t threads = GetParam();
   const TpdProtocol tpd(money(50));
-  MultiServerExchange exchange = make_golden_exchange(tpd, threads, adaptive);
+  MultiServerExchange exchange = make_golden_exchange(tpd, threads);
 
   for (std::size_t r = 0; r < 3; ++r) {
     const std::vector<RoundId> rounds = exchange.run_round();
@@ -107,13 +102,11 @@ TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
     }
   }
 
-  // Epoch accounting over the 3 drives (one final window barrier each):
-  // adaptive runs each drive as one unbounded epoch; fixed windows step
-  // the lookahead across every instant with pending events.
+  // Epoch accounting over the 3 drives: each is one epoch and one join.
   const EpochStats& epochs = exchange.epoch_totals();
-  EXPECT_EQ(epochs.epochs, adaptive ? 3u : 15u);
-  EXPECT_EQ(epochs.barriers, adaptive ? 9u : 33u);
-  EXPECT_EQ(epochs.widened, adaptive ? 3u : 0u);
+  EXPECT_EQ(epochs.epochs, 3u);
+  EXPECT_EQ(epochs.barriers, 3u);
+  EXPECT_EQ(epochs.widened, 0u);
   EXPECT_EQ(epochs.injected, 0u);
 
   std::size_t accepted = 0;
@@ -148,11 +141,9 @@ TEST_P(GoldenDigestTest, MatchesPreChangeEngine) {
 }
 
 // threads > shards exercises the clamp; the engine must not care.
-INSTANTIATE_TEST_SUITE_P(
-    ThreadCounts, GoldenDigestTest,
-    ::testing::Combine(::testing::Values(std::size_t{1}, std::size_t{2},
-                                         std::size_t{8}),
-                       ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, GoldenDigestTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{8}));
 
 // ---------------------------------------------------------------------------
 // Full bit-identity across thread counts, on a lossy/jittery bus so every
@@ -460,8 +451,8 @@ struct ShardPair {
     timers_b.schedule(queue_b, at, std::move(callback), timers_at_b);
   }
 
-  EpochDriver driver(WorkerPool& pool, bool adaptive = true) {
-    return EpochDriver({&queue_a, &queue_b}, pool, SimTime{1000}, adaptive);
+  EpochDriver driver(WorkerPool& pool) {
+    return EpochDriver({&queue_a, &queue_b}, pool);
   }
 };
 
@@ -470,34 +461,59 @@ struct FloodSource : Endpoint {
 };
 
 // ---------------------------------------------------------------------------
-// Torn epoch: an exception inside a shard's event handler must stop every
-// worker at the next barrier and resurface on the driving thread.  With
-// fixed windows the far-future event lies in a later window, so it never
-// runs once shard 0 failed.
+// Failure handling: an exception inside a shard's event handler stops
+// that shard at the throw and resurfaces on the driving thread, while the
+// other shards finish the drive.  In a bounded drive the other shard runs
+// up to its bound and not past it.
 
 TEST(ParallelExchangeTest, WorkerExceptionPropagatesCleanly) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     ShardPair pair;
-    pair.on_a(SimTime{5}, [] { throw std::runtime_error("torn epoch"); });
+    pair.on_a(SimTime{5}, [] { throw std::runtime_error("torn drive"); });
+    bool failing_later_ran = false;
+    pair.on_a(SimTime{6}, [&] { failing_later_ran = true; });
     bool other_ran = false;
     pair.on_b(SimTime{5}, [&] { other_ran = true; });
-    // Work far in the future that must never run once shard 0 failed.
+    bool other_later_ran = false;
+    pair.on_b(SimTime{900}, [&] { other_later_ran = true; });
+    // Beyond shard b's bound: never runs in this drive.
     bool late_ran = false;
     pair.on_b(SimTime::seconds(10), [&] { late_ran = true; });
 
     WorkerPool pool(threads);
-    EpochDriver driver = pair.driver(pool, /*adaptive=*/false);
-    EXPECT_THROW(driver.drive(), std::runtime_error)
+    EpochDriver driver = pair.driver(pool);
+    EXPECT_THROW(driver.drive_until({SimTime{1000}, SimTime{1000}}),
+                 std::runtime_error)
         << "threads=" << threads;
-    EXPECT_FALSE(late_ran);
-    EXPECT_TRUE(other_ran);  // the in-flight epoch itself completes
+    EXPECT_FALSE(failing_later_ran) << "threads=" << threads;
+    EXPECT_TRUE(other_ran) << "threads=" << threads;
+    EXPECT_TRUE(other_later_ran) << "threads=" << threads;
+    EXPECT_FALSE(late_ran) << "threads=" << threads;
   }
 }
 
-// The window the exchange runs: adaptive, so one unbounded epoch.  The
-// other shard finishes that epoch — all of its events, however late —
-// while the failing shard stops at the throw and its later events never
-// run.
+// Two failing shards: the lower shard's error is rethrown, even when the
+// higher shard throws first in sim time.
+TEST(ParallelExchangeTest, BoundedDriveRethrowsTheLowestShardsError) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ShardPair pair;
+    pair.on_a(SimTime{50}, [] { throw std::runtime_error("shard 0"); });
+    pair.on_b(SimTime{5}, [] { throw std::runtime_error("shard 1"); });
+
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool);
+    try {
+      driver.drive_until({SimTime{1000}, SimTime{1000}});
+      ADD_FAILURE() << "drive did not throw, threads=" << threads;
+    } catch (const std::exception& error) {
+      EXPECT_STREQ(error.what(), "shard 0") << "threads=" << threads;
+    }
+  }
+}
+
+// An unbounded drive: the other shard runs all of its events, however
+// late, while the failing shard stops at the throw and its later events
+// never run.
 
 TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -511,7 +527,7 @@ TEST(ParallelExchangeTest, UnboundedWindowFailureStopsOnlyTheFailingShard) {
     pair.on_b(SimTime::seconds(10), [&] { other_late_ran = true; });
 
     WorkerPool pool(threads);
-    EpochDriver driver = pair.driver(pool, /*adaptive=*/true);
+    EpochDriver driver = pair.driver(pool);
     EXPECT_THROW(driver.drive(), std::runtime_error)
         << "threads=" << threads;
     EXPECT_FALSE(failing_later_ran) << "threads=" << threads;
@@ -525,7 +541,7 @@ TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
   ShardPair pair;
   pair.on_a(SimTime{1}, [] { throw std::logic_error("boom"); });
   WorkerPool pool(1);
-  EpochDriver driver = pair.driver(pool, /*adaptive=*/false);
+  EpochDriver driver = pair.driver(pool);
   EXPECT_THROW(driver.drive(), std::logic_error);
 
   bool ran_a = false;
@@ -538,12 +554,11 @@ TEST(ParallelExchangeTest, DriverRecoversAfterFailure) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch accounting: barrier crossings are a deterministic function of the
-// workload — identical at every thread count — and the adaptive window
-// policy must cut them at least in half on the identity-partitioned
-// default workload without changing one observable output.
+// Epoch accounting: a drive is one pool join, so barrier crossings count
+// drives exactly, and epochs count the drives that had work below their
+// bounds — identical at every thread count.
 
-TEST(ParallelExchangeTest, EpochStatsThreadInvariantAndAdaptiveCutsBarriers) {
+TEST(ParallelExchangeTest, EpochStatsThreadInvariantOneBarrierPerDrive) {
   const TpdProtocol tpd(money(50));
   ThroughputConfig config;
   config.clients = 240;
@@ -551,41 +566,85 @@ TEST(ParallelExchangeTest, EpochStatsThreadInvariantAndAdaptiveCutsBarriers) {
   config.shards = 4;
   config.seed = 5;
 
-  ThroughputResult base;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     config.threads = threads;
     const ThroughputResult result = run_throughput_session(tpd, config);
-    if (threads == 1u) {
-      base = result;
-      continue;
-    }
-    EXPECT_EQ(result.epoch.epochs, base.epoch.epochs) << "threads=" << threads;
-    EXPECT_EQ(result.epoch.barriers, base.epoch.barriers)
-        << "threads=" << threads;
-    EXPECT_EQ(result.epoch.widened, base.epoch.widened)
-        << "threads=" << threads;
-    EXPECT_EQ(result.epoch.injected, base.epoch.injected)
-        << "threads=" << threads;
+    // One full drive per round.
+    EXPECT_EQ(result.epoch.epochs, config.rounds) << "threads=" << threads;
+    EXPECT_EQ(result.epoch.barriers, config.rounds) << "threads=" << threads;
+    EXPECT_EQ(result.epoch.widened, 0u) << "threads=" << threads;
+    EXPECT_EQ(result.epoch.injected, 0u) << "threads=" << threads;
   }
+}
 
-  config.threads = 1;
-  config.adaptive = false;
-  const ThroughputResult fixed = run_throughput_session(tpd, config);
-  EXPECT_EQ(fixed.epoch.widened, 0u);
-  EXPECT_GE(fixed.epoch.barriers, 2 * base.epoch.barriers)
-      << "adaptive windows must cut barrier crossings at least in half";
-  // Same outputs either way: widening only moves barriers, not events.
-  EXPECT_EQ(fixed.bids_accepted, base.bids_accepted);
-  EXPECT_EQ(fixed.trades, base.trades);
-  EXPECT_EQ(fixed.sim_time, base.sim_time);
-  EXPECT_EQ(fixed.bus.sent, base.bus.sent);
+TEST(ParallelExchangeTest, BarriersCountDrivesExactly) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ShardPair pair;
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool);
+    const auto expect_stats = [&](const EpochStats& stats,
+                                  std::size_t epochs, const char* what) {
+      EXPECT_EQ(stats.barriers, 1u) << what << " threads=" << threads;
+      EXPECT_EQ(stats.epochs, epochs) << what << " threads=" << threads;
+      EXPECT_EQ(stats.widened, 0u) << what << " threads=" << threads;
+    };
+
+    expect_stats(driver.drive(), 0, "empty drive");
+    pair.on_a(SimTime{10}, [] {});
+    pair.on_b(SimTime{2'000}, [] {});
+    // Both heads are at or beyond their bounds: nothing to run.
+    expect_stats(driver.drive_until({SimTime{10}, SimTime{500}}), 0,
+                 "bounded drive, nothing below the bounds");
+    expect_stats(driver.drive_until({SimTime{11}, SimTime{500}}), 1,
+                 "bounded drive");
+    expect_stats(driver.drive(), 1, "unbounded drive");
+    expect_stats(driver.drive(), 0, "empty drive after quiescence");
+  }
+}
+
+// drive_until runs each shard's events strictly before its own bound and
+// leaves the rest queued for the next drive.
+TEST(ParallelExchangeTest, BoundedDriveStopsEachShardBeforeItsOwnBound) {
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    ShardPair pair;
+    std::vector<std::int64_t> ran_a;
+    std::vector<std::int64_t> ran_b;
+    for (const std::int64_t t : {10, 99, 100, 101, 199, 200}) {
+      pair.on_a(SimTime{t}, [&ran_a, t] { ran_a.push_back(t); });
+      pair.on_b(SimTime{t}, [&ran_b, t] { ran_b.push_back(t); });
+    }
+
+    WorkerPool pool(threads);
+    EpochDriver driver = pair.driver(pool);
+    driver.drive_until({SimTime{100}, SimTime{200}});
+    EXPECT_EQ(ran_a, (std::vector<std::int64_t>{10, 99}))
+        << "threads=" << threads;
+    EXPECT_EQ(ran_b, (std::vector<std::int64_t>{10, 99, 100, 101, 199}))
+        << "threads=" << threads;
+    EXPECT_EQ(pair.queue_a.pending(), 4u) << "threads=" << threads;
+    EXPECT_EQ(pair.queue_b.pending(), 1u) << "threads=" << threads;
+
+    driver.drive();
+    EXPECT_EQ(ran_a, (std::vector<std::int64_t>{10, 99, 100, 101, 199, 200}))
+        << "threads=" << threads;
+    EXPECT_EQ(ran_b, ran_a) << "threads=" << threads;
+  }
+}
+
+// The fixed-lookahead schedule is gone: asking for it is an error rather
+// than a silently different drive.
+TEST(ParallelExchangeTest, ExchangeRejectsFixedLookaheadSchedule) {
+  const TpdProtocol tpd(money(50));
+  MultiExchangeConfig config;
+  config.adaptive_epochs = false;
+  EXPECT_THROW(MultiServerExchange(tpd, config), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
 // Shard isolation is enforced, not trusted: a send to an address another
 // shard owns throws at the sender — deterministically, on every thread
-// count, naming both shards — instead of silently breaking the
-// unbounded-window math.
+// count, naming both shards — instead of silently breaking shard
+// independence.
 
 TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
@@ -612,10 +671,8 @@ TEST(ParallelExchangeTest, IsolatedTopologyRejectsCrossShardSends) {
   }
 }
 
-// Same-shard traffic stays legal, and the adaptive driver collapses the
-// whole drive into one unbounded epoch (3 barrier crossings: window,
-// drain, final window) instead of stepping lookahead-sized windows
-// across the event horizon.
+// Same-shard traffic stays legal, and the whole drive is one epoch with
+// one barrier crossing (the pool join), however far apart the events.
 
 TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
   ShardPair pair;
@@ -630,8 +687,7 @@ TEST(ParallelExchangeTest, IsolatedTopologyCollapsesToOneEpoch) {
   EpochDriver driver = pair.driver(pool);
   const EpochStats stats = driver.drive();
   EXPECT_EQ(stats.epochs, 1u);
-  EXPECT_EQ(stats.barriers, 3u);
-  EXPECT_EQ(stats.widened, 1u);
+  EXPECT_EQ(stats.barriers, 1u);
   EXPECT_EQ(ran_a.size(), 11u);
   EXPECT_EQ(ran_b.size(), 11u);
   EXPECT_TRUE(std::is_sorted(ran_a.begin(), ran_a.end()));

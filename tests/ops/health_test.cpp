@@ -172,11 +172,10 @@ TEST(HealthWatchdog, BindMetricsExposesCounters) {
 
 TEST(HealthWatchdog, DefaultRulesParseAndCoverTheTentpoleSlos) {
   const std::vector<SloRule> rules = HealthWatchdog::default_rules();
-  ASSERT_EQ(rules.size(), 4u);
+  ASSERT_EQ(rules.size(), 3u);
   EXPECT_EQ(rules[0].name, "delivery_p99");
-  EXPECT_EQ(rules[1].name, "mailbox_shed");
-  EXPECT_EQ(rules[2].name, "attack_shed");
-  EXPECT_EQ(rules[3].name, "escrow_held");
+  EXPECT_EQ(rules[1].name, "attack_shed");
+  EXPECT_EQ(rules[2].name, "escrow_held");
 }
 
 }  // namespace
