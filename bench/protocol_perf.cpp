@@ -142,8 +142,9 @@ void BM_Figure1SweepShared(benchmark::State& state) {
 }
 
 /// Figure-1 coarse sweep through the incremental kernel: each instance is
-/// ranked and prefix-summed once, then every threshold costs two binary
-/// searches (O(N(n log n + T log n)) total).
+/// ranked, prefix-summed and given its efficient trade count k once, then
+/// every threshold costs two partition counts over the first k ranks and
+/// one rank-(k + 1) test (O(N(n log n + T log k)) total).
 void BM_Figure1SweepKernel(benchmark::State& state) {
   const auto per_side = static_cast<std::size_t>(state.range(0));
   constexpr std::size_t kInstances = 200;

@@ -841,7 +841,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
   add("sweep", "TPD threshold sweep (Figure 1 series, CSV)",
       {count("participants", 0, 500, "buyers and sellers per instance"),
        count("step", 1, 5, "threshold step over 0..100"),
-       count("instances", 0, 200, "instances per threshold"), seed_option(1)},
+       count("instances", 1, 200, "instances per threshold"), seed_option(1)},
       {}, cmd_sweep);
   add("optimize", "find the best threshold for a workload",
       {count("buyers", 0, 50, "buyers per instance"),
@@ -850,7 +850,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
        money_option("high", "100", "highest value"),
        money_option("lo", "", "search lower end (default: --low)"),
        money_option("hi", "", "search upper end (default: --high)"),
-       count("instances", 0, 200, "instances per evaluation"),
+       count("instances", 1, 200, "instances per evaluation"),
        seed_option(7),
        ParamSpec::choice("objective", {"total", "traders"},
                          "surplus to maximize")

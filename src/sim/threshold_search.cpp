@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "common/bucket_rank.h"
@@ -13,8 +14,11 @@ namespace fnda {
 namespace {
 
 /// Length of the lane buffer for `buyers` x `sellers`: both lanes plus
-/// min(m, n) + 1 prefix sums.
+/// min(m, n) + 1 prefix sums.  The book keeps its counts in 32 bits.
 std::size_t lane_buffer_size(std::size_t buyers, std::size_t sellers) {
+  if (std::max(buyers, sellers) > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("TpdSweepBook: side longer than 2^32 - 1 bids");
+  }
   return buyers + sellers + std::min(buyers, sellers) + 1;
 }
 
@@ -36,8 +40,8 @@ void rank_lane(std::span<std::int64_t> lane) {
 
 TpdSweepBook::TpdSweepBook(const SortedBook& book)
     : lanes_(lane_buffer_size(book.buyer_count(), book.seller_count())),
-      buyer_count_(book.buyer_count()),
-      seller_count_(book.seller_count()) {
+      buyer_count_(static_cast<std::uint32_t>(book.buyer_count())),
+      seller_count_(static_cast<std::uint32_t>(book.seller_count())) {
   auto micros = [](const BidEntry& entry) { return entry.value.micros(); };
   const auto sellers = std::transform(book.buyers().begin(),
                                       book.buyers().end(), lanes_.begin(),
@@ -50,8 +54,9 @@ TpdSweepBook::TpdSweepBook(const SortedBook& book)
 TpdSweepBook::TpdSweepBook(const SingleUnitInstance& instance)
     : lanes_(lane_buffer_size(instance.buyer_values.size(),
                               instance.seller_values.size())),
-      buyer_count_(instance.buyer_values.size()),
-      seller_count_(instance.seller_values.size()) {
+      buyer_count_(static_cast<std::uint32_t>(instance.buyer_values.size())),
+      seller_count_(
+          static_cast<std::uint32_t>(instance.seller_values.size())) {
   auto micros = [](Money value) { return value.micros(); };
   const auto sellers =
       std::transform(instance.buyer_values.begin(),
@@ -73,18 +78,41 @@ void TpdSweepBook::prepare() {
   for (std::size_t t = 0; t < limit; ++t) {
     prefix[t + 1] = prefix[t] + (buyers[t] - sellers[t]);
   }
+  // k = |{t : b(t) >= s(t)}|: b(t) - s(t) never increases with t, so k is
+  // a partition point, found by binary search after the prefix pass.
+  std::size_t lo = 0;
+  std::size_t hi = limit;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (buyers[mid] >= sellers[mid]) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  efficient_count_ = static_cast<std::uint32_t>(lo);
 }
 
 TpdThresholdOutcome TpdSweepBook::evaluate(Money r) const {
   const std::int64_t* buyers = lanes_.data();
   const std::int64_t* sellers = buyers + buyer_count_;
   const std::int64_t* prefix = sellers + seller_count_;
-  // i = |{b >= r}|, j = |{s <= r}|: partition points over the ranked
-  // lanes, computed by the branchless/SIMD kernel (identical to the
-  // lower_bound formulation this code used to spell out).
+  // i = |{b >= r}|, j = |{s <= r}|, counted only as far as TPD can tell
+  // them apart.  Every traded rank t <= min(i, j) has b(t) >= r >= s(t),
+  // so min(i, j) <= k, and i and j cannot both pass k: that would need
+  // b(k+1) >= r >= s(k+1).  So each lane is counted over its first k
+  // ranks only (the branchless/SIMD kernel), and one test at rank k + 1
+  // per lane says which side, if either, is longer than k.  A test can
+  // hold only when its lane's count already reached k (the lanes are
+  // sorted), and at most one holds.  The outcome reads i and j only
+  // through min(i, j), which one is larger, and the shorter side's
+  // count, so it is the same integer as with the full counts.
   const std::int64_t threshold = r.micros();
-  const std::size_t i = simd::count_ge_desc(buyers, buyer_count_, threshold);
-  const std::size_t j = simd::count_le_asc(sellers, seller_count_, threshold);
+  const std::size_t k = efficient_count_;
+  std::size_t i = simd::count_ge_desc(buyers, k, threshold);
+  std::size_t j = simd::count_le_asc(sellers, k, threshold);
+  i += static_cast<std::size_t>(k < buyer_count_ && buyers[k] >= threshold);
+  j += static_cast<std::size_t>(k < seller_count_ && sellers[k] <= threshold);
 
   TpdThresholdOutcome outcome;
   outcome.trades = std::min(i, j);
@@ -145,7 +173,8 @@ double expected_tpd_surplus(const InstanceGenerator& generator, Money r,
 
 ThresholdSearchResult optimize_threshold(const InstanceGenerator& generator,
                                          const ThresholdSearchConfig& config) {
-  if (!(config.lo < config.hi) || config.coarse_points < 2) {
+  if (!(config.lo < config.hi) || config.coarse_points < 2 ||
+      config.instances_per_eval == 0) {
     throw std::invalid_argument("optimize_threshold: bad config");
   }
 

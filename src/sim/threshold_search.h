@@ -10,12 +10,15 @@
 // The estimator rides an incremental sweep kernel rather than re-clearing
 // the book per candidate: TPD's outcome at threshold r depends only on
 // the counts i = |{b >= r}|, j = |{s <= r}| over ONE ranked book, so after
-// an O(n log n) preparation (rank + prefix-sum the pairwise surpluses)
-// every candidate threshold costs two binary searches.  A T-candidate
-// sweep over N instances is O(N * (n log n + T log n)) instead of the
-// naive O(T * N * n log n).
+// an O(n log n) preparation (rank + prefix-sum the pairwise surpluses,
+// find the efficient trade count k) every candidate threshold costs two
+// partition counts over the first k ranks of each lane plus one test at
+// rank k + 1: TPD never trades past rank k, so the ranks beyond k + 1
+// cannot change its outcome.  A T-candidate sweep over N instances is
+// O(N * (n log n + T log k)) instead of the naive O(T * N * n log n).
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,9 +50,9 @@ struct TpdThresholdOutcome {
   }
 };
 
-/// One instance preprocessed for O(log n)-per-threshold TPD evaluation:
-/// ranked buyer/seller values plus prefix sums of the pairwise surpluses
-/// b(t) - s(t).
+/// One instance preprocessed for O(log k)-per-threshold TPD evaluation:
+/// ranked buyer/seller values, prefix sums of the pairwise surpluses
+/// b(t) - s(t), and the efficient trade count k.
 class TpdSweepBook {
  public:
   TpdSweepBook() = default;
@@ -60,17 +63,18 @@ class TpdSweepBook {
   /// skips book instantiation entirely).
   explicit TpdSweepBook(const SingleUnitInstance& instance);
 
-  /// TPD at threshold r on this book: two partition-point counts through
-  /// the branchless/SIMD sweep kernel + O(1).  Bit-identical to the
-  /// binary-search formulation on every input (the kernel computes the
-  /// same partition points), whichever kernel flavour is compiled.
+  /// TPD at threshold r on this book: two partition-point counts over
+  /// the first k ranks of each lane through the branchless/SIMD sweep
+  /// kernel, one test per lane at rank k + 1, and O(1) arithmetic.  The
+  /// same integers as counting both full lanes, on every input, whichever
+  /// kernel flavour is compiled.
   TpdThresholdOutcome evaluate(Money r) const;
 
   std::size_t buyer_count() const { return buyer_count_; }
   std::size_t seller_count() const { return seller_count_; }
 
  private:
-  /// Fills the prefix sums behind the two ranked lanes.
+  /// Fills the prefix sums behind the two ranked lanes, then finds k.
   void prepare();
 
   /// One buffer of raw micros laid out as [buyers desc | sellers asc |
@@ -78,10 +82,15 @@ class TpdSweepBook {
   /// prefix[t] = sum_{rank=1..t} (b(rank) - s(rank)) for t in
   /// [0, min(m, n)].  Dense int64 lanes are what the branchless/SIMD
   /// partition kernel (common/sweep_kernel.h) consumes, and one buffer is
-  /// one allocation per book.
+  /// one allocation per book.  Both full lanes stay stored: evaluate
+  /// reads only ranks <= k + 1, but a buffer trimmed to them costs more
+  /// to free than it saves.
   std::vector<std::int64_t> lanes_;
-  std::size_t buyer_count_ = 0;
-  std::size_t seller_count_ = 0;
+  /// 32-bit counts keep the object at 40 bytes with k, the largest t
+  /// with b(t) >= s(t) (SortedBook::efficient_trade_count), beside them.
+  std::uint32_t buyer_count_ = 0;
+  std::uint32_t seller_count_ = 0;
+  std::uint32_t efficient_count_ = 0;
 };
 
 /// Evaluates TPD at every threshold in `thresholds` against one ranked

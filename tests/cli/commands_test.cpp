@@ -151,6 +151,20 @@ TEST(CliTest, OptimizeFindsCentralThreshold) {
   EXPECT_NE(result.out.find("best threshold"), std::string::npos);
 }
 
+TEST(CliTest, SweepAndOptimizeRejectZeroInstances) {
+  // A curve or a best threshold computed from no instances is no answer.
+  for (const char* command : {"sweep", "optimize"}) {
+    const CliRun result = run({command, "--instances", "0"});
+    EXPECT_EQ(result.exit_code, 2) << command;
+    EXPECT_TRUE(result.out.empty()) << command;
+    EXPECT_NE(result.err.find("--instances out of range [1, "),
+              std::string::npos)
+        << result.err;
+  }
+  EXPECT_EQ(run({"optimize", "--instances", "1"}).exit_code, 0);
+  EXPECT_EQ(run({"sweep", "--instances", "1", "--step", "50"}).exit_code, 0);
+}
+
 TEST(CliTest, ClearMultiReproducesExample5) {
   const char* book =
       "buyer,0,9;8\nbuyer,1,7\nbuyer,2,6\nbuyer,3,4\n"

@@ -142,6 +142,131 @@ TEST(SweepKernelTest, MatchesTpdClearExactlyOnRandomBooks) {
   }
 }
 
+/// Builds the truthful instance of the given unit values over a domain
+/// wide enough for negative values.
+SingleUnitInstance units_instance(const std::vector<std::int64_t>& buyers,
+                                  const std::vector<std::int64_t>& sellers) {
+  SingleUnitInstance instance;
+  instance.domain = {Money::from_units(-1'000), Money::from_units(1'000)};
+  for (const std::int64_t b : buyers) {
+    instance.buyer_values.push_back(Money::from_units(b));
+  }
+  for (const std::int64_t s : sellers) {
+    instance.seller_values.push_back(Money::from_units(s));
+  }
+  return instance;
+}
+
+/// `count` integer values drawn uniformly from [lo, hi].
+std::vector<std::int64_t> uniform_units(Rng& rng, std::size_t count,
+                                        std::int64_t lo, std::int64_t hi) {
+  std::vector<std::int64_t> values;
+  for (std::size_t i = 0; i < count; ++i) {
+    values.push_back(
+        lo + static_cast<std::int64_t>(
+                 rng.below(static_cast<std::uint64_t>(hi - lo + 1))));
+  }
+  return values;
+}
+
+/// Both preparations of `instance` against TpdProtocol::clear_sorted at
+/// every ranked value of both lanes, +-1 micro: the thresholds at which a
+/// partition count, the efficient count k or the rank-(k + 1) test flips.
+void expect_sweep_matches_clear_at_every_crossing(
+    const SingleUnitInstance& instance, Rng& rng, const char* label) {
+  const SortedBook book(instantiate_truthful(instance).book, rng);
+  const TpdSweepBook from_instance(instance);
+  const TpdSweepBook from_book(book);
+  std::vector<std::int64_t> grid;
+  for (const auto* lane : {&instance.buyer_values, &instance.seller_values}) {
+    for (const Money value : *lane) {
+      for (const std::int64_t delta : {-1, 0, 1}) {
+        grid.push_back(value.micros() + delta);
+      }
+    }
+  }
+  for (const std::int64_t micros : grid) {
+    const Money r = Money::from_micros(micros);
+    const SlowTpd expected = slow_tpd(book, r);
+    SCOPED_TRACE(testing::Message()
+                 << label << " m=" << book.buyer_count()
+                 << " n=" << book.seller_count()
+                 << " k=" << book.efficient_trade_count() << " r=" << micros);
+    for (const TpdSweepBook* prepared : {&from_instance, &from_book}) {
+      const TpdThresholdOutcome got = prepared->evaluate(r);
+      EXPECT_EQ(got.trades, expected.trades);
+      EXPECT_EQ(got.total, expected.total);
+      EXPECT_EQ(got.auctioneer, expected.auctioneer);
+    }
+  }
+}
+
+TEST(SweepKernelTest, MatchesTpdClearAtEveryCrossing) {
+  // TPD trades at most k = efficient_trade_count() pairs, so the ranks
+  // around k and k + 1 decide every outcome: probe them on books where k
+  // is 0, where k is min(m, n), where one side is empty, where m != n,
+  // where a tie run spans ranks k and k + 1, and where values are
+  // negative.
+  Rng rng(0xc2055);
+  // Hand-made tie runs across ranks k and k + 1: in the buyers (k = 4),
+  // in the sellers (k = 3), in the sellers at k = min(m, n) = 4, and a
+  // book of one value.  Both lanes cannot tie there at once: b(k) =
+  // b(k + 1) < s(k + 1) = s(k) would contradict b(k) >= s(k).
+  struct TieBook {
+    std::vector<std::int64_t> buyers;
+    std::vector<std::int64_t> sellers;
+    std::size_t k;
+  };
+  for (const TieBook& tie :
+       {TieBook{{70, 60, 50, 50, 50, 40}, {30, 40, 50, 50, 55, 60}, 4},
+        TieBook{{70, 60, 50, 45}, {30, 40, 50, 50, 50}, 3},
+        TieBook{{80, 50, 50, 50}, {20, 50, 50, 50, 50}, 4},
+        TieBook{{50, 50, 50}, {50, 50, 50}, 3}}) {
+    const SingleUnitInstance instance = units_instance(tie.buyers, tie.sellers);
+    ASSERT_EQ(SortedBook(instantiate_truthful(instance).book, rng)
+                  .efficient_trade_count(),
+              tie.k);
+    expect_sweep_matches_clear_at_every_crossing(instance, rng, "tie run");
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::size_t m = 1 + rng.below(12);
+    const std::size_t n = 1 + rng.below(12);
+    // k = 0: every buyer is below every seller.
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, m, 0, 40),
+                       uniform_units(rng, n, 60, 100)),
+        rng, "k=0");
+    // k = min(m, n): every buyer is above every seller.
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, m, 60, 100),
+                       uniform_units(rng, n, 0, 40)),
+        rng, "k=min");
+    // One empty side.
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance({}, uniform_units(rng, n, 0, 100)), rng, "no buyers");
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, m, 0, 100), {}), rng, "no sellers");
+    // m != n.
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, 3, 0, 100),
+                       uniform_units(rng, 40, 0, 100)),
+        rng, "3x40");
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, 40, 0, 100),
+                       uniform_units(rng, 3, 0, 100)),
+        rng, "40x3");
+    // Tie runs from three values, and negative values.
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, m, 4, 6),
+                       uniform_units(rng, n, 4, 6)),
+        rng, "ties");
+    expect_sweep_matches_clear_at_every_crossing(
+        units_instance(uniform_units(rng, m, -100, 0),
+                       uniform_units(rng, n, -100, 0)),
+        rng, "negative");
+  }
+}
+
 enum class SweepShape { kRandom, kTieDense, kOutlierCluster, kNegative };
 
 /// `count` values of `shape`; kOutlierCluster puts one value 1e6 units
