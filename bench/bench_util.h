@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/export.h"
 #include "sim/experiment.h"
 #include "sim/table.h"
 
@@ -62,23 +63,8 @@ struct JsonBenchRecord {
   std::vector<std::string> warnings;
 };
 
-/// Minimal JSON string escaping for warning text (quotes + backslashes +
-/// control characters; warnings are ASCII diagnostics).
-inline std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
+/// JSON string escaping for warning and compiler text.
+using obs::json_escape;
 
 /// The library build flavour baked into this binary.  Stamped into the
 /// context block AND every record: a single row pasted into a report must

@@ -386,7 +386,7 @@ int cmd_attack_search(const Invocation& args, std::istream& in,
     // dump via --metrics-out still works alongside.  Wall time is the
     // only nondeterministic field.
     out << "{\n"
-        << "  \"protocol\": \"" << ops::json_escape(protocol->name())
+        << "  \"protocol\": \"" << obs::json_escape(protocol->name())
         << "\",\n"
         << "  \"engine\": \"" << (serial ? "serial" : "parallel_pruned")
         << "\",\n"
@@ -397,7 +397,7 @@ int cmd_attack_search(const Invocation& args, std::istream& in,
         << "    \"truthful_utility\": " << result.truthful_utility << ",\n"
         << "    \"best_utility\": " << result.best_utility << ",\n"
         << "    \"best_strategy\": \""
-        << ops::json_escape(result.best_strategy.to_string()) << "\",\n"
+        << obs::json_escape(result.best_strategy.to_string()) << "\",\n"
         << "    \"profitable\": " << (result.profitable() ? "true" : "false")
         << ",\n"
         << "    \"truncated\": " << (result.truncated ? "true" : "false")
@@ -812,7 +812,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
            ParamSpec::integer("binomial", 0, std::numeric_limits<int>::max(),
                               "draw m,n ~ B(N, 0.5) instead (0 = off)")
                .optional("0"),
-           count("instances", 0, 1000, "instances to draw"),
+           count("instances", 1, 1000, "instances to draw"),
            money_option("low", "0", "lowest value"),
            money_option("high", "100", "highest value"),
            threads("worker threads (<= 1 runs sequentially)"),

@@ -60,6 +60,8 @@ struct LiveBookStats {
     sorts_at_close += other.sorts_at_close;
     chunk_splits += other.chunk_splits;
   }
+
+  bool operator==(const LiveBookStats&) const = default;
 };
 
 /// Mutable rank-ordered collection of declarations for one clearing round.

@@ -103,6 +103,8 @@ struct BusStats {
     forwarded += other.forwarded;
     mailbox_overflow += other.mailbox_overflow;
   }
+
+  bool operator==(const BusStats&) const = default;
 };
 
 class MessageBus : public EventQueue::DeliverySink {
@@ -295,7 +297,7 @@ class MessageBus : public EventQueue::DeliverySink {
   std::uint64_t next_message_ = 0;
 
   // Telemetry instruments (null until bind_telemetry; recording through
-  // a null pointer is skipped, and FNDA_NO_TELEMETRY empties the bodies).
+  // a null pointer is skipped).
   // Per-delivery histograms sample every stride-th delivered group — the
   // tick advances in this shard's deterministic delivery order, so the
   // sampled stream is bit-identical at any worker count.

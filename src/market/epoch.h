@@ -51,6 +51,8 @@ struct EpochStats {
     barriers += other.barriers;
     widened += other.widened;
   }
+
+  bool operator==(const EpochStats&) const = default;
 };
 
 /// Drives a set of per-shard event queues on the lanes of a borrowed

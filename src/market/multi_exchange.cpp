@@ -185,10 +185,7 @@ EpochStats MultiServerExchange::drive_until(
 }
 
 void MultiServerExchange::drive_to_quiescence() {
-  // One full drive's stats become last_drive_ — run_round keeps reporting
-  // exactly what it always has, whether or not bounded drives preceded it.
-  last_drive_ = driver_->drive();
-  epoch_totals_.merge(last_drive_);
+  epoch_totals_.merge(driver_->drive());
 }
 
 std::size_t MultiServerExchange::rounds_completed() const {

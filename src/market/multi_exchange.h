@@ -92,8 +92,7 @@ class MultiServerExchange {
   /// skips paused shards, returning RoundId::invalid() in their slots.
   std::vector<RoundId> open_rounds(SimTime open_for);
   /// Bounded drive: shard `s` executes only events strictly before
-  /// `bounds[s]`; later events stay queued.  Folds into epoch_totals()
-  /// but leaves last_drive() alone (it reports full drives).
+  /// `bounds[s]`; later events stay queued.  Folds into epoch_totals().
   EpochStats drive_until(const std::vector<SimTime>& bounds);
   /// Drives every shard to quiescence (the tail of run_round).
   void drive_to_quiescence();
@@ -224,8 +223,6 @@ class MultiServerExchange {
     const std::deque<TradingClient>* traders_;
   };
   TraderList traders() const { return TraderList(traders_); }
-  /// Epoch counters from the most recent drive.
-  const EpochStats& last_drive() const { return last_drive_; }
   /// Epoch counters accumulated across every drive of this exchange —
   /// the session-level barrier-crossing record the bench reports.
   const EpochStats& epoch_totals() const { return epoch_totals_; }
@@ -272,7 +269,6 @@ class MultiServerExchange {
   /// Views into the shard populations, in add order; a deque so the
   /// references add_trader returns stay valid.
   std::deque<TradingClient> traders_;
-  EpochStats last_drive_;
   EpochStats epoch_totals_;
   std::uint64_t next_account_ = 1;  // 0 is the exchange
   std::uint64_t next_client_ = 0;

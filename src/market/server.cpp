@@ -3,8 +3,6 @@
 #include <bit>
 #include <stdexcept>
 
-#include "common/logging.h"
-
 namespace fnda {
 
 void AuctionServer::SubmittedTable::reset(std::size_t expected_entries) {
@@ -307,28 +305,6 @@ void AuctionServer::clear_round() {
                 SettlementNoticeMsg{round.id, delivery.seller, false,
                                     delivery.confiscated});
     }
-  }
-
-  if (log_enabled(LogLevel::kInfo)) {
-    // Operational round-close record (off by default: threshold is kWarn).
-    // Surplus here is *declared* surplus — the gain traders' declarations
-    // imply at the clearing prices; true valuations are invisible to the
-    // server, exactly as in the paper's model.
-    Money declared_surplus{};
-    for (const Fill& fill : outcome.fills()) {
-      const SubmittedBid* submitted = submitted_.find(fill.identity);
-      if (submitted == nullptr) continue;
-      declared_surplus = declared_surplus + (fill.side == Side::kBuyer
-                                                 ? submitted->value - fill.price
-                                                 : fill.price - submitted->value);
-    }
-    FNDA_LOG(kInfo) << "round-close server=" << address_
-                    << " round=" << round.id.value()
-                    << " bids=" << submitted_.size()
-                    << " trades=" << outcome.trade_count()
-                    << " declared_surplus=" << declared_surplus.to_string()
-                    << " revenue=" << outcome.auctioneer_revenue().to_string()
-                    << " seized=" << report.confiscated_total.to_string();
   }
 
   const std::size_t trade_count = outcome.trade_count();

@@ -32,6 +32,30 @@ std::string prometheus_escape_label(std::string_view value) {
   return out;
 }
 
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          constexpr char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[(c >> 4) & 0xf];
+          out += kHex[c & 0xf];
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
 std::uint64_t snapshot_quantile(const MetricValue& value, double q) {
   if (value.kind != MetricKind::kHistogram || value.hist_count == 0) return 0;
   if (q >= 1.0) return value.hist_max;

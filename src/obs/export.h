@@ -20,6 +20,12 @@ namespace fnda::obs {
 /// the ops layer emits operator-supplied strings through this.
 std::string prometheus_escape_label(std::string_view value);
 
+/// Escapes a JSON string body (RFC 8259, without the surrounding quotes):
+/// double quote, backslash, \n, \r and \t get short escapes; every other
+/// control byte becomes \u00XX.  The one escaper behind every JSON writer
+/// in the tree (console replies, audit dumps, Chrome traces, CLI reports).
+std::string json_escape(std::string_view text);
+
 /// Quantile readout from a histogram snapshot value: the upper bound of
 /// the bucket holding the rank-ceil(q*count) sample (nearest-rank, so a
 /// sample recorded exactly at a bucket bound reads back exactly).  q >= 1

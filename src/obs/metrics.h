@@ -16,12 +16,6 @@
 // (batch sizes, queue depths).  Wall-clock instrumentation (barrier
 // stalls, round-close CPU time) is opt-in behind the session's wallclock
 // flag and documented as nondeterministic.
-//
-// Compiling with -DFNDA_NO_TELEMETRY turns every recording method into an
-// inline no-op (empty Counter/Gauge/Histogram bodies; callback-bound
-// metrics still read their underlying cells, which are functional state
-// that exists either way).  Registration and exposition stay compiled —
-// they are wiring-time and session-end code — so call sites never change.
 #pragma once
 
 #include <array>
@@ -39,16 +33,11 @@ namespace fnda::obs {
 /// Monotone event count.  64-bit, wraps never in practice.
 class Counter {
  public:
-#ifndef FNDA_NO_TELEMETRY
   void add(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
 
  private:
   std::uint64_t value_ = 0;
-#else
-  void add(std::uint64_t = 1) {}
-  std::uint64_t value() const { return 0; }
-#endif
 };
 
 /// Point-in-time signed value.  Merge policy is chosen at registration:
@@ -56,7 +45,6 @@ class Counter {
 /// take the max.
 class Gauge {
  public:
-#ifndef FNDA_NO_TELEMETRY
   void set(std::int64_t v) { value_ = v; }
   void raise_to(std::int64_t v) {
     if (v > value_) value_ = v;
@@ -65,11 +53,6 @@ class Gauge {
 
  private:
   std::int64_t value_ = 0;
-#else
-  void set(std::int64_t) {}
-  void raise_to(std::int64_t) {}
-  std::int64_t value() const { return 0; }
-#endif
 };
 
 /// Log-bucketed HDR-style histogram over non-negative 64-bit values
@@ -122,7 +105,6 @@ class Histogram {
     return ((sub + kSubBuckets + 1) << group) - 1;
   }
 
-#ifndef FNDA_NO_TELEMETRY
   void record(std::int64_t sample) {
     const std::uint64_t value =
         sample < 0 ? 0 : static_cast<std::uint64_t>(sample);
@@ -146,13 +128,6 @@ class Histogram {
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
   std::uint64_t max_ = 0;
-#else
-  void record(std::int64_t) {}
-  std::uint64_t count() const { return 0; }
-  std::uint64_t sum() const { return 0; }
-  std::uint64_t max() const { return 0; }
-  std::uint64_t bucket_count(std::size_t) const { return 0; }
-#endif
 };
 
 // The top octave (msb 63) must map inside the flat array: UINT64_MAX

@@ -8,10 +8,9 @@ SessionTelemetry::SessionTelemetry(std::size_t shards,
                                    TelemetryOptions options)
     : options_(options),
       start_(std::chrono::steady_clock::now()),
-      driver_(0, options.trace_capacity) {
+      driver_(0) {
   for (std::size_t s = 0; s < shards; ++s) {
-    shards_.emplace_back(static_cast<std::uint32_t>(s + 1),
-                         options.trace_capacity);
+    shards_.emplace_back(static_cast<std::uint32_t>(s + 1));
   }
 }
 

@@ -20,23 +20,21 @@
 namespace fnda::obs {
 
 struct TelemetryOptions {
-  /// Runtime master switch: disabled sessions wire no telemetry at all
+  /// The one off-switch: disabled sessions wire no telemetry at all
   /// (components keep null instrument pointers), which is the in-binary
-  /// baseline the <2% overhead bench compares against.  Compiling with
-  /// FNDA_NO_TELEMETRY additionally empties the instruments themselves.
+  /// baseline the <2% overhead bench compares against.  No exchange state
+  /// reads an instrument, so a session's results do not depend on it.
   bool enabled = true;
   /// Wall-clock mode: trace timestamps come from the session steady
   /// clock and the wall-clock histograms (epoch barrier stall,
   /// round-close CPU time) are recorded.  Nondeterministic by nature —
   /// never enabled on the replay/digest paths.
   bool wallclock = false;
-  std::size_t trace_capacity = TraceSink::kDefaultCapacity;
 };
 
 /// One event loop's private telemetry world (a shard, or the driver).
 struct ShardTelemetry {
-  ShardTelemetry(std::uint32_t tid, std::size_t trace_capacity)
-      : trace(tid, trace_capacity) {}
+  explicit ShardTelemetry(std::uint32_t tid) : trace(tid) {}
 
   MetricsRegistry metrics;
   TraceSink trace;

@@ -2,33 +2,9 @@
 
 #include <ostream>
 
+#include "obs/export.h"
+
 namespace fnda::obs {
-namespace {
-
-/// Chrome trace names are fixed labels from the instrumentation sites;
-/// escape anyway so a stray quote can never corrupt the document.
-void write_escaped(std::ostream& os, const char* text) {
-  os << '"';
-  for (const char* p = text; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 void TraceLog::append(const TraceSink& sink, std::string thread_name) {
   threads.push_back(Thread{sink.tid(), std::move(thread_name)});
@@ -43,18 +19,15 @@ void write_chrome_trace(std::ostream& os, const TraceLog& log) {
     if (!first) os << ',';
     first = false;
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":"
-       << thread.tid << ",\"args\":{\"name\":";
-    write_escaped(os, thread.name.c_str());
-    os << "}}";
+       << thread.tid << ",\"args\":{\"name\":\"" << json_escape(thread.name)
+       << "\"}}";
   }
   for (const TraceEvent& event : log.events) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":";
-    write_escaped(os, event.name);
-    os << ",\"cat\":";
-    write_escaped(os, event.category);
-    os << ",\"ph\":\"X\",\"ts\":" << event.ts_micros
+    os << "{\"name\":\"" << json_escape(event.name) << "\",\"cat\":\""
+       << json_escape(event.category)
+       << "\",\"ph\":\"X\",\"ts\":" << event.ts_micros
        << ",\"dur\":" << event.dur_micros << ",\"pid\":1,\"tid\":"
        << event.tid << '}';
   }

@@ -57,7 +57,6 @@ class TraceSink {
   void set_enabled(bool enabled) { enabled_ = enabled; }
   bool enabled() const { return enabled_; }
 
-#ifndef FNDA_NO_TELEMETRY
   void record_span(const char* name, const char* category,
                    std::int64_t ts_micros, std::int64_t dur_micros) {
     if (!enabled_) return;
@@ -69,11 +68,6 @@ class TraceSink {
   }
   const std::vector<TraceEvent>& events() const { return events_; }
   std::uint64_t dropped() const { return dropped_; }
-#else
-  void record_span(const char*, const char*, std::int64_t, std::int64_t) {}
-  const std::vector<TraceEvent>& events() const { return events_; }
-  std::uint64_t dropped() const { return 0; }
-#endif
 
   std::uint32_t tid() const { return tid_; }
 
@@ -83,18 +77,14 @@ class TraceSink {
   bool enabled_ = true;
   std::function<std::int64_t()> clock_;
   std::vector<TraceEvent> events_;
-#ifndef FNDA_NO_TELEMETRY
   std::uint64_t dropped_ = 0;
-#endif
 };
 
 /// RAII span: records [construction, destruction) against the sink's
-/// clock.  A null sink makes the scope free (telemetry disabled at
-/// runtime); FNDA_NO_TELEMETRY makes it free at compile time.
+/// clock.  A null sink (telemetry disabled) makes the scope free.
 class TraceScope {
  public:
   TraceScope(TraceSink* sink, const char* name, const char* category)
-#ifndef FNDA_NO_TELEMETRY
       : sink_(sink), name_(name), category_(category) {
     if (sink_ != nullptr) start_ = sink_->now();
   }
@@ -103,23 +93,14 @@ class TraceScope {
       sink_->record_span(name_, category_, start_, sink_->now() - start_);
     }
   }
-#else
-  {
-    (void)sink;
-    (void)name;
-    (void)category;
-  }
-#endif
   TraceScope(const TraceScope&) = delete;
   TraceScope& operator=(const TraceScope&) = delete;
 
-#ifndef FNDA_NO_TELEMETRY
  private:
   TraceSink* sink_;
   const char* name_;
   const char* category_;
   std::int64_t start_ = 0;
-#endif
 };
 
 /// A session's flushed trace: thread names plus every sink's events in

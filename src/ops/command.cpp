@@ -5,6 +5,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/export.h"
+
 namespace fnda::ops {
 namespace {
 
@@ -142,30 +144,6 @@ ParamSpec ParamSpec::optional(std::string fallback) && {
   return std::move(*this);
 }
 
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string Reply::text() const {
   std::string out;
   for (std::size_t i = 0; i < lines.size(); ++i) {
@@ -179,14 +157,15 @@ Reply Reply::error(const std::string& message) {
   Reply reply;
   reply.ok = false;
   reply.lines.push_back("error: " + message);
-  reply.json = "{\"ok\":false,\"error\":\"" + json_escape(message) + "\"}";
+  reply.json =
+      "{\"ok\":false,\"error\":\"" + obs::json_escape(message) + "\"}";
   return reply;
 }
 
 ReplyBuilder& ReplyBuilder::field(std::string_view key,
                                   std::string_view value) {
   fields_.push_back(Field{std::string(key),
-                          '"' + json_escape(value) + '"',
+                          '"' + obs::json_escape(value) + '"',
                           std::string(value)});
   return *this;
 }
@@ -219,13 +198,14 @@ Reply ReplyBuilder::build() const {
   reply.json = "{\"ok\":true";
   for (const Field& field : fields_) {
     reply.lines.push_back(field.key + ": " + field.text_value);
-    reply.json += ",\"" + json_escape(field.key) + "\":" + field.json_value;
+    reply.json +=
+        ",\"" + obs::json_escape(field.key) + "\":" + field.json_value;
   }
   if (!rows_.empty()) {
     reply.json += ",\"rows\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       if (i > 0) reply.json += ',';
-      reply.json += '"' + json_escape(rows_[i]) + '"';
+      reply.json += '"' + obs::json_escape(rows_[i]) + '"';
       reply.lines.push_back(rows_[i]);
     }
     reply.json += ']';

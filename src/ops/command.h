@@ -84,9 +84,6 @@ class ReplyBuilder {
   std::vector<std::string> rows_;
 };
 
-/// JSON string escaping shared by the reply builders.
-std::string json_escape(std::string_view text);
-
 /// A parsed, validated invocation: values keyed by the declaring
 /// ParamSpec/flag name.  Typed accessors never fail for declared names —
 /// the parser rejected anything malformed before the handler ran.

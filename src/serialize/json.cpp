@@ -3,33 +3,9 @@
 #include <cstdio>
 #include <stdexcept>
 
-namespace fnda {
+#include "obs/export.h"
 
-std::string JsonWriter::escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+namespace fnda {
 
 void JsonWriter::prefix() {
   if (is_object_.empty()) return;
@@ -83,7 +59,7 @@ void JsonWriter::key(const std::string& name) {
   if (!first_.back()) out_ += ',';
   first_.back() = false;
   out_ += '"';
-  out_ += escape(name);
+  out_ += obs::json_escape(name);
   out_ += "\":";
   pending_key_ = true;
 }
@@ -91,7 +67,7 @@ void JsonWriter::key(const std::string& name) {
 void JsonWriter::value(const std::string& text) {
   prefix();
   out_ += '"';
-  out_ += escape(text);
+  out_ += obs::json_escape(text);
   out_ += '"';
 }
 

@@ -45,9 +45,6 @@ class JsonWriter {
   /// still open.
   std::string str() const;
 
-  /// Escapes a string per RFC 8259 (quotes, backslash, control chars).
-  static std::string escape(const std::string& text);
-
  private:
   void prefix();
 

@@ -151,9 +151,10 @@ TEST(CliTest, OptimizeFindsCentralThreshold) {
   EXPECT_NE(result.out.find("best threshold"), std::string::npos);
 }
 
-TEST(CliTest, SweepAndOptimizeRejectZeroInstances) {
-  // A curve or a best threshold computed from no instances is no answer.
-  for (const char* command : {"sweep", "optimize"}) {
+TEST(CliTest, SimulateSweepAndOptimizeRejectZeroInstances) {
+  // A mean, a curve or a best threshold computed from no instances is no
+  // answer.
+  for (const char* command : {"simulate", "sweep", "optimize"}) {
     const CliRun result = run({command, "--instances", "0"});
     EXPECT_EQ(result.exit_code, 2) << command;
     EXPECT_TRUE(result.out.empty()) << command;
@@ -161,6 +162,7 @@ TEST(CliTest, SweepAndOptimizeRejectZeroInstances) {
               std::string::npos)
         << result.err;
   }
+  EXPECT_EQ(run({"simulate", "--instances", "1"}).exit_code, 0);
   EXPECT_EQ(run({"optimize", "--instances", "1"}).exit_code, 0);
   EXPECT_EQ(run({"sweep", "--instances", "1", "--step", "50"}).exit_code, 0);
 }

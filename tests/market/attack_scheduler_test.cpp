@@ -97,6 +97,20 @@ TEST(AttackSchedulerDeterminism, WarmAndColdSearchesAgreeOnOutput) {
   EXPECT_GT(warm.attack.warm_hits + warm.attack.warm_seeded, 0u);
 }
 
+TEST(AttackSchedulerDeterminism, TelemetrySwitchDoesNotChangeOutput) {
+  const TpdProtocol tpd(Money::from_units(50));
+  LiveAttackConfig config = small_session(2, 2);
+  const LiveAttackResult off = run_live_attack_session(tpd, config);
+  config.telemetry.enabled = true;
+  const LiveAttackResult on = run_live_attack_session(tpd, config);
+  EXPECT_EQ(on.digest, off.digest);
+  EXPECT_EQ(on.digest, kPinnedDigest);
+  EXPECT_EQ(on.trades, off.trades);
+  EXPECT_EQ(on.bids_accepted, off.bids_accepted);
+  EXPECT_EQ(on.bus, off.bus);
+  EXPECT_EQ(on.epoch, off.epoch);
+}
+
 TEST(AttackSchedulerDeterminism, BudgetShedsDeterministically) {
   const TpdProtocol tpd(Money::from_units(50));
   LiveAttackConfig config = small_session(1, 2);
@@ -125,12 +139,10 @@ TEST(AttackSchedulerDeterminism, SessionEmitsBothMetricFamilies) {
   EXPECT_EQ(result.round_wall_ns.size(), result.rounds);
   EXPECT_GT(result.total_wall_ns, 0u);
   EXPECT_GT(result.bus.delivered, 0u);
-#ifndef FNDA_NO_TELEMETRY
   ASSERT_NE(result.metrics.find("fnda_attack_rounds_total"), nullptr);
   EXPECT_EQ(result.metrics.find("fnda_attack_rounds_total")->counter, 3u);
   ASSERT_NE(result.metrics.find("fnda_attack_warm_hits_total"), nullptr);
   ASSERT_NE(result.metrics.find("fnda_attack_search_latency_us"), nullptr);
-#endif
 }
 
 TEST(AttackSchedulerDeterminism, SessionRejectsLatencyPastTheInjectionMargin) {

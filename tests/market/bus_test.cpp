@@ -315,7 +315,7 @@ TEST(MessageBusTest, TimersLeaveIdsLatencyAndStatsAlone) {
   struct World {
     EventQueue queue;
     MessageBus bus;
-    obs::ShardTelemetry telemetry{1, 16};
+    obs::ShardTelemetry telemetry{1};
     Recorder recorder;
     TimerCallbacks sender;
     TimerLog log;

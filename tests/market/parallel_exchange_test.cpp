@@ -168,11 +168,13 @@ struct SessionDigest {
   bool operator==(const SessionDigest&) const = default;
 };
 
-SessionDigest run_lossy_session(std::size_t threads) {
+SessionDigest run_lossy_session(std::size_t threads,
+                                obs::TelemetryOptions telemetry = {}) {
   const TpdProtocol tpd(money(50));
   MultiExchangeConfig config;
   config.shards = 4;
   config.threads = threads;
+  config.telemetry = telemetry;
   config.seed = 1234;
   config.bus.jitter = SimTime{500};
   config.bus.drop_probability = 0.02;
@@ -240,6 +242,49 @@ TEST(ParallelExchangeTest, LossySessionBitIdenticalAcrossThreadCounts) {
   const SessionDigest eight = run_lossy_session(8);
   EXPECT_EQ(one, two);
   EXPECT_EQ(one, eight);
+}
+
+// Telemetry is observability only: no exchange state reads an instrument,
+// so switching it off, on, or onto the wall clock must leave every output
+// of a lossy, duplicating session unchanged.
+TEST(ParallelExchangeTest, TelemetrySwitchLeavesSessionOutputUnchanged) {
+  obs::TelemetryOptions off;
+  off.enabled = false;
+  obs::TelemetryOptions wallclock;
+  wallclock.wallclock = true;
+
+  const TpdProtocol tpd(money(50));
+  ThroughputConfig config;
+  config.clients = 400;
+  config.rounds = 3;
+  config.shards = 4;
+  config.threads = 2;
+  config.drop_probability = 0.01;
+  config.duplicate_probability = 0.02;
+  config.seed = 7;
+  config.telemetry = off;
+  const ThroughputResult base = run_throughput_session(tpd, config);
+  EXPECT_TRUE(base.metrics.metrics.empty());
+  EXPECT_GT(base.bus.dropped, 0u);
+  EXPECT_GT(base.bus.duplicated, 0u);
+
+  const SessionDigest base_digest = run_lossy_session(2, off);
+  const obs::TelemetryOptions sim_time;
+  for (const obs::TelemetryOptions& on : {sim_time, wallclock}) {
+    config.telemetry = on;
+    const ThroughputResult result = run_throughput_session(tpd, config);
+    const char* mode = on.wallclock ? "wallclock" : "sim-time";
+    EXPECT_FALSE(result.metrics.metrics.empty()) << mode;
+    EXPECT_EQ(result.trades, base.trades) << mode;
+    EXPECT_EQ(result.bids_accepted, base.bids_accepted) << mode;
+    EXPECT_EQ(result.sim_time, base.sim_time) << mode;
+    EXPECT_EQ(result.bus, base.bus) << mode;
+    EXPECT_EQ(result.shard_bus, base.shard_bus) << mode;
+    EXPECT_EQ(result.book, base.book) << mode;
+    EXPECT_EQ(result.epoch, base.epoch) << mode;
+    // Fills, the audit dump and the ledger totals.
+    EXPECT_EQ(run_lossy_session(2, on), base_digest) << mode;
+  }
 }
 
 TEST(ParallelExchangeTest, ThroughputSessionIdenticalAcrossThreadCounts) {

@@ -1,4 +1,4 @@
-// Prometheus exposition edge cases: label escaping, empty registries,
+// Exposition edge cases: label and JSON string escaping, empty registries,
 // throwing gauge_fn callbacks, and histogram percentile exactness when
 // samples sit on bucket upper bounds (the nearest-rank contract
 // snapshot_quantile documents).
@@ -25,6 +25,30 @@ TEST(PrometheusEscapeLabel, EscapesBackslashQuoteNewline) {
   // Composition: every special byte escapes independently.
   EXPECT_EQ(prometheus_escape_label("\\\"\n"), "\\\\\\\"\\n");
   EXPECT_EQ(prometheus_escape_label(""), "");
+}
+
+TEST(JsonEscape, EscapesQuotesBackslashesAndEveryControlByte) {
+  const struct {
+    std::string in;
+    std::string out;
+  } cases[] = {
+      {"plain", "plain"},
+      {"", ""},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"a\\b", "a\\\\b"},
+      {"two\nlines", "two\\nlines"},
+      {"cr\r", "cr\\r"},
+      {"tab\t", "tab\\t"},
+      {"bs\b", "bs\\u0008"},
+      {"ff\f", "ff\\u000c"},
+      {std::string(1, '\x01'), "\\u0001"},
+      {std::string(1, '\x1f'), "\\u001f"},
+      {std::string("nul\0", 4), "nul\\u0000"},
+      {"\x7f\xc3\xa9", "\x7f\xc3\xa9"},  // DEL and UTF-8 pass through
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(json_escape(c.in), c.out) << c.in;
+  }
 }
 
 TEST(WritePrometheus, EmptyRegistryEmitsEmptyDocument) {

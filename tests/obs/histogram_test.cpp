@@ -11,8 +11,6 @@
 namespace fnda::obs {
 namespace {
 
-#ifndef FNDA_NO_TELEMETRY
-
 TEST(HistogramBuckets, ZeroAndUnitValuesGetExactBuckets) {
   for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v) {
     EXPECT_EQ(Histogram::bucket_index(v), v);
@@ -84,8 +82,6 @@ TEST(HistogramRecord, CountsSumsAndClampsNegatives) {
   EXPECT_EQ(hist.bucket_count(0), 2u);  // the zero and the clamped negative
   EXPECT_EQ(hist.bucket_count(5), 2u);
 }
-
-#endif  // FNDA_NO_TELEMETRY
 
 }  // namespace
 }  // namespace fnda::obs

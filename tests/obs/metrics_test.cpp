@@ -60,16 +60,10 @@ TEST(MetricsSnapshot, MergeSumsCountersAndRespectsGaugePolicy) {
 
   MetricsSnapshot merged = a.snapshot();
   merged.merge_from(b.snapshot());
-#ifndef FNDA_NO_TELEMETRY
   EXPECT_EQ(merged.find("c")->counter, 7u);
   EXPECT_EQ(merged.find("total")->gauge, 15);
   EXPECT_EQ(merged.find("peak")->gauge, 25);
-#else
-  EXPECT_EQ(merged.find("c")->counter, 0u);
-#endif
 }
-
-#ifndef FNDA_NO_TELEMETRY
 
 TEST(MetricsSnapshot, MergeCombinesSparseHistogramBuckets) {
   MetricsRegistry a;
@@ -157,8 +151,6 @@ TEST(SearchMetricsDeterminism, WallTimeIsOptIn) {
   ASSERT_NE(snap.find("fnda_search_wall_time_ns_total"), nullptr);
   EXPECT_EQ(snap.find("fnda_search_wall_time_ns_total")->counter, 1234u);
 }
-
-#endif  // FNDA_NO_TELEMETRY
 
 }  // namespace
 }  // namespace fnda::obs

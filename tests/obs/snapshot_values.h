@@ -1,10 +1,8 @@
 // Metric snapshots built as plain values.
 //
 // Exposition helpers, the console formatter and parser, and the health
-// watchdog are pure functions of an MetricsSnapshot.  Building their
-// inputs directly, instead of recording into live instruments, keeps
-// those tests meaningful when -DFNDA_NO_TELEMETRY compiles the
-// instruments' recording out.
+// watchdog are pure functions of a MetricsSnapshot, so their tests build
+// the inputs directly instead of recording into live instruments.
 #pragma once
 
 #include <algorithm>

@@ -48,8 +48,6 @@ bool well_formed_json(const std::string& text) {
   return depth == 0 && !in_string && seen_root;
 }
 
-#ifndef FNDA_NO_TELEMETRY
-
 TEST(TraceSink, ScopeRecordsSpanAgainstSinkClock) {
   TraceSink sink(3, 16);
   std::int64_t now = 100;
@@ -97,8 +95,6 @@ TEST(TraceLog, AppendConcatenatesSinksInOrder) {
   EXPECT_STREQ(log.events[1].name, "round");
 }
 
-#endif  // FNDA_NO_TELEMETRY
-
 TEST(ChromeTrace, OutputIsWellFormedJson) {
   TraceSink sink(1, 8);
   sink.record_span("span", "cat", 10, 20);
@@ -111,9 +107,7 @@ TEST(ChromeTrace, OutputIsWellFormedJson) {
   EXPECT_TRUE(well_formed_json(text)) << text;
   EXPECT_EQ(text.rfind("{\"traceEvents\":[", 0), 0u);
   EXPECT_NE(text.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-#ifndef FNDA_NO_TELEMETRY
   EXPECT_NE(text.find("\"name\":\"span\""), std::string::npos);
-#endif
 }
 
 TEST(ChromeTrace, EscapesHostileThreadNames) {

@@ -41,11 +41,14 @@ TEST(JsonWriterTest, NestedArrays) {
 }
 
 TEST(JsonWriterTest, EscapesStrings) {
-  EXPECT_EQ(JsonWriter::escape("a\"b\\c\nd\te"), "a\\\"b\\\\c\\nd\\te");
-  EXPECT_EQ(JsonWriter::escape(std::string(1, '\x01')), "\\u0001");
+  // Keys and values both go through obs::json_escape (table-tested in
+  // tests/obs/export_test.cpp).
   JsonWriter w;
-  w.value("quote\"backslash\\");
-  EXPECT_EQ(w.str(), R"("quote\"backslash\\")");
+  w.begin_object();
+  w.key("k\"\n");
+  w.value("quote\"backslash\\\x01");
+  w.end_object();
+  EXPECT_EQ(w.str(), R"({"k\"\n":"quote\"backslash\\\u0001"})");
 }
 
 TEST(JsonWriterTest, MisuseThrows) {
