@@ -303,10 +303,9 @@ int cmd_simulate(const Invocation& args, std::istream&, std::ostream& out,
       binomial > 0
           ? binomial_count_generator(static_cast<int>(binomial), 0.5, *values)
           : fixed_count_generator(buyers, sellers, *values);
+  // The counter-based runner: the same numbers at every --threads.
   const ComparisonResult result =
-      threads > 1 ? run_comparison_parallel(generator, {protocol.get()},
-                                            config, threads)
-                  : run_comparison(generator, {protocol.get()}, config);
+      run_comparison_parallel(generator, {protocol.get()}, config, threads);
   const ProtocolSummary& summary = result.protocols.front();
 
   TextTable table({"metric", "mean", "ci95"});
@@ -815,7 +814,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
            count("instances", 1, 1000, "instances to draw"),
            money_option("low", "0", "lowest value"),
            money_option("high", "100", "highest value"),
-           threads("worker threads (<= 1 runs sequentially)"),
+           threads("workers (0 = hardware concurrency)"),
            seed_option(1)}),
       {}, cmd_simulate);
   add("attack", "exhaustive deviation search for one participant",

@@ -99,7 +99,7 @@ DynamicsResult best_response_dynamics(const DoubleAuctionProtocol& protocol,
   result.truthful_surplus = profile_surplus(protocol, instance, result.agents,
                                             config, surplus_seed);
 
-  const std::vector<Money> grid = candidate_values(instance, Money{}, {});
+  const std::vector<Money> grid = candidate_values(instance, Money{});
 
   for (std::size_t sweep = 0; sweep < config.max_sweeps; ++sweep) {
     ++result.sweeps;

@@ -225,13 +225,11 @@ double DeviationEvaluator::truthful_utility() const {
 }
 
 std::vector<Money> candidate_values(const SingleUnitInstance& instance,
-                                    Money true_value,
-                                    const std::vector<Money>& extras) {
+                                    Money true_value) {
   std::set<Money> seeds;
   for (Money v : instance.buyer_values) seeds.insert(v);
   for (Money v : instance.seller_values) seeds.insert(v);
   seeds.insert(true_value);
-  for (Money v : extras) seeds.insert(v);
 
   const Money delta = Money::from_double(0.125);
   std::set<Money> grid;
@@ -663,8 +661,7 @@ SearchResult find_best_deviation(const DeviationEvaluator& evaluator,
   const SingleUnitInstance& instance = evaluator.instance();
   const std::vector<Money> grid =
       config.grid_override.empty()
-          ? candidate_values(instance, evaluator.true_value(),
-                            config.extra_candidates)
+          ? candidate_values(instance, evaluator.true_value())
           : config.grid_override;
   for (Money v : grid) {
     if (v < instance.domain.lowest || v > instance.domain.highest) {
@@ -881,7 +878,7 @@ std::vector<Money> warm_grid(const std::vector<Money>& buyer_values,
   instance.domain = domain;
   instance.buyer_values = buyer_values;
   instance.seller_values = seller_values;
-  return candidate_values(instance, true_value, config.extra_candidates);
+  return candidate_values(instance, true_value);
 }
 
 /// True when `strategy` is produced by the canonical enumeration over
@@ -1096,8 +1093,7 @@ SearchResult find_best_deviation_serial(const DeviationEvaluator& evaluator,
   const auto started = std::chrono::steady_clock::now();
   const std::vector<Money> grid =
       config.grid_override.empty()
-          ? candidate_values(evaluator.instance(), evaluator.true_value(),
-                             config.extra_candidates)
+          ? candidate_values(evaluator.instance(), evaluator.true_value())
           : config.grid_override;
 
   SearchResult result;

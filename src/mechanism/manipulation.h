@@ -146,8 +146,6 @@ struct SearchConfig {
   std::size_t max_declarations = 2;
   /// Also consider submitting nothing at all.
   bool allow_absence = true;
-  /// Extra candidate values appended to the instance-derived grid.
-  std::vector<Money> extra_candidates;
   /// Hard cap on strategies evaluated (the enumeration is combinatorial).
   std::size_t max_strategies = 250'000;
   /// Lanes of the engine's call-local WorkerPool (0 = hardware
@@ -240,8 +238,7 @@ struct SearchResult {
 /// around each, and the domain bounds — enough to realise any outcome the
 /// (piecewise-constant) protocols can produce.
 std::vector<Money> candidate_values(const SingleUnitInstance& instance,
-                                    Money true_value,
-                                    const std::vector<Money>& extras);
+                                    Money true_value);
 
 /// Parallel pruned best-response search over declaration multisets up to
 /// the configured size.  Bit-identical to `find_best_deviation_serial`

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -80,14 +81,9 @@ class Histogram {
   /// and the tests that pin the power-of-two edges.
   static constexpr std::size_t bucket_index(std::uint64_t value) {
     if (value < kSubBuckets) return static_cast<std::size_t>(value);
-    int msb = 0;
-#if defined(__GNUC__) || defined(__clang__)
-    // Hardware bit-scan on the recording hot path (one lzcnt/bsr); the
-    // builtin is constexpr-safe on these toolchains.
-    msb = 63 - __builtin_clzll(value);
-#else
-    for (std::uint64_t v = value; v > 1; v >>= 1) ++msb;
-#endif
+    // Index of the top set bit: one lzcnt/bsr on the recording hot path.
+    // (bit_width returns the operand's type before LWG 3656, int after.)
+    const int msb = static_cast<int>(std::bit_width(value)) - 1;
     const int shift = msb - kSubBucketBits;
     const std::uint64_t sub = (value >> shift) - kSubBuckets;
     return static_cast<std::size_t>(

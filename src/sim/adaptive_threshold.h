@@ -17,8 +17,8 @@
 //      sampling noise.
 //   2. Sweep recalibration (`recalibrate`): with a window of recent books
 //      retained (see `set_window_capacity`), the policy evaluates a
-//      candidate grid against the whole window through the incremental
-//      TPD sweep kernel (`TpdSweepBook`: two partition counts over the
+//      candidate grid against the whole window through
+//      `TpdSweepBook::evaluate` (two branchless partition counts over the
 //      first k ranks plus one rank-(k + 1) test per candidate per book,
 //      k the book's efficient trade count) and jumps to the empirical
 //      argmax.  This is the direct "optimise the threshold online"

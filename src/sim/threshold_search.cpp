@@ -101,7 +101,7 @@ TpdThresholdOutcome TpdSweepBook::evaluate(Money r) const {
   // them apart.  Every traded rank t <= min(i, j) has b(t) >= r >= s(t),
   // so min(i, j) <= k, and i and j cannot both pass k: that would need
   // b(k+1) >= r >= s(k+1).  So each lane is counted over its first k
-  // ranks only (the branchless/SIMD kernel), and one test at rank k + 1
+  // ranks only (the branchless partition count), and one test at rank k + 1
   // per lane says which side, if either, is longer than k.  A test can
   // hold only when its lane's count already reached k (the lanes are
   // sorted), and at most one holds.  The outcome reads i and j only
@@ -129,17 +129,6 @@ TpdThresholdOutcome TpdSweepBook::evaluate(Money r) const {
                          Money::from_micros(threshold - sellers[i]);
   }
   return outcome;
-}
-
-std::vector<TpdThresholdOutcome> sweep_tpd_surplus(
-    const SortedBook& book, std::span<const Money> thresholds) {
-  const TpdSweepBook prepared(book);
-  std::vector<TpdThresholdOutcome> results;
-  results.reserve(thresholds.size());
-  for (Money r : thresholds) {
-    results.push_back(prepared.evaluate(r));
-  }
-  return results;
 }
 
 std::vector<TpdSweepBook> prepare_tpd_sweep(const InstanceGenerator& generator,

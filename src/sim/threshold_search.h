@@ -64,10 +64,9 @@ class TpdSweepBook {
   explicit TpdSweepBook(const SingleUnitInstance& instance);
 
   /// TPD at threshold r on this book: two partition-point counts over
-  /// the first k ranks of each lane through the branchless/SIMD sweep
-  /// kernel, one test per lane at rank k + 1, and O(1) arithmetic.  The
-  /// same integers as counting both full lanes, on every input, whichever
-  /// kernel flavour is compiled.
+  /// the first k ranks of each lane (common/sweep_kernel.h, one portable
+  /// loop), one test per lane at rank k + 1, and O(1) arithmetic.  The
+  /// same integers as counting both full lanes, on every input.
   TpdThresholdOutcome evaluate(Money r) const;
 
   std::size_t buyer_count() const { return buyer_count_; }
@@ -80,8 +79,8 @@ class TpdSweepBook {
   /// One buffer of raw micros laid out as [buyers desc | sellers asc |
   /// prefix]: b(1) >= b(2) >= ..., then s(1) <= s(2) <= ..., then
   /// prefix[t] = sum_{rank=1..t} (b(rank) - s(rank)) for t in
-  /// [0, min(m, n)].  Dense int64 lanes are what the branchless/SIMD
-  /// partition kernel (common/sweep_kernel.h) consumes, and one buffer is
+  /// [0, min(m, n)].  Dense int64 lanes are what the branchless partition
+  /// counts (common/sweep_kernel.h) consume, and one buffer is
   /// one allocation per book.  Both full lanes stay stored: evaluate
   /// reads only ranks <= k + 1, but a buffer trimmed to them costs more
   /// to free than it saves.
@@ -92,12 +91,6 @@ class TpdSweepBook {
   std::uint32_t seller_count_ = 0;
   std::uint32_t efficient_count_ = 0;
 };
-
-/// Evaluates TPD at every threshold in `thresholds` against one ranked
-/// book.  Result[t] corresponds to thresholds[t].  This is the batched
-/// kernel behind the Figure-1 sweep and `optimize_threshold`.
-std::vector<TpdThresholdOutcome> sweep_tpd_surplus(
-    const SortedBook& book, std::span<const Money> thresholds);
 
 /// Draws `instances` books from `generator` (same stream for every later
 /// threshold query — common random numbers) and preprocesses each for the

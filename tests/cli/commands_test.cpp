@@ -233,10 +233,15 @@ TEST(CliTest, SimulateParallelThreads) {
                              "--instances", "200", "--threads", "4"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("efficiency:"), std::string::npos);
-  // Thread-count invariance: same numbers with 1 vs 4 threads.
-  const CliRun single = run({"simulate", "--buyers", "20", "--sellers", "20",
-                             "--instances", "200", "--threads", "2"});
-  EXPECT_EQ(single.out, result.out);
+  // Thread-count invariance: byte-identical output at every --threads,
+  // including 1 (inline) and 0 (hardware concurrency).
+  for (const char* threads : {"0", "1", "2"}) {
+    const CliRun other = run({"simulate", "--buyers", "20", "--sellers",
+                              "20", "--instances", "200", "--threads",
+                              threads});
+    EXPECT_EQ(other.exit_code, 0) << other.err;
+    EXPECT_EQ(other.out, result.out) << "--threads " << threads;
+  }
 }
 
 TEST(CliTest, DynamicsTpdStaysTruthful) {

@@ -102,7 +102,7 @@ TEST(ManipulationSearchTest, PmdTruthfulWithoutFalseNames) {
       const DeviationEvaluator evaluator(pmd, instance, {role, index});
       const double truthful = evaluator.truthful_utility();
       for (Money v :
-           candidate_values(instance, evaluator.true_value(), {})) {
+           candidate_values(instance, evaluator.true_value())) {
         const double deviant = evaluator.evaluate(Strategy::misreport(role, v));
         EXPECT_LE(deviant, truthful + 1e-9)
             << to_string(role) << " index " << index << " misreport "
@@ -148,7 +148,7 @@ TEST(ManipulationSearchTest, TpdRobustOnExample2InstanceBothThresholds) {
 
 TEST(ManipulationSearchTest, CandidateGridCoversInstanceValues) {
   const SingleUnitInstance instance = example1_instance();
-  const auto grid = candidate_values(instance, money(7), {money(42)});
+  const auto grid = candidate_values(instance, money(42));
   auto contains = [&grid](Money v) {
     return std::find(grid.begin(), grid.end(), v) != grid.end();
   };

@@ -111,7 +111,7 @@ TEST(KdaTest, ExtremeThetasAreOneSidedIc) {
     const DeviationEvaluator evaluator(seller_priced, instance,
                                        {Side::kBuyer, index});
     const double truthful = evaluator.truthful_utility();
-    for (Money v : candidate_values(instance, evaluator.true_value(), {})) {
+    for (Money v : candidate_values(instance, evaluator.true_value())) {
       EXPECT_LE(evaluator.evaluate(Strategy::misreport(Side::kBuyer, v)),
                 truthful + 1e-9);
     }

@@ -148,7 +148,7 @@ TEST(VcgTest, TruthfulDominantWithoutFalseNames) {
     for (Side role : {Side::kBuyer, Side::kSeller}) {
       const DeviationEvaluator evaluator(vcg, instance, {role, index});
       const double truthful = evaluator.truthful_utility();
-      for (Money v : candidate_values(instance, evaluator.true_value(), {})) {
+      for (Money v : candidate_values(instance, evaluator.true_value())) {
         EXPECT_LE(evaluator.evaluate(Strategy::misreport(role, v)),
                   truthful + 1e-9)
             << to_string(role) << ' ' << index << " via " << v;

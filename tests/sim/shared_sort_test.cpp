@@ -124,20 +124,17 @@ TEST(SweepKernelTest, MatchesTpdClearExactlyOnRandomBooks) {
     const OrderBook raw = random_book(rng, tie_heavy);
     const SortedBook book(raw, rng);
 
-    const std::vector<TpdThresholdOutcome> swept =
-        sweep_tpd_surplus(book, thresholds);
-    ASSERT_EQ(swept.size(), thresholds.size());
-
-    for (std::size_t t = 0; t < thresholds.size(); ++t) {
-      const SlowTpd expected = slow_tpd(book, thresholds[t]);
-      SCOPED_TRACE(testing::Message()
-                   << "trial " << trial << " threshold "
-                   << thresholds[t].to_double());
+    const TpdSweepBook prepared(book);
+    for (const Money r : thresholds) {
+      const TpdThresholdOutcome swept = prepared.evaluate(r);
+      const SlowTpd expected = slow_tpd(book, r);
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " threshold "
+                                      << r.to_double());
       // Exact fixed-point equality, not approximate: the kernel and the
       // protocol must implement the same arithmetic.
-      EXPECT_EQ(swept[t].trades, expected.trades);
-      EXPECT_EQ(swept[t].total, expected.total);
-      EXPECT_EQ(swept[t].auctioneer, expected.auctioneer);
+      EXPECT_EQ(swept.trades, expected.trades);
+      EXPECT_EQ(swept.total, expected.total);
+      EXPECT_EQ(swept.auctioneer, expected.auctioneer);
     }
   }
 }

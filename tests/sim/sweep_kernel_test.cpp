@@ -1,11 +1,11 @@
-// Kernel-equivalence suite for the threshold-sweep counting kernel.
+// Exactness suite for the threshold-sweep counting kernel.
 //
-// The dispatching entry points (count_ge_desc / count_le_asc and their
-// linear helpers) must return the same integer as the always-compiled
-// scalar references on every input — that is the bit-identity argument
-// for swapping the SIMD path in and out (FNDA_SCALAR_SWEEP).  The suite
-// runs identically against both builds: under the scalar-forced build it
-// degenerates to reference == reference, which keeps the CI leg honest.
+// The sorted-lane entry points (count_ge_desc / count_le_asc) must return
+// the partition point std::partition_point returns, and the linear count
+// detail::count_above the count std::count_if returns, on every input:
+// random, adversarial and all-equal lanes, the int64 extremes, windows
+// whose spread overflows int64 and lanes hugging one limit.  The standard
+// algorithms are the scalar reference the test names refer to.
 
 #include <algorithm>
 #include <cstdint>
@@ -63,14 +63,36 @@ TEST(SweepKernelTest, LinearCountsMatchScalarOnUnsortedWindows) {
     for (const std::int64_t r :
          {std::int64_t{-1500}, std::int64_t{-1}, std::int64_t{0},
           std::int64_t{1}, std::int64_t{999}, std::int64_t{1500}}) {
-      EXPECT_EQ(simd::count_ge_linear(window.data(), n, r),
-                simd::count_ge_linear_scalar(window.data(), n, r))
-          << "n=" << n << " r=" << r;
-      EXPECT_EQ(simd::count_le_linear(window.data(), n, r),
-                simd::count_le_linear_scalar(window.data(), n, r))
-          << "n=" << n << " r=" << r;
+      // v > pivot for pivot = r and pivot = r - 1 (v >= r).
+      for (const std::int64_t pivot : {r, r - 1}) {
+        const auto expected = static_cast<std::size_t>(
+            std::count_if(window.begin(), window.end(),
+                          [pivot](std::int64_t v) { return v > pivot; }));
+        EXPECT_EQ(simd::detail::count_above(
+                      window.data(), n, static_cast<std::uint64_t>(pivot)),
+                  expected)
+            << "n=" << n << " pivot=" << pivot;
+      }
     }
   }
+}
+
+/// std::partition_point's |{v >= r}| over a descending lane.
+std::size_t expected_ge(const std::vector<std::int64_t>& desc,
+                        std::int64_t r) {
+  return static_cast<std::size_t>(
+      std::partition_point(desc.begin(), desc.end(),
+                           [r](std::int64_t v) { return v >= r; }) -
+      desc.begin());
+}
+
+/// std::partition_point's |{v <= r}| over an ascending lane.
+std::size_t expected_le(const std::vector<std::int64_t>& asc,
+                        std::int64_t r) {
+  return static_cast<std::size_t>(
+      std::partition_point(asc.begin(), asc.end(),
+                           [r](std::int64_t v) { return v <= r; }) -
+      asc.begin());
 }
 
 TEST(SweepKernelTest, PartitionPointsMatchScalarOnRandomSortedLanes) {
@@ -82,38 +104,26 @@ TEST(SweepKernelTest, PartitionPointsMatchScalarOnRandomSortedLanes) {
     const std::vector<std::int64_t> desc = random_lane(rng, n, -50, 50, true);
     const std::vector<std::int64_t> asc = random_lane(rng, n, -50, 50, false);
     for (const std::int64_t r : probe_thresholds(desc)) {
-      EXPECT_EQ(simd::count_ge_desc(desc.data(), n, r),
-                simd::count_ge_desc_scalar(desc.data(), n, r))
+      EXPECT_EQ(simd::count_ge_desc(desc.data(), n, r), expected_ge(desc, r))
           << "n=" << n << " r=" << r;
     }
     for (const std::int64_t r : probe_thresholds(asc)) {
-      EXPECT_EQ(simd::count_le_asc(asc.data(), n, r),
-                simd::count_le_asc_scalar(asc.data(), n, r))
+      EXPECT_EQ(simd::count_le_asc(asc.data(), n, r), expected_le(asc, r))
           << "n=" << n << " r=" << r;
     }
   }
 }
 
 TEST(SweepKernelTest, PartitionPointsMatchLowerBoundSemantics) {
-  // The scalar reference itself must equal the STL partition point — this
-  // anchors BOTH implementations to a first-principles definition.
+  // Every threshold across a narrow value range, so every partition
+  // point of both lanes is reached.
   Rng rng(0x77777777);
   for (const std::size_t n : {std::size_t{129}, std::size_t{2500}}) {
     const std::vector<std::int64_t> desc = random_lane(rng, n, 0, 30, true);
     const std::vector<std::int64_t> asc = random_lane(rng, n, 0, 30, false);
     for (std::int64_t r = -2; r <= 32; ++r) {
-      const auto ge_expected = static_cast<std::size_t>(
-          std::partition_point(desc.begin(), desc.end(),
-                               [r](std::int64_t v) { return v >= r; }) -
-          desc.begin());
-      const auto le_expected = static_cast<std::size_t>(
-          std::partition_point(asc.begin(), asc.end(),
-                               [r](std::int64_t v) { return v <= r; }) -
-          asc.begin());
-      EXPECT_EQ(simd::count_ge_desc(desc.data(), n, r), ge_expected);
-      EXPECT_EQ(simd::count_le_asc(asc.data(), n, r), le_expected);
-      EXPECT_EQ(simd::count_ge_desc_scalar(desc.data(), n, r), ge_expected);
-      EXPECT_EQ(simd::count_le_asc_scalar(asc.data(), n, r), le_expected);
+      EXPECT_EQ(simd::count_ge_desc(desc.data(), n, r), expected_ge(desc, r));
+      EXPECT_EQ(simd::count_le_asc(asc.data(), n, r), expected_le(asc, r));
     }
   }
 }
@@ -121,7 +131,7 @@ TEST(SweepKernelTest, PartitionPointsMatchLowerBoundSemantics) {
 TEST(SweepKernelTest, AdversarialLanes) {
   // All-equal lanes put every element on the partition boundary; the
   // extreme thresholds exercise empty and full counts at sizes that
-  // straddle the vector width and the linear window.
+  // straddle the four-sum step and the linear window.
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
         std::size_t{4}, std::size_t{5}, std::size_t{127}, std::size_t{128},
@@ -133,8 +143,8 @@ TEST(SweepKernelTest, AdversarialLanes) {
       const std::size_t le = simd::count_le_asc(flat.data(), n, r);
       EXPECT_EQ(ge, r <= 42 ? n : 0u) << "n=" << n << " r=" << r;
       EXPECT_EQ(le, r >= 42 ? n : 0u) << "n=" << n << " r=" << r;
-      EXPECT_EQ(ge, simd::count_ge_desc_scalar(flat.data(), n, r));
-      EXPECT_EQ(le, simd::count_le_asc_scalar(flat.data(), n, r));
+      EXPECT_EQ(ge, expected_ge(flat, r));
+      EXPECT_EQ(le, expected_le(flat, r));
     }
   }
 }
@@ -143,10 +153,14 @@ TEST(SweepKernelTest, ExtremeValuesDoNotOverflow) {
   const std::int64_t min = std::numeric_limits<std::int64_t>::min();
   const std::int64_t max = std::numeric_limits<std::int64_t>::max();
   const std::vector<std::int64_t> desc{max, max, 0, min + 1, min};
+  const std::vector<std::int64_t> asc(desc.rbegin(), desc.rend());
   for (const std::int64_t r : {min, min + 1, std::int64_t{-1}, std::int64_t{0},
                                std::int64_t{1}, max - 1, max}) {
     EXPECT_EQ(simd::count_ge_desc(desc.data(), desc.size(), r),
-              simd::count_ge_desc_scalar(desc.data(), desc.size(), r))
+              expected_ge(desc, r))
+        << "r=" << r;
+    EXPECT_EQ(simd::count_le_asc(asc.data(), asc.size(), r),
+              expected_le(asc, r))
         << "r=" << r;
   }
 }
@@ -154,7 +168,7 @@ TEST(SweepKernelTest, ExtremeValuesDoNotOverflow) {
 constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
 
-/// Sizes around the vector width and its unrolled step, sizes whose tail
+/// Sizes around the four-sum step and its two-lane vector, sizes whose tail
 /// is 3, 0 and 1 entries past a 4-wide step, and one lane long enough to
 /// narrow the bracket before counting.
 const std::size_t kEdgeSizes[] = {0, 1, 2, 3, 4, 5, 63, 64, 65, 500};
@@ -189,31 +203,19 @@ std::vector<std::int64_t> anchored_lane(
   return lane;
 }
 
-/// Dispatch, scalar reference and std::partition_point agree on both lanes
-/// at every edge threshold.
+/// The kernel and std::partition_point agree on both lanes at every edge
+/// threshold.
 void expect_edge_counts_match(const std::vector<std::int64_t>& desc,
                               const std::vector<std::int64_t>& asc,
                               const char* label) {
   for (const std::int64_t r : edge_thresholds(desc)) {
-    const auto expected = static_cast<std::size_t>(
-        std::partition_point(desc.begin(), desc.end(),
-                             [r](std::int64_t v) { return v >= r; }) -
-        desc.begin());
     EXPECT_EQ(simd::count_ge_desc(desc.data(), desc.size(), r),
-              simd::count_ge_desc_scalar(desc.data(), desc.size(), r))
-        << label << " n=" << desc.size() << " r=" << r;
-    EXPECT_EQ(simd::count_ge_desc(desc.data(), desc.size(), r), expected)
+              expected_ge(desc, r))
         << label << " n=" << desc.size() << " r=" << r;
   }
   for (const std::int64_t r : edge_thresholds(asc)) {
-    const auto expected = static_cast<std::size_t>(
-        std::partition_point(asc.begin(), asc.end(),
-                             [r](std::int64_t v) { return v <= r; }) -
-        asc.begin());
     EXPECT_EQ(simd::count_le_asc(asc.data(), asc.size(), r),
-              simd::count_le_asc_scalar(asc.data(), asc.size(), r))
-        << label << " n=" << asc.size() << " r=" << r;
-    EXPECT_EQ(simd::count_le_asc(asc.data(), asc.size(), r), expected)
+              expected_le(asc, r))
         << label << " n=" << asc.size() << " r=" << r;
   }
 }
@@ -235,7 +237,7 @@ TEST(SweepKernelTest, WindowEndpointThresholdsMatchScalar) {
 TEST(SweepKernelTest, OverflowingSpreadFallsBackToScalar) {
   // Lanes holding values near both int64 limits: max - min does not fit
   // in int64, so a sign bit is no longer the comparison and the guard
-  // must take the scalar count.
+  // must take the comparison count.
   Rng rng(0xed6e0002);
   const std::vector<std::int64_t> anchors{kMin, -1, 0, kMax};
   for (const std::size_t n : kEdgeSizes) {
@@ -260,16 +262,6 @@ TEST(SweepKernelTest, LanesHuggingOneLimitMatchScalar) {
                              anchored_lane(rng, n, {kMin}, false), "min");
     expect_edge_counts_match(anchored_lane(rng, n, {kMax}, true),
                              anchored_lane(rng, n, {kMax}, false), "max");
-  }
-}
-
-TEST(SweepKernelTest, NameAndLaneWidthAreConsistent) {
-  // The dispatch build flavor fixes lane width and name together.
-  if (simd::kernel_lane_width() == 1) {
-    EXPECT_STREQ(simd::kernel_name(), "scalar-branchless");
-  } else {
-    EXPECT_EQ(simd::kernel_lane_width(), 2u);
-    EXPECT_STREQ(simd::kernel_name(), "gcc-vector-128x2");
   }
 }
 
