@@ -36,8 +36,19 @@ InstantiatedMarket instantiate_truthful(const SingleUnitInstance& instance);
 
 /// The book of `instantiate_truthful(instance)`, filled into `into`
 /// (reset first, lane capacity kept) so a hot loop can reuse one book
-/// across instances.  The single home of the identity convention above.
+/// across instances.
 void truthful_book(const SingleUnitInstance& instance, OrderBook& into);
+
+/// The ranking `SortedBook::rebuild(truthful_book(instance), tie_rng)`
+/// produces, entry for entry, written straight into `into`'s lanes and
+/// ranked in place: no OrderBook in between, and the footnote-5 shuffle
+/// only when a lane holds equal values or `expect_ties` says one likely
+/// does (SortedBook::rank_private).  So `tie_rng` must be private to this
+/// ranking, as the Monte-Carlo runner's per-instance Pareto stream is.
+/// Returns whether a lane holds equal values; a loop over like instances
+/// passes the last answer back as `expect_ties`.
+bool rank_truthful(const SingleUnitInstance& instance, Rng& tie_rng,
+                   SortedBook& into, bool expect_ties = false);
 
 /// Identity-space split between buyer and seller lanes (and, above
 /// kExtraIdentityBase, identities minted for false-name declarations).

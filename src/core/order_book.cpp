@@ -16,6 +16,12 @@ void check_domain(const ValueDomain& domain) {
   }
 }
 
+void check_value(const ValueDomain& domain, Money value) {
+  if (value < domain.lowest || value > domain.highest) {
+    throw std::invalid_argument("OrderBook::add: value outside the domain");
+  }
+}
+
 /// Stable rank of `lane` in `kOrder` by value.  Lanes of up to
 /// kBucketRankMax entries (every Table 1 book) go through the
 /// allocation-free bucket_rank kernel; longer lanes (Figure 1's n = 500
@@ -51,9 +57,7 @@ void OrderBook::reset(ValueDomain domain) {
 }
 
 BidId OrderBook::add(Side side, IdentityId identity, Money value) {
-  if (value < domain_.lowest || value > domain_.highest) {
-    throw std::invalid_argument("OrderBook::add: value outside the domain");
-  }
+  check_value(domain_, value);
   const BidId id{next_bid_++};
   auto& lane = side == Side::kBuyer ? buyers_ : sellers_;
   lane.push_back(BidEntry{id, identity, value});
@@ -68,12 +72,36 @@ void SortedBook::rebuild(const OrderBook& book, Rng& rng) {
   domain_ = book.domain();
   buyers_.assign(book.buyers().begin(), book.buyers().end());
   sellers_.assign(book.sellers().begin(), book.sellers().end());
+  shuffle_and_rank(rng);
+}
+
+void SortedBook::shuffle_and_rank(Rng& rng) {
   // Random tie-breaking (paper footnote 5): shuffle first, then rank
   // stably by value only.  Equal-valued bids end up in the shuffled order.
   rng.shuffle(buyers_.begin(), buyers_.end());
   rng.shuffle(sellers_.begin(), sellers_.end());
+  rank_lanes();
+}
+
+void SortedBook::check_values() const {
+  check_domain(domain_);
+  for (const BidEntry& entry : buyers_) check_value(domain_, entry.value);
+  for (const BidEntry& entry : sellers_) check_value(domain_, entry.value);
+}
+
+void SortedBook::rank_lanes() {
   stable_rank<RankOrder::kDescending>(buyers_);
   stable_rank<RankOrder::kAscending>(sellers_);
+}
+
+bool SortedBook::has_equal_values() const {
+  auto equal_value = [](const BidEntry& a, const BidEntry& b) {
+    return a.value == b.value;
+  };
+  return std::adjacent_find(buyers_.begin(), buyers_.end(), equal_value) !=
+             buyers_.end() ||
+         std::adjacent_find(sellers_.begin(), sellers_.end(), equal_value) !=
+             sellers_.end();
 }
 
 namespace {
@@ -189,10 +217,19 @@ std::size_t SortedBook::sellers_at_or_below(Money r) const {
 }
 
 std::size_t SortedBook::efficient_trade_count() const {
-  const std::size_t limit = std::min(buyers_.size(), sellers_.size());
-  std::size_t k = 0;
-  while (k < limit && buyers_[k].value >= sellers_[k].value) ++k;
-  return k;
+  // Buyers descend and sellers ascend, so b(t) >= s(t) holds on a prefix
+  // of the ranks: k is its partition point.
+  std::size_t lo = 0;
+  std::size_t hi = std::min(buyers_.size(), sellers_.size());
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (buyers_[mid].value >= sellers_[mid].value) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace fnda

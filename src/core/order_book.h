@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -89,6 +90,40 @@ class SortedBook {
   /// assigning a freshly constructed SortedBook.
   void rebuild(const OrderBook& book, Rng& rng);
 
+  /// Ranks a book written in place, for callers whose tie stream is
+  /// private: `tie_rng` serves this ranking alone and is dropped after it.
+  /// `write(buyers, sellers)` receives the lanes sized `buyers` and
+  /// `sellers` and writes the declarations in book order (the order an
+  /// OrderBook holds them in); values outside `domain` throw as
+  /// OrderBook::add does.  Footnote 5 matters only between equal values: a
+  /// lane without them has one stable ranking, whatever the shuffle.  So
+  /// unless `expect_ties`, the lanes are first ranked without the shuffle,
+  /// and only if a ranked lane then holds equal values does `write` run
+  /// again and the lanes get shuffled from the untouched `tie_rng` and
+  /// ranked, as `rebuild` ranks that book.  With `expect_ties` they are
+  /// shuffled and ranked at once, which spares a tie-dense stream the
+  /// wasted first ranking.  Either way the ranking equals `rebuild`'s; only
+  /// `tie_rng`'s final state may differ, which is why it must be private.
+  /// Callers that go on drawing from their rng use `rebuild`.  Returns
+  /// whether a ranked lane holds equal values.
+  template <typename Write>
+  bool rank_private(const ValueDomain& domain, std::size_t buyers,
+                    std::size_t sellers, Rng& tie_rng, bool expect_ties,
+                    const Write& write) {
+    domain_ = domain;
+    buyers_.resize(buyers);
+    sellers_.resize(sellers);
+    write(std::span<BidEntry>(buyers_), std::span<BidEntry>(sellers_));
+    check_values();
+    if (!expect_ties) {
+      rank_lanes();
+      if (!has_equal_values()) return false;
+      write(std::span<BidEntry>(buyers_), std::span<BidEntry>(sellers_));
+    }
+    shuffle_and_rank(tie_rng);
+    return has_equal_values();
+  }
+
   /// Adopts vectors that are ALREADY ranked (buyers descending, sellers
   /// ascending, ties in the desired order).  The caller vouches for the
   /// ordering; debug builds assert it.  Used by callers that maintain a
@@ -145,9 +180,20 @@ class SortedBook {
 
   /// The paper's k: the largest rank with b(k) >= s(k); 0 when even the
   /// best pair cannot trade.  This is the Pareto-efficient trade count.
+  /// O(log min(m, n)): b(t) - s(t) never increases along ranked lanes.
   std::size_t efficient_trade_count() const;
 
  private:
+  /// Throws as OrderBook does on an invalid domain or a value outside it.
+  void check_values() const;
+  /// Ranks both lanes stably by value, as they stand.
+  void rank_lanes();
+  /// `rebuild`'s tie-break: shuffles both lanes, then `rank_lanes`.
+  void shuffle_and_rank(Rng& rng);
+  /// Whether a ranked lane holds equal values (its ranking needs
+  /// footnote 5).
+  bool has_equal_values() const;
+
   ValueDomain domain_;
   std::vector<BidEntry> buyers_;   // descending by value
   std::vector<BidEntry> sellers_;  // ascending by value

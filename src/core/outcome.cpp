@@ -4,6 +4,17 @@
 
 namespace fnda {
 
+void Outcome::reset() {
+  fills_.clear();
+  buy_count_ = 0;
+  sell_count_ = 0;
+  buyer_payments_ = Money{};
+  seller_receipts_ = Money{};
+  aggregates_built_ = false;
+  rebates_.clear();
+  rebates_total_ = Money{};
+}
+
 void Outcome::reserve(std::size_t trades) {
   fills_.reserve(2 * trades);
 }

@@ -37,6 +37,11 @@ class Outcome {
  public:
   Outcome() = default;
 
+  /// Empties the outcome for the next clearing, as if freshly
+  /// constructed, but keeps the fill vector's capacity: a hot loop that
+  /// clears into one Outcome stops allocating fills once it has grown.
+  void reset();
+
   void add_buy(BidId bid, IdentityId identity, Money price);
   void add_sell(BidId bid, IdentityId identity, Money price);
 

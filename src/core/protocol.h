@@ -75,13 +75,16 @@ inline PriceBracket k_double_auction_bracket(const SortedBook& ranked,
 
 /// Abstract discrete-time (call-market) double-auction protocol.
 ///
-/// Every protocol implements one clearing rule, `clear_sorted`, over a
-/// book that has ALREADY been rank-ordered (tie-breaking included).  The
-/// Monte-Carlo experiment runners build one SortedBook per instance and
-/// share it across every registered protocol instead of re-sorting P
-/// times.  `clear` is the raw-book convenience the market server and
-/// one-off callers use: it ranks the book and forwards, so both entry
-/// points yield identical outcomes for identical rng streams.
+/// Every protocol implements one clearing rule, `fill`, over a book that
+/// has ALREADY been rank-ordered (tie-breaking included), writing into an
+/// empty Outcome.  `clear_into` is its one caller: it empties a
+/// caller-owned Outcome, then fills it.  The Monte-Carlo experiment runners
+/// build one SortedBook per instance, share it across every registered
+/// protocol instead of re-sorting P times, and clear each into one reused
+/// Outcome.  `clear_sorted` is the by-value form of the same rule, and
+/// `clear` the raw-book convenience the market server and one-off callers
+/// use: it ranks the book and forwards, so every entry point yields
+/// identical outcomes for identical rng streams.
 class DoubleAuctionProtocol {
  public:
   virtual ~DoubleAuctionProtocol() = default;
@@ -94,11 +97,22 @@ class DoubleAuctionProtocol {
     return clear_sorted(sorted, rng);
   }
 
-  /// Clears a pre-ranked book.  Tie-breaking is already frozen into
-  /// `book`'s ranking; `rng` only supplies protocol-internal randomness
-  /// (e.g. the randomized-threshold lottery) and is untouched by the
-  /// deterministic protocols.
-  virtual Outcome clear_sorted(const SortedBook& book, Rng& rng) const = 0;
+  /// Clears a pre-ranked book into `out`, reset first (its fill capacity
+  /// is kept).  Tie-breaking is already frozen into `book`'s ranking;
+  /// `rng` only supplies protocol-internal randomness (e.g. the
+  /// randomized-threshold lottery) and is untouched by the deterministic
+  /// protocols.
+  void clear_into(const SortedBook& book, Rng& rng, Outcome& out) const {
+    out.reset();
+    fill(book, rng, out);
+  }
+
+  /// `clear_into` a fresh Outcome.
+  Outcome clear_sorted(const SortedBook& book, Rng& rng) const {
+    Outcome outcome;
+    clear_into(book, rng, outcome);
+    return outcome;
+  }
 
   /// Sound price bounds over every book reachable from `ranked` by
   /// inserting at most `extra_declarations` additional declarations (on
@@ -140,6 +154,11 @@ class DoubleAuctionProtocol {
   DoubleAuctionProtocol() = default;
   DoubleAuctionProtocol(const DoubleAuctionProtocol&) = default;
   DoubleAuctionProtocol& operator=(const DoubleAuctionProtocol&) = default;
+
+ private:
+  /// The clearing rule: writes this round's fills (and rebates) into `out`,
+  /// which arrives empty.
+  virtual void fill(const SortedBook& book, Rng& rng, Outcome& out) const = 0;
 };
 
 using ProtocolPtr = std::unique_ptr<DoubleAuctionProtocol>;

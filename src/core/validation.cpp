@@ -9,17 +9,17 @@ namespace fnda {
 
 namespace {
 
-/// Hash-table lookup context: builds per-call maps, works for any id
+/// Hash-table lookup context: builds per-check maps, works for any id
 /// assignment.  The fallback for books whose ids are too sparse to index
-/// an array, and the reference semantics the dense context must match:
+/// an array, and the reference semantics the dense lookups must match:
 /// first occurrence of a duplicated id wins.
 struct MapContext {
   std::unordered_map<BidId, const BidEntry*> buyer_bids;
   std::unordered_map<BidId, const BidEntry*> seller_bids;
   std::unordered_map<BidId, std::size_t> fill_counts;
 
-  void bind(const std::vector<BidEntry>& buyers,
-            const std::vector<BidEntry>& sellers) {
+  MapContext(const std::vector<BidEntry>& buyers,
+             const std::vector<BidEntry>& sellers) {
     for (const BidEntry& e : buyers) buyer_bids.emplace(e.id, &e);
     for (const BidEntry& e : sellers) seller_bids.emplace(e.id, &e);
   }
@@ -28,44 +28,14 @@ struct MapContext {
     const auto it = lane.find(id);
     return it == lane.end() ? nullptr : it->second;
   }
-  std::size_t count_fill(BidId id) { return ++fill_counts[id]; }
-};
-
-/// Dense lookup context over persistent scratch: direct index by bid id.
-/// Eligibility (ids bounded by the lane sizes) is checked by the caller.
-struct DenseContext {
-  ValidationScratch& scratch;
-  explicit DenseContext(ValidationScratch& s) : scratch(s) {}
-
-  void bind(const std::vector<BidEntry>& buyers,
-            const std::vector<BidEntry>& sellers, std::size_t id_limit) {
-    scratch.buyer_by_id.assign(id_limit, nullptr);
-    scratch.seller_by_id.assign(id_limit, nullptr);
-    scratch.fill_counts.assign(id_limit, 0);
-    for (const BidEntry& e : buyers) {
-      const BidEntry*& slot = scratch.buyer_by_id[e.id.value()];
-      if (slot == nullptr) slot = &e;
-    }
-    for (const BidEntry& e : sellers) {
-      const BidEntry*& slot = scratch.seller_by_id[e.id.value()];
-      if (slot == nullptr) slot = &e;
-    }
-  }
-  const BidEntry* find(Side side, BidId id) const {
-    const auto& lane =
-        side == Side::kBuyer ? scratch.buyer_by_id : scratch.seller_by_id;
-    if (id.value() >= lane.size()) return nullptr;
-    return lane[id.value()];
-  }
-  std::size_t count_fill(BidId id) {
-    return ++scratch.fill_counts[id.value()];
-  }
+  bool repeat_fill(BidId id) { return ++fill_counts[id] > 1; }
 };
 
 /// Shared core: every invariant is a function of the declaration set, so
 /// both the raw-book and ranked-view overloads funnel through the lanes;
 /// the context only decides how bid-id lookup is implemented, so error
-/// content and order are identical across contexts.
+/// content and order are identical across contexts.  `repeat_fill` is
+/// asked only for bids `find` located.
 template <typename Context>
 ValidationErrors validate_lanes(const Outcome& outcome,
                                 const ValidationOptions& options,
@@ -107,7 +77,7 @@ ValidationErrors validate_lanes(const Outcome& outcome,
          << " but receives " << fill.price;
       errors.push_back(os.str());
     }
-    if (ctx.count_fill(fill.bid) > 1) {
+    if (ctx.repeat_fill(fill.bid)) {
       std::ostringstream os;
       os << "single-unit bid " << fill.bid << " filled more than once";
       errors.push_back(os.str());
@@ -122,15 +92,6 @@ ValidationErrors validate_lanes(const Outcome& outcome,
   }
 
   return errors;
-}
-
-ValidationErrors validate_mapped(const std::vector<BidEntry>& buyers,
-                                 const std::vector<BidEntry>& sellers,
-                                 const Outcome& outcome,
-                                 const ValidationOptions& options) {
-  MapContext ctx;
-  ctx.bind(buyers, sellers);
-  return validate_lanes(outcome, options, ctx);
 }
 
 /// Dense eligibility: every bid id must index a reasonably sized array.
@@ -156,20 +117,6 @@ void throw_on_errors(const ValidationErrors& errors) {
   throw std::logic_error(os.str());
 }
 
-ValidationErrors validate_with_scratch(const std::vector<BidEntry>& buyers,
-                                       const std::vector<BidEntry>& sellers,
-                                       const Outcome& outcome,
-                                       ValidationScratch& scratch,
-                                       const ValidationOptions& options) {
-  std::size_t id_limit = 0;
-  if (!dense_ids(buyers, sellers, id_limit)) {
-    return validate_mapped(buyers, sellers, outcome, options);
-  }
-  DenseContext ctx(scratch);
-  ctx.bind(buyers, sellers, id_limit);
-  return validate_lanes(outcome, options, ctx);
-}
-
 /// The plain overloads' scratch: one per thread, so concurrent callers
 /// (the parallel experiment runner's workers) never share it.
 ValidationScratch& thread_scratch() {
@@ -179,26 +126,92 @@ ValidationScratch& thread_scratch() {
 
 }  // namespace
 
+void ValidationScratch::bind(const OrderBook& book) {
+  bind_lanes(book.buyers(), book.sellers());
+}
+
+void ValidationScratch::bind(const SortedBook& book) {
+  bind_lanes(book.buyers(), book.sellers());
+}
+
+void ValidationScratch::bind_lanes(const std::vector<BidEntry>& buyers,
+                                   const std::vector<BidEntry>& sellers) {
+  buyers_ = &buyers;
+  sellers_ = &sellers;
+  std::size_t id_limit = 0;
+  dense_ = dense_ids(buyers, sellers, id_limit);
+  if (!dense_) return;
+  buyer_by_id_.assign(id_limit, nullptr);
+  seller_by_id_.assign(id_limit, nullptr);
+  filled_in_.assign(id_limit, 0);
+  check_stamp_ = 0;
+  for (const BidEntry& e : buyers) {
+    const BidEntry*& slot = buyer_by_id_[e.id.value()];
+    if (slot == nullptr) slot = &e;
+  }
+  for (const BidEntry& e : sellers) {
+    const BidEntry*& slot = seller_by_id_[e.id.value()];
+    if (slot == nullptr) slot = &e;
+  }
+}
+
+ValidationErrors ValidationScratch::check(const Outcome& outcome,
+                                          const ValidationOptions& options) {
+  if (buyers_ == nullptr) {
+    throw std::logic_error("ValidationScratch::check: no book bound");
+  }
+  if (!dense_) {
+    MapContext ctx(*buyers_, *sellers_);
+    return validate_lanes(outcome, options, ctx);
+  }
+  if (++check_stamp_ == 0) {  // the stamp wrapped: forget every old one
+    std::fill(filled_in_.begin(), filled_in_.end(), 0u);
+    check_stamp_ = 1;
+  }
+  // Direct index by bid id over the bound arrays.
+  struct DenseContext {
+    ValidationScratch& scratch;
+    const BidEntry* find(Side side, BidId id) const {
+      const auto& lane = side == Side::kBuyer ? scratch.buyer_by_id_
+                                              : scratch.seller_by_id_;
+      return id.value() < lane.size() ? lane[id.value()] : nullptr;
+    }
+    bool repeat_fill(BidId id) {
+      std::uint32_t& stamp = scratch.filled_in_[id.value()];
+      const bool repeat = stamp == scratch.check_stamp_;
+      stamp = scratch.check_stamp_;
+      return repeat;
+    }
+  };
+  DenseContext ctx{*this};
+  return validate_lanes(outcome, options, ctx);
+}
+
+void ValidationScratch::expect(const Outcome& outcome,
+                               const ValidationOptions& options) {
+  throw_on_errors(check(outcome, options));
+}
+
 ValidationErrors validate_outcome(const OrderBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options) {
-  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
-                               thread_scratch(), options);
+  ValidationScratch& scratch = thread_scratch();
+  scratch.bind(book);
+  return scratch.check(outcome, options);
 }
 
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options) {
-  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
-                               thread_scratch(), options);
+  return validate_outcome(book, outcome, thread_scratch(), options);
 }
 
 ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   ValidationScratch& scratch,
                                   const ValidationOptions& options) {
-  return validate_with_scratch(book.buyers(), book.sellers(), outcome,
-                               scratch, options);
+  scratch.bind(book);
+  return scratch.check(outcome, options);
 }
 
 void expect_valid_outcome(const OrderBook& book, const Outcome& outcome,

@@ -43,18 +43,47 @@ ValidationErrors validate_outcome(const SortedBook& book,
                                   const Outcome& outcome,
                                   const ValidationOptions& options = {});
 
-/// Reusable lookup scratch.  Books assign bid ids densely (0..n-1 across
-/// both sides), so the lookups become persistent-capacity arrays indexed
-/// by id; a caller passing the same scratch re-validates with zero
-/// allocation after warm-up.  The plain overloads above run the same path
-/// through a thread-local scratch of their own.  A book whose ids are too
-/// sparse to index an array falls back to per-call hash tables — same
-/// errors, same order, byte-identical strings.  The market server's
-/// live-book clearing path and the experiment runner each keep one.
-struct ValidationScratch {
-  std::vector<const BidEntry*> buyer_by_id;
-  std::vector<const BidEntry*> seller_by_id;
-  std::vector<std::uint32_t> fill_counts;
+/// Reusable lookups over one book, bound once and then checking every
+/// outcome cleared from it.  Books assign bid ids densely (0..n-1 across
+/// both sides), so `bind` indexes the declarations in persistent-capacity
+/// arrays by id, and `check` finds each fill's bid by index and spots a
+/// repeated fill by a per-check stamp: after warm-up neither allocates.  A
+/// book whose ids are too sparse to index an array falls back to per-check
+/// hash tables — same errors, same order, byte-identical strings.  The
+/// lookups point into the bound book's lanes, so bind again after the book
+/// changes.  The scratch overloads below are bind + check; the plain
+/// overloads above run the same path through a thread-local scratch.  The
+/// market server's live-book clearing path and the experiment runner's
+/// workers each keep one.
+class ValidationScratch {
+ public:
+  void bind(const OrderBook& book);
+  void bind(const SortedBook& book);
+
+  /// The findings of `validate_outcome` for `outcome` against the bound
+  /// book.
+  ValidationErrors check(const Outcome& outcome,
+                         const ValidationOptions& options = {});
+  /// Throws std::logic_error listing all violations, as
+  /// `expect_valid_outcome` does.
+  void expect(const Outcome& outcome, const ValidationOptions& options = {});
+
+  /// True when the bound book's ids index the arrays (no hash fallback).
+  bool dense() const { return dense_; }
+
+ private:
+  void bind_lanes(const std::vector<BidEntry>& buyers,
+                  const std::vector<BidEntry>& sellers);
+
+  const std::vector<BidEntry>* buyers_ = nullptr;
+  const std::vector<BidEntry>* sellers_ = nullptr;
+  bool dense_ = false;
+  std::vector<const BidEntry*> buyer_by_id_;
+  std::vector<const BidEntry*> seller_by_id_;
+  /// The check that last filled each id; a fill whose id already carries
+  /// the current check's stamp is a repeat.
+  std::vector<std::uint32_t> filled_in_;
+  std::uint32_t check_stamp_ = 0;
 };
 
 ValidationErrors validate_outcome(const SortedBook& book,

@@ -2,14 +2,10 @@
 
 namespace fnda {
 
-Outcome EfficientClearing::clear_sorted(const SortedBook& book, Rng&) const {
-  return clear_sorted(book);
-}
-
-Outcome EfficientClearing::clear_sorted(const SortedBook& book) {
-  Outcome outcome;
+void EfficientClearing::fill(const SortedBook& book, Rng&,
+                             Outcome& outcome) const {
   const std::size_t k = book.efficient_trade_count();
-  if (k == 0) return outcome;
+  if (k == 0) return;
   outcome.reserve(k);
   // Any price in [s(k), b(k)] clears all k trades; the midpoint splits the
   // marginal pair's surplus evenly.
@@ -19,7 +15,6 @@ Outcome EfficientClearing::clear_sorted(const SortedBook& book) {
     outcome.add_buy(book.buyer(rank).id, book.buyer(rank).identity, price);
     outcome.add_sell(book.seller(rank).id, book.seller(rank).identity, price);
   }
-  return outcome;
 }
 
 bool EfficientClearing::account_position(const SortedBook& ranked,

@@ -16,9 +16,6 @@ class EfficientClearing final : public DoubleAuctionProtocol {
  public:
   EfficientClearing() = default;
 
-  /// Sort-once fast path; `clear` is the inherited sort-and-forward
-  /// wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "efficient"; }
 
   /// k-family bracket: the midpoint price lies in [s(k), b(k)].
@@ -31,7 +28,10 @@ class EfficientClearing final : public DoubleAuctionProtocol {
                         const std::vector<OwnDeclaration>& own,
                         AccountFills* out) const override;
 
-  static Outcome clear_sorted(const SortedBook& book);
+ private:
+  /// Sort-once fast path; `clear` is the inherited sort-and-forward
+  /// wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
 };
 
 }  // namespace fnda

@@ -8,14 +8,10 @@ namespace fnda {
 KDoubleAuction::KDoubleAuction(double theta)
     : theta_(std::clamp(theta, 0.0, 1.0)) {}
 
-Outcome KDoubleAuction::clear_sorted(const SortedBook& book, Rng&) const {
-  return clear_sorted(book, theta_);
-}
-
-Outcome KDoubleAuction::clear_sorted(const SortedBook& book, double theta) {
-  Outcome outcome;
+void KDoubleAuction::fill(const SortedBook& book, Rng&,
+                          Outcome& outcome) const {
   const std::size_t k = book.efficient_trade_count();
-  if (k == 0) return outcome;
+  if (k == 0) return;
   outcome.reserve(k);
 
   // p = theta * b(k) + (1 - theta) * s(k), rounded to a micro-unit.
@@ -23,13 +19,12 @@ Outcome KDoubleAuction::clear_sorted(const SortedBook& book, double theta) {
   const double bk = static_cast<double>(book.buyer_value(k).micros());
   const double sk = static_cast<double>(book.seller_value(k).micros());
   const Money price = Money::from_micros(
-      static_cast<std::int64_t>(std::llround(theta * bk + (1.0 - theta) * sk)));
+      static_cast<std::int64_t>(std::llround(theta_ * bk + (1.0 - theta_) * sk)));
 
   for (std::size_t rank = 1; rank <= k; ++rank) {
     outcome.add_buy(book.buyer(rank).id, book.buyer(rank).identity, price);
     outcome.add_sell(book.seller(rank).id, book.seller(rank).identity, price);
   }
-  return outcome;
 }
 
 bool KDoubleAuction::account_position(const SortedBook& ranked,

@@ -21,9 +21,6 @@ class KDoubleAuction final : public DoubleAuctionProtocol {
   /// clamped to [0, 1].  theta = 0.5 is the split-the-difference auction.
   explicit KDoubleAuction(double theta = 0.5);
 
-  /// Sort-once fast path; `clear` is the inherited sort-and-forward
-  /// wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "kda"; }
 
   /// k-family bracket: p lies in [s(k), b(k)] by construction.
@@ -38,9 +35,11 @@ class KDoubleAuction final : public DoubleAuctionProtocol {
 
   double theta() const { return theta_; }
 
-  static Outcome clear_sorted(const SortedBook& book, double theta);
-
  private:
+  /// Sort-once fast path; `clear` is the inherited sort-and-forward
+  /// wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
+
   double theta_;
 };
 

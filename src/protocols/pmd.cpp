@@ -2,14 +2,9 @@
 
 namespace fnda {
 
-Outcome PmdProtocol::clear_sorted(const SortedBook& book, Rng&) const {
-  return clear_sorted(book);
-}
-
-Outcome PmdProtocol::clear_sorted(const SortedBook& book) {
-  Outcome outcome;
+void PmdProtocol::fill(const SortedBook& book, Rng&, Outcome& outcome) const {
   const std::size_t k = book.efficient_trade_count();
-  if (k == 0) return outcome;
+  if (k == 0) return;
   outcome.reserve(k);
 
   // Sentinel ranks are valid: buyer_value(m+1) / seller_value(n+1) return
@@ -32,7 +27,6 @@ Outcome PmdProtocol::clear_sorted(const SortedBook& book) {
       outcome.add_sell(book.seller(rank).id, book.seller(rank).identity, sk);
     }
   }
-  return outcome;
 }
 
 bool PmdProtocol::account_position(const SortedBook& ranked,

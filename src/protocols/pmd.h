@@ -23,9 +23,6 @@ class PmdProtocol final : public DoubleAuctionProtocol {
  public:
   PmdProtocol() = default;
 
-  /// Sort-once fast path; `clear` is the inherited sort-and-forward
-  /// wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "pmd"; }
 
   /// k-double-auction family bracket: buyers never pay below s(k) (p0 and
@@ -39,9 +36,10 @@ class PmdProtocol final : public DoubleAuctionProtocol {
                         const std::vector<OwnDeclaration>& own,
                         AccountFills* out) const override;
 
-  /// Deterministic core on an already-ranked book; exposed so tests can
-  /// pin tie-breaking.
-  static Outcome clear_sorted(const SortedBook& book);
+ private:
+  /// Sort-once fast path; `clear` is the inherited sort-and-forward
+  /// wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
 };
 
 }  // namespace fnda

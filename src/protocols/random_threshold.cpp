@@ -7,9 +7,8 @@ namespace fnda {
 RandomThresholdProtocol::RandomThresholdProtocol(Money threshold)
     : threshold_(threshold) {}
 
-Outcome RandomThresholdProtocol::clear_sorted(const SortedBook& book,
-                                              Rng& rng) const {
-  Outcome outcome;
+void RandomThresholdProtocol::fill(const SortedBook& book, Rng& rng,
+                                   Outcome& outcome) const {
   const Money r = threshold_;
 
   // The ranking puts every eligible buyer in ranks 1..i and every
@@ -38,7 +37,6 @@ Outcome RandomThresholdProtocol::clear_sorted(const SortedBook& book,
     outcome.add_sell(eligible_sellers[t]->id, eligible_sellers[t]->identity,
                      r);
   }
-  return outcome;
 }
 
 }  // namespace fnda

@@ -20,12 +20,6 @@ class RandomThresholdProtocol final : public DoubleAuctionProtocol {
  public:
   explicit RandomThresholdProtocol(Money threshold);
 
-  /// Sort-once fast path: the eligible sets are exactly the top
-  /// `buyers_at_or_above(r)` / `sellers_at_or_below(r)` ranks, so the
-  /// lottery draws directly from rank prefixes.  `rng` supplies the
-  /// lottery only (tie-breaking is frozen into the ranking); `clear` is
-  /// the inherited sort-and-forward wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "random-threshold"; }
 
   /// Every trade executes at exactly r regardless of how many extra
@@ -41,6 +35,13 @@ class RandomThresholdProtocol final : public DoubleAuctionProtocol {
   Money threshold() const { return threshold_; }
 
  private:
+  /// Sort-once fast path: the eligible sets are exactly the top
+  /// `buyers_at_or_above(r)` / `sellers_at_or_below(r)` ranks, so the
+  /// lottery draws directly from rank prefixes.  `rng` supplies the
+  /// lottery only (tie-breaking is frozen into the ranking); `clear` is
+  /// the inherited sort-and-forward wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
+
   Money threshold_;
 };
 

@@ -6,13 +6,8 @@ namespace fnda {
 
 TpdProtocol::TpdProtocol(Money threshold) : threshold_(threshold) {}
 
-Outcome TpdProtocol::clear_sorted(const SortedBook& book, Rng&) const {
-  return clear_sorted(book, threshold_);
-}
-
-Outcome TpdProtocol::clear_sorted(const SortedBook& book, Money threshold) {
-  Outcome outcome;
-  const Money r = threshold;
+void TpdProtocol::fill(const SortedBook& book, Rng&, Outcome& outcome) const {
+  const Money r = threshold_;
   const std::size_t i = book.buyers_at_or_above(r);
   const std::size_t j = book.sellers_at_or_below(r);
   outcome.reserve(std::min(i, j));
@@ -42,7 +37,6 @@ Outcome TpdProtocol::clear_sorted(const SortedBook& book, Money threshold) {
                        seller_price);
     }
   }
-  return outcome;
 }
 
 PriceBracket TpdProtocol::price_bracket(const SortedBook&,

@@ -25,10 +25,6 @@ class TpdProtocol final : public DoubleAuctionProtocol {
   /// the declarations; this class simply holds the chosen value.
   explicit TpdProtocol(Money threshold);
 
-  /// Sort-once fast path: TPD is a pure function of the ranking, so the
-  /// inherited `clear` wrapper (sort, then forward here) is the raw-book
-  /// entry point.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "tpd"; }
 
   /// TPD prices bracket at the threshold from both sides: a buyer pays r
@@ -46,15 +42,17 @@ class TpdProtocol final : public DoubleAuctionProtocol {
 
   Money threshold() const { return threshold_; }
 
-  /// Deterministic core on an already-ranked book.
-  static Outcome clear_sorted(const SortedBook& book, Money threshold);
-
   /// `account_position` core, shared with TpdWithRebates' trade half.
   static void position_on(const SortedBook& ranked, Money threshold,
                           const std::vector<OwnDeclaration>& own,
                           AccountFills* out);
 
  private:
+  /// Sort-once fast path: TPD is a pure function of the ranking, so the
+  /// inherited `clear` wrapper (sort, then forward here) is the raw-book
+  /// entry point.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
+
   Money threshold_;
 };
 

@@ -76,8 +76,9 @@ Money revenue_without_ranked(const SortedBook& ranked, Money r, Side side,
 
 TpdWithRebates::TpdWithRebates(Money threshold) : threshold_(threshold) {}
 
-Outcome TpdWithRebates::clear_sorted(const SortedBook& book, Rng&) const {
-  Outcome outcome = TpdProtocol::clear_sorted(book, threshold_);
+void TpdWithRebates::fill(const SortedBook& book, Rng& rng,
+                          Outcome& outcome) const {
+  TpdProtocol(threshold_).clear_into(book, rng, outcome);
 
   // One rebate per participating identity (an identity with several
   // declarations would collect once per declaration — which is exactly
@@ -91,7 +92,7 @@ Outcome TpdWithRebates::clear_sorted(const SortedBook& book, Rng&) const {
   for (const BidEntry& entry : book.sellers()) {
     identities.push_back(entry.identity);
   }
-  if (identities.empty()) return outcome;
+  if (identities.empty()) return;
 
   const auto n = static_cast<std::int64_t>(identities.size());
   for (IdentityId identity : identities) {
@@ -101,7 +102,6 @@ Outcome TpdWithRebates::clear_sorted(const SortedBook& book, Rng&) const {
     outcome.add_rebate(identity,
                        Money::from_micros(reduced_revenue.micros() / n));
   }
-  return outcome;
 }
 
 bool TpdWithRebates::account_position(const SortedBook& ranked,

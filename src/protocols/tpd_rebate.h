@@ -24,15 +24,6 @@ class TpdWithRebates final : public DoubleAuctionProtocol {
  public:
   explicit TpdWithRebates(Money threshold);
 
-  /// TPD clearing plus rebates: participant identity i receives
-  /// R(-i) / N, where R(-i) is the TPD auctioneer revenue with i's
-  /// declaration removed (same threshold) and N is the number of
-  /// participating identities.  Rebates can exceed the collected revenue
-  /// on some books, so outcomes may run a deficit — validate with
-  /// ValidationOptions{.allow_deficit = true}.  Both the trades and the
-  /// rebates are functions of the ranking alone, so this rides the
-  /// sort-once fast path; `clear` is the inherited wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "tpd-rebate"; }
 
   /// Fast position path: TPD trades via rank statistics plus each own
@@ -50,6 +41,16 @@ class TpdWithRebates final : public DoubleAuctionProtocol {
   Money threshold() const { return threshold_; }
 
  private:
+  /// TPD clearing plus rebates: participant identity i receives
+  /// R(-i) / N, where R(-i) is the TPD auctioneer revenue with i's
+  /// declaration removed (same threshold) and N is the number of
+  /// participating identities.  Rebates can exceed the collected revenue
+  /// on some books, so outcomes may run a deficit — validate with
+  /// ValidationOptions{.allow_deficit = true}.  Both the trades and the
+  /// rebates are functions of the ranking alone, so this rides the
+  /// sort-once fast path; `clear` is the inherited wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
+
   Money threshold_;
 };
 

@@ -4,10 +4,6 @@
 
 namespace fnda {
 
-Outcome VcgDoubleAuction::clear_sorted(const SortedBook& book, Rng&) const {
-  return clear_sorted(book);
-}
-
 Money VcgDoubleAuction::buyer_price(const SortedBook& book) {
   const std::size_t k = book.efficient_trade_count();
   return std::max(book.buyer_value(k + 1), book.seller_value(k));
@@ -18,10 +14,10 @@ Money VcgDoubleAuction::seller_price(const SortedBook& book) {
   return std::min(book.seller_value(k + 1), book.buyer_value(k));
 }
 
-Outcome VcgDoubleAuction::clear_sorted(const SortedBook& book) {
-  Outcome outcome;
+void VcgDoubleAuction::fill(const SortedBook& book, Rng&,
+                            Outcome& outcome) const {
   const std::size_t k = book.efficient_trade_count();
-  if (k == 0) return outcome;
+  if (k == 0) return;
   outcome.reserve(k);
   const Money pay = buyer_price(book);
   const Money get = seller_price(book);
@@ -29,7 +25,6 @@ Outcome VcgDoubleAuction::clear_sorted(const SortedBook& book) {
     outcome.add_buy(book.buyer(rank).id, book.buyer(rank).identity, pay);
     outcome.add_sell(book.seller(rank).id, book.seller(rank).identity, get);
   }
-  return outcome;
 }
 
 bool VcgDoubleAuction::account_position(const SortedBook& ranked,

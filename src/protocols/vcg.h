@@ -27,9 +27,6 @@ class VcgDoubleAuction final : public DoubleAuctionProtocol {
  public:
   VcgDoubleAuction() = default;
 
-  /// Sort-once fast path; `clear` is the inherited sort-and-forward
-  /// wrapper.
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override;
   std::string name() const override { return "vcg"; }
 
   /// k-family bracket holds: pay = max(b(k+1), s(k)) >= s(k) and
@@ -43,8 +40,6 @@ class VcgDoubleAuction final : public DoubleAuctionProtocol {
                         const std::vector<OwnDeclaration>& own,
                         AccountFills* out) const override;
 
-  static Outcome clear_sorted(const SortedBook& book);
-
   /// The Clarke pivot is rank-independent in the single-unit double
   /// auction: every winning buyer pays max(b(k+1), s(k)) and every winning
   /// seller receives min(s(k+1), b(k)).  (Removing a winner either leaves
@@ -53,6 +48,11 @@ class VcgDoubleAuction final : public DoubleAuctionProtocol {
   /// larger.)  Exposed for the tests' brute-force cross-checks.
   static Money buyer_price(const SortedBook& book);
   static Money seller_price(const SortedBook& book);
+
+ private:
+  /// Sort-once fast path; `clear` is the inherited sort-and-forward
+  /// wrapper.
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override;
 };
 
 }  // namespace fnda

@@ -1,5 +1,6 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/worker_pool.h"
@@ -30,55 +31,67 @@ namespace {
 
 constexpr std::uint64_t kStreamGamma = 0x9e3779b97f4a7c15ULL;
 
-/// Per-worker reusable buffers: the truthful book, its shared ranking and
-/// the validation lookups are refilled in place each instance, so
-/// steady-state scoring allocates only the drawn instance's value vectors
-/// and the outcomes' fills.  Cache-line aligned: the parallel runner keeps
-/// one per worker side by side, and each is written on every instance.
+/// Per-worker state, reused across every instance the worker scores: the
+/// drawn instance, its ranking (and whether it held equal values, the
+/// next ranking's `expect_ties`), the validation lookups bound to that
+/// ranking and the one outcome every protocol clears into.  After the
+/// first instance has sized them, a fixed-count workload scores with no
+/// allocation.  The legacy path also refills `book` (the OrderBook every
+/// protocol re-sorts).  Cache-line aligned: the parallel runner keeps one
+/// per worker side by side, and each is written on every instance.
 struct alignas(64) ClearScratch {
-  OrderBook book;
+  SingleUnitInstance instance;
   SortedBook sorted;
+  bool ties = false;
   ValidationScratch validation;
+  Outcome outcome;
+  OrderBook book;
 };
 
-/// Scores one instance into `result` (accumulators only; caller provides
-/// the rng streams so sequential and parallel paths can differ in how
-/// they derive them).
+/// Scores `scratch.instance` into `result` (accumulators only; caller
+/// provides the rng streams so sequential and parallel paths can differ in
+/// how they derive them).
 ///
 /// Shared-sort path: the truthful book is ranked once from `pareto_rng`
 /// and the resulting SortedBook feeds the Pareto surplus AND every
-/// protocol's `clear_sorted`; protocol p draws its internal randomness
-/// from a stream split off `clear_seed` by index.  Legacy path: the
-/// Pareto book is sorted from `pareto_rng` and every protocol re-sorts
-/// the truthful book from an identical Rng(clear_seed) (common random
-/// numbers), exactly the original pipeline.  Either way every outcome is
-/// validated against the shared ranking: the invariants are functions of
-/// the declaration set, which both paths clear.
-void score_instance(const SingleUnitInstance& instance,
-                    const std::vector<const DoubleAuctionProtocol*>& protocols,
+/// protocol's `clear_into`; protocol p draws its internal randomness from
+/// a stream split off `clear_seed` by index.  `pareto_rng` serves that one
+/// ranking and is dropped after it, so `rank_truthful` may skip the
+/// footnote-5 shuffle on a tie-free book, and may shuffle at once when the
+/// worker's last book held ties: the ranking, hence every result, is the
+/// same either way, at every thread count.  Legacy path: the Pareto book is
+/// ranked the same way and every protocol re-sorts the truthful book from
+/// an identical Rng(clear_seed) (common random numbers), exactly the
+/// original pipeline.  Either way every outcome is validated against the
+/// shared ranking: the invariants are functions of the declaration set,
+/// which both paths clear.
+void score_instance(const std::vector<const DoubleAuctionProtocol*>& protocols,
                     const ExperimentConfig& config, Rng& pareto_rng,
                     std::uint64_t clear_seed, ClearScratch& scratch,
                     ComparisonResult& result) {
-  truthful_book(instance, scratch.book);
-  scratch.sorted.rebuild(scratch.book, pareto_rng);
+  const SingleUnitInstance& instance = scratch.instance;
+  scratch.ties =
+      rank_truthful(instance, pareto_rng, scratch.sorted, scratch.ties);
   const SortedBook& true_book = scratch.sorted;
   result.pareto.add(efficient_surplus(true_book));
   result.pareto_trades.add(
       static_cast<double>(true_book.efficient_trade_count()));
+  if (config.validate) scratch.validation.bind(true_book);
+  if (!config.shared_sort) truthful_book(instance, scratch.book);
 
+  Outcome& outcome = scratch.outcome;
+  // Room for the most trades the book allows, so the reused fills never
+  // grow after the first instance of a fixed-count workload.
+  outcome.reserve(std::min(true_book.buyer_count(), true_book.seller_count()));
   for (std::size_t p = 0; p < protocols.size(); ++p) {
-    Outcome outcome;
     if (config.shared_sort) {
       Rng clear_rng(clear_seed ^ (kStreamGamma * (p + 1)));
-      outcome = protocols[p]->clear_sorted(true_book, clear_rng);
+      protocols[p]->clear_into(true_book, clear_rng, outcome);
     } else {
       Rng clear_rng(clear_seed);
       outcome = protocols[p]->clear(scratch.book, clear_rng);
     }
-    if (config.validate) {
-      expect_valid_outcome(true_book, outcome, scratch.validation,
-                           config.validation);
-    }
+    if (config.validate) scratch.validation.expect(outcome, config.validation);
     const SurplusReport surplus = realized_surplus(outcome, instance);
     ProtocolSummary& summary = result.protocols[p];
     summary.total.add(surplus.total);
@@ -137,14 +150,15 @@ ComparisonResult run_comparison_parallel(
   pool.run_blocks(blocks, [&](std::size_t block, std::size_t worker) {
     const std::size_t begin = config.instances * block / blocks;
     const std::size_t end = config.instances * (block + 1) / blocks;
+    ClearScratch& mine = scratch[worker];
     for (std::size_t run = begin; run < end; ++run) {
       // Counter-based derivation: independent of scheduling.
       Rng rng(config.seed ^ (kStreamGamma * (run + 1)));
-      const SingleUnitInstance instance = generator(rng);
+      generator.draw_into(rng, mine.instance);
       Rng pareto_rng = rng.split();
       const std::uint64_t clear_seed = rng();
-      score_instance(instance, protocols, config, pareto_rng, clear_seed,
-                     scratch[worker], partials[block]);
+      score_instance(protocols, config, pareto_rng, clear_seed, mine,
+                     partials[block]);
     }
   });
 
@@ -164,14 +178,14 @@ ComparisonResult run_comparison(
 
   Rng rng(config.seed);
   for (std::size_t run = 0; run < config.instances; ++run) {
-    const SingleUnitInstance instance = generator(rng);
+    generator.draw_into(rng, scratch.instance);
     // The Pareto benchmark uses the true-value ranking (declared == true
     // here, since the experiment assumes no false-name bids, Section 7);
     // under shared_sort the same ranking also feeds every protocol.
     Rng pareto_rng = rng.split();
     const std::uint64_t clear_seed = rng();
-    score_instance(instance, protocols, config, pareto_rng, clear_seed,
-                   scratch, result);
+    score_instance(protocols, config, pareto_rng, clear_seed, scratch,
+                   result);
   }
   return result;
 }

@@ -3,20 +3,19 @@
 namespace fnda {
 namespace {
 
-SingleUnitInstance draw(std::size_t buyers, std::size_t sellers,
-                        const ValueDistribution& values, Rng& rng) {
-  SingleUnitInstance instance;
-  instance.domain = values.domain;
-  instance.buyer_values.reserve(buyers);
-  instance.seller_values.reserve(sellers);
-  for (std::size_t i = 0; i < buyers; ++i) {
-    instance.buyer_values.push_back(rng.uniform_money(values.low, values.high));
+/// Draws `buyers` then `sellers` values over `into`, reusing its vectors.
+void draw(std::size_t buyers, std::size_t sellers,
+          const ValueDistribution& values, Rng& rng,
+          SingleUnitInstance& into) {
+  into.domain = values.domain;
+  into.buyer_values.resize(buyers);
+  into.seller_values.resize(sellers);
+  for (Money& value : into.buyer_values) {
+    value = rng.uniform_money(values.low, values.high);
   }
-  for (std::size_t j = 0; j < sellers; ++j) {
-    instance.seller_values.push_back(
-        rng.uniform_money(values.low, values.high));
+  for (Money& value : into.seller_values) {
+    value = rng.uniform_money(values.low, values.high);
   }
-  return instance;
 }
 
 }  // namespace
@@ -24,15 +23,17 @@ SingleUnitInstance draw(std::size_t buyers, std::size_t sellers,
 InstanceGenerator fixed_count_generator(std::size_t buyers,
                                         std::size_t sellers,
                                         ValueDistribution values) {
-  return [buyers, sellers, values](Rng& rng) {
-    return draw(buyers, sellers, values, rng);
-  };
+  return InstanceGenerator(
+      [buyers, sellers, values](Rng& rng, SingleUnitInstance& into) {
+        draw(buyers, sellers, values, rng, into);
+      });
 }
 
 InstanceGenerator correlated_value_generator(std::size_t buyers,
                                              std::size_t sellers, double rho,
                                              ValueDistribution values) {
-  return [buyers, sellers, rho, values](Rng& rng) {
+  return InstanceGenerator([buyers, sellers, rho, values](
+                               Rng& rng, SingleUnitInstance& into) {
     const double common =
         rng.uniform_double(values.low.to_double(), values.high.to_double());
     auto draw_value = [&] {
@@ -40,27 +41,22 @@ InstanceGenerator correlated_value_generator(std::size_t buyers,
           rng.uniform_double(values.low.to_double(), values.high.to_double());
       return Money::from_double((1.0 - rho) * priv + rho * common);
     };
-    SingleUnitInstance instance;
-    instance.domain = values.domain;
-    instance.buyer_values.reserve(buyers);
-    instance.seller_values.reserve(sellers);
-    for (std::size_t i = 0; i < buyers; ++i) {
-      instance.buyer_values.push_back(draw_value());
-    }
-    for (std::size_t j = 0; j < sellers; ++j) {
-      instance.seller_values.push_back(draw_value());
-    }
-    return instance;
-  };
+    into.domain = values.domain;
+    into.buyer_values.resize(buyers);
+    into.seller_values.resize(sellers);
+    for (Money& value : into.buyer_values) value = draw_value();
+    for (Money& value : into.seller_values) value = draw_value();
+  });
 }
 
 InstanceGenerator binomial_count_generator(int trials, double p,
                                            ValueDistribution values) {
-  return [trials, p, values](Rng& rng) {
-    const auto buyers = static_cast<std::size_t>(rng.binomial(trials, p));
-    const auto sellers = static_cast<std::size_t>(rng.binomial(trials, p));
-    return draw(buyers, sellers, values, rng);
-  };
+  return InstanceGenerator(
+      [trials, p, values](Rng& rng, SingleUnitInstance& into) {
+        const auto buyers = static_cast<std::size_t>(rng.binomial(trials, p));
+        const auto sellers = static_cast<std::size_t>(rng.binomial(trials, p));
+        draw(buyers, sellers, values, rng, into);
+      });
 }
 
 }  // namespace fnda

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/instance.h"
@@ -10,7 +11,29 @@
 namespace fnda {
 
 /// A generator draws one instance per call from the provided stream.
-using InstanceGenerator = std::function<SingleUnitInstance(Rng&)>;
+/// `draw_into` writes the draw over a caller-owned instance, reusing its
+/// value vectors, so a hot loop that keeps one instance draws with no
+/// allocation; `generator(rng)` returns the same draw by value.
+class InstanceGenerator {
+ public:
+  using DrawInto = std::function<void(Rng&, SingleUnitInstance&)>;
+
+  InstanceGenerator() = default;
+  explicit InstanceGenerator(DrawInto draw_into)
+      : draw_into_(std::move(draw_into)) {}
+
+  void draw_into(Rng& rng, SingleUnitInstance& into) const {
+    draw_into_(rng, into);
+  }
+  SingleUnitInstance operator()(Rng& rng) const {
+    SingleUnitInstance instance;
+    draw_into_(rng, instance);
+    return instance;
+  }
+
+ private:
+  DrawInto draw_into_;
+};
 
 /// Parameters shared by the paper's generators: valuations are i.i.d.
 /// uniform on [low, high] (the paper uses [0, 100]).

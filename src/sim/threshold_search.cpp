@@ -137,8 +137,11 @@ std::vector<TpdSweepBook> prepare_tpd_sweep(const InstanceGenerator& generator,
   std::vector<TpdSweepBook> books;
   books.reserve(instances);
   Rng rng(seed);
+  // One instance, redrawn in place: each book allocates only its lanes.
+  SingleUnitInstance instance;
   for (std::size_t run = 0; run < instances; ++run) {
-    books.emplace_back(generator(rng));
+    generator.draw_into(rng, instance);
+    books.emplace_back(instance);
   }
   return books;
 }

@@ -170,16 +170,15 @@ TEST(WorkerPoolTest, DestroyingWithALaunchInFlightDropsTheError) {
 // which instance failed.  It must be the same at every thread count.
 TEST(WorkerPoolTest, ExperimentErrorIsTheSameAtEveryThreadCount) {
   const TpdProtocol tpd(money(50));
-  const InstanceGenerator bomb = [](Rng& rng) -> SingleUnitInstance {
-    const std::uint64_t draw = rng();
-    if (draw % 40 == 0) {
-      throw std::runtime_error("boom at draw " + std::to_string(draw));
-    }
-    SingleUnitInstance instance;
-    instance.buyer_values = {money(9)};
-    instance.seller_values = {money(2)};
-    return instance;
-  };
+  const InstanceGenerator bomb(
+      [](Rng& rng, SingleUnitInstance& instance) {
+        const std::uint64_t draw = rng();
+        if (draw % 40 == 0) {
+          throw std::runtime_error("boom at draw " + std::to_string(draw));
+        }
+        instance.buyer_values = {money(9)};
+        instance.seller_values = {money(2)};
+      });
   ExperimentConfig config;
   config.instances = 200;
   const std::string serial = message_of(

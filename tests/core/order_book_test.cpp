@@ -150,6 +150,49 @@ TEST(SortedBookTest, EfficientTradeCountZeroWhenNoOverlap) {
   EXPECT_EQ(sorted.efficient_trade_count(), 0u);
 }
 
+/// The paper's k by definition: walk the ranks while b(t) >= s(t).
+std::size_t linear_trade_count(const SortedBook& book) {
+  const std::size_t limit = std::min(book.buyer_count(), book.seller_count());
+  std::size_t k = 0;
+  while (k < limit && book.buyers()[k].value >= book.sellers()[k].value) ++k;
+  return k;
+}
+
+TEST(SortedBookTest, EfficientTradeCountMatchesLinearScan) {
+  // Tie-dense lanes of every shape, plus books built to cross at rank 0
+  // (every buyer below every seller) and at min(m, n) (every buyer above
+  // every seller), with m below, equal to and above n.
+  Rng rng(0xc0ffee);
+  std::size_t crossed_at_zero = 0;
+  std::size_t crossed_at_limit = 0;
+  for (int run = 0; run < 600; ++run) {
+    const std::size_t m = rng.below(12);
+    const std::size_t n = rng.below(12);
+    // Values 0-5 on both sides overlap; lifting one side by 10 puts it
+    // wholly above the other.
+    const std::int64_t buyer_lift = run % 3 == 2 ? 10 : 0;
+    const std::int64_t seller_lift = run % 3 == 1 ? 10 : 0;
+    OrderBook book;
+    for (std::size_t i = 0; i < m; ++i) {
+      book.add_buyer(IdentityId{i},
+                     Money::from_units(buyer_lift + static_cast<std::int64_t>(
+                                                        rng.below(6))));
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      book.add_seller(IdentityId{100 + j},
+                      Money::from_units(seller_lift + static_cast<std::int64_t>(
+                                                          rng.below(6))));
+    }
+    const SortedBook sorted(book, rng);
+    const std::size_t k = sorted.efficient_trade_count();
+    EXPECT_EQ(k, linear_trade_count(sorted)) << "m=" << m << " n=" << n;
+    crossed_at_zero += k == 0 && std::min(m, n) > 0;
+    crossed_at_limit += k == std::min(m, n) && k > 0;
+  }
+  EXPECT_GT(crossed_at_zero, 0u);
+  EXPECT_GT(crossed_at_limit, 0u);
+}
+
 TEST(SortedBookTest, TieBreakingIsRandomButValueOrdered) {
   OrderBook book;
   for (std::uint64_t i = 0; i < 6; ++i) {

@@ -271,12 +271,12 @@ TEST(ValidationRoutesTest, SparseIdsFallBackToHashingWithIdenticalErrors) {
     const ValidationErrors hashed =
         validate_outcome(sparse, c.outcome, untouched);
     ASSERT_TRUE(mentions(hashed, c.marker)) << c.kind;
-    EXPECT_TRUE(untouched.buyer_by_id.empty()) << c.kind;  // no dense bind
+    EXPECT_FALSE(untouched.dense()) << c.kind;  // no dense bind
     EXPECT_EQ(validate_outcome(sparse, c.outcome), hashed) << c.kind;
 
     ValidationScratch scratch;
     EXPECT_EQ(validate_outcome(dense, c.outcome, scratch), hashed) << c.kind;
-    EXPECT_FALSE(scratch.buyer_by_id.empty()) << c.kind;  // dense bind ran
+    EXPECT_TRUE(scratch.dense()) << c.kind;  // dense bind ran
     EXPECT_EQ(validate_outcome(dense, c.outcome), hashed) << c.kind;
   }
 }

@@ -170,9 +170,6 @@ TEST(AttackSchedulerDeterminism, SessionRejectsLatencyPastTheInjectionMargin) {
 /// to revalidate a warm hit and inside the engine — throws on demand.
 class ThrowingTpd final : public DoubleAuctionProtocol {
  public:
-  Outcome clear_sorted(const SortedBook& book, Rng& rng) const override {
-    return tpd_.clear_sorted(book, rng);
-  }
   PriceBracket price_bracket(const SortedBook& ranked,
                              std::size_t extra) const override {
     return tpd_.price_bracket(ranked, extra);
@@ -188,6 +185,10 @@ class ThrowingTpd final : public DoubleAuctionProtocol {
   std::atomic<bool> fail{false};
 
  private:
+  void fill(const SortedBook& book, Rng& rng, Outcome& out) const override {
+    tpd_.clear_into(book, rng, out);
+  }
+
   TpdProtocol tpd_{Money::from_units(50)};
 };
 

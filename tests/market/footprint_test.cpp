@@ -23,11 +23,13 @@
 //    cache wakes the parked pool and reuses every buffer, so it
 //    allocates nothing.  The counter is atomic, so it sees the pool's
 //    worker threads too.
-//  - Monte-Carlo scoring.  run_comparison refills one book, ranking and
-//    validation scratch per instance, and ranks a 50-entry lane without a
-//    sort buffer, so an instance allocates only its drawn values and the
-//    outcomes, never identity maps.  A threshold-sweep book holds its
-//    ranked lanes and prefix sums in one buffer.
+//  - Monte-Carlo scoring.  run_comparison draws each instance into one
+//    worker's scratch, ranks it there without a sort buffer, checks every
+//    outcome against lookups bound once per ranking and clears every
+//    protocol into one reused outcome, so a warm call allocates the same
+//    few times at 250 instances as at 1000.  A threshold-sweep book holds
+//    its ranked lanes and prefix sums in one buffer, drawn from one reused
+//    instance.
 #include <malloc.h>
 
 #include <algorithm>
@@ -337,27 +339,36 @@ TEST(AttackSchedulerFootprintTest, WarmPlanningRoundAllocatesNothing) {
 
 TEST(MonteCarloFootprintTest, WarmComparisonAllocatesFewTimesPerInstance) {
   // The paper's Table 1 shape: n = m = 50, TPD against PMD.
-  constexpr std::size_t kInstances = 250;
   const TpdProtocol tpd(Money::from_units(50));
   const PmdProtocol pmd;
   const std::vector<const DoubleAuctionProtocol*> protocols{&tpd, &pmd};
   const InstanceGenerator generator = fixed_count_generator(50, 50);
   ExperimentConfig config;
-  config.instances = kInstances;
+  config.instances = 250;
   run_comparison(generator, protocols, config);  // warm-up
 
-  config.seed += 1;
-  const std::size_t before = g_allocations.load();
-  const ComparisonResult result = run_comparison(generator, protocols, config);
-  const std::size_t allocations = g_allocations.load() - before;
-  ASSERT_EQ(result.pareto.count(), kInstances);
-  // About 4 per instance: the drawn instance's two value vectors and the
-  // two outcomes' fills.  Identity maps per instance and hash tables per
-  // validation cost hundreds; std::stable_sort's buffer per ranked lane
-  // would cost two more.
-  EXPECT_LE(allocations, 5 * kInstances)
-      << "a warm run_comparison allocated "
-      << static_cast<double>(allocations) / kInstances << " times per instance";
+  auto allocations_of_a_run = [&](std::size_t instances) {
+    config.instances = instances;
+    config.seed += 1;
+    const std::size_t before = g_allocations.load();
+    const ComparisonResult result =
+        run_comparison(generator, protocols, config);
+    const std::size_t allocations = g_allocations.load() - before;
+    EXPECT_EQ(result.pareto.count(), instances);
+    return allocations;
+  };
+  const std::size_t short_run = allocations_of_a_run(250);
+  const std::size_t long_run = allocations_of_a_run(1000);
+  // A call sizes its result and one worker's scratch (the drawn instance,
+  // the ranking, the validation lookups and the reused outcome) and then
+  // scores every instance in them, so four times the instances cost not
+  // one allocation more.  A value vector, an outcome or a sort buffer per
+  // instance would cost hundreds here.
+  EXPECT_EQ(long_run, short_run)
+      << "1000 instances allocated " << long_run << " times, 250 allocated "
+      << short_run;
+  EXPECT_LE(short_run, 16u) << "a warm run_comparison allocated " << short_run
+                            << " times";
 }
 
 TEST(MonteCarloFootprintTest, SweepBookAllocatesOneBufferBeyondItsDraw) {
@@ -369,10 +380,11 @@ TEST(MonteCarloFootprintTest, SweepBookAllocatesOneBufferBeyondItsDraw) {
       prepare_tpd_sweep(generator, kBooks, 11);
   const std::size_t allocations = g_allocations.load() - before;
   ASSERT_EQ(books.size(), kBooks);
-  // Per book: the drawn instance's two value vectors and one lane buffer
-  // for the buyers, the sellers and the prefix sums.  Three separate
-  // vectors per book would make it five.
-  EXPECT_LE(allocations, 3 * kBooks + 8)
+  // Per book: one lane buffer for the buyers, the sellers and the prefix
+  // sums.  The books' vector and the one instance every book is drawn
+  // into are the constant.  Drawing a fresh instance per book would make
+  // it three per book, three lane vectors five.
+  EXPECT_LE(allocations, kBooks + 8)
       << "prepare_tpd_sweep allocated "
       << static_cast<double>(allocations) / kBooks << " times per book";
 }

@@ -1,7 +1,7 @@
 // Differential and metamorphic property tests across protocols.
 //
 // These catch the bug classes unit tests miss: divergence between the
-// public clear() and the deterministic clear_sorted() cores, sensitivity
+// public clear() and the sort-once clear_sorted() path, sensitivity
 // to submission order, and violations of scale/translation symmetries the
 // protocol definitions imply.
 #include <gtest/gtest.h>
@@ -43,28 +43,28 @@ TEST(FuzzTest, ClearMatchesClearSorted) {
       Rng b(seed);
       const SortedBook sorted(market.book, b);
       EXPECT_EQ(PmdProtocol().clear(market.book, a).fills(),
-                PmdProtocol::clear_sorted(sorted).fills());
+                PmdProtocol().clear_sorted(sorted, b).fills());
     }
     {
       Rng a(seed);
       Rng b(seed);
       const SortedBook sorted(market.book, b);
       EXPECT_EQ(TpdProtocol(money(50)).clear(market.book, a).fills(),
-                TpdProtocol::clear_sorted(sorted, money(50)).fills());
+                TpdProtocol(money(50)).clear_sorted(sorted, b).fills());
     }
     {
       Rng a(seed);
       Rng b(seed);
       const SortedBook sorted(market.book, b);
       EXPECT_EQ(EfficientClearing().clear(market.book, a).fills(),
-                EfficientClearing::clear_sorted(sorted).fills());
+                EfficientClearing().clear_sorted(sorted, b).fills());
     }
     {
       Rng a(seed);
       Rng b(seed);
       const SortedBook sorted(market.book, b);
       EXPECT_EQ(VcgDoubleAuction().clear(market.book, a).fills(),
-                VcgDoubleAuction::clear_sorted(sorted).fills());
+                VcgDoubleAuction().clear_sorted(sorted, b).fills());
     }
   }
 }

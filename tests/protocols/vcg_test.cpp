@@ -60,7 +60,7 @@ TEST(VcgTest, Example1PricesMatchClosedForm) {
   EXPECT_EQ(VcgDoubleAuction::buyer_price(sorted), money(4));
   EXPECT_EQ(VcgDoubleAuction::seller_price(sorted), money(5));
 
-  const Outcome outcome = VcgDoubleAuction::clear_sorted(sorted);
+  const Outcome outcome = VcgDoubleAuction().clear_sorted(sorted, rng);
   EXPECT_EQ(outcome.trade_count(), 3u);
   // Deficit: 3 * (5 - 4) = 3 paid in by the auctioneer.
   EXPECT_EQ(outcome.auctioneer_revenue(), money(-3));

@@ -75,13 +75,12 @@ TEST(ParallelExperimentTest, TinyWorkloads) {
 TEST(ParallelExperimentTest, WorkerExceptionsPropagate) {
   // A generator that throws on one specific counter-derived draw.
   const TpdProtocol tpd(money(50));
-  const InstanceGenerator bomb = [](Rng& rng) -> SingleUnitInstance {
-    if (rng.below(40) == 0) throw std::runtime_error("boom");
-    SingleUnitInstance instance;
-    instance.buyer_values = {money(9)};
-    instance.seller_values = {money(2)};
-    return instance;
-  };
+  const InstanceGenerator bomb(
+      [](Rng& rng, SingleUnitInstance& instance) {
+        if (rng.below(40) == 0) throw std::runtime_error("boom");
+        instance.buyer_values = {money(9)};
+        instance.seller_values = {money(2)};
+      });
   ExperimentConfig config;
   config.instances = 200;
   EXPECT_THROW(run_comparison_parallel(bomb, {&tpd}, config, 4),

@@ -101,7 +101,8 @@ SlowTpd slow_tpd(const SortedBook& book, Money threshold) {
   for (const BidEntry& e : book.buyers()) value_of.emplace(e.id, e.value);
   for (const BidEntry& e : book.sellers()) value_of.emplace(e.id, e.value);
 
-  const Outcome outcome = TpdProtocol::clear_sorted(book, threshold);
+  Rng unused(0);  // TPD draws nothing
+  const Outcome outcome = TpdProtocol(threshold).clear_sorted(book, unused);
   SlowTpd result{Money{}, outcome.auctioneer_revenue(), outcome.trade_count()};
   for (const Fill& fill : outcome.fills()) {
     if (fill.side == Side::kBuyer) {
@@ -427,15 +428,15 @@ TEST(SharedSortTest, LegacyPathMatchesSharedMeansForDeterministicProtocols) {
 /// fill, which expect_valid_outcome rejects.
 class UnbalancedProtocol final : public DoubleAuctionProtocol {
  public:
-  Outcome clear_sorted(const SortedBook& book, Rng&) const override {
-    Outcome outcome;
+  std::string name() const override { return "unbalanced"; }
+
+ private:
+  void fill(const SortedBook& book, Rng&, Outcome& outcome) const override {
     if (book.buyer_count() > 0) {
       const BidEntry& top = book.buyer(1);
       outcome.add_buy(top.id, top.identity, top.value);
     }
-    return outcome;
   }
-  std::string name() const override { return "unbalanced"; }
 };
 
 TEST(SharedSortTest, ValidationFailureInsideWorkerPropagates) {
