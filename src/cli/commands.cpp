@@ -781,7 +781,10 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
     table.add(std::move(spec));
   };
   const auto threads = [](std::string help) {
-    return count("threads", 0, 1, std::move(help));
+    return ParamSpec::integer("threads", 0,
+                              static_cast<std::int64_t>(kMaxThreads),
+                              std::move(help))
+        .optional("1");
   };
   const ParamSpec max_declarations =
       count("max-declarations", 0, 2, "declarations per deviation");

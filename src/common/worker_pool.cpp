@@ -2,17 +2,25 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace fnda {
 
 std::size_t resolve_threads(std::size_t requested) {
   if (requested != 0) return requested;
-  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  return std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1,
+                                 kMaxThreads);
 }
 
 WorkerPool::WorkerPool(std::size_t lanes)
-    : lanes_(std::max<std::size_t>(lanes, 1)) {}
+    : lanes_(std::max<std::size_t>(lanes, 1)) {
+  if (lanes_ > kMaxThreads) {
+    throw std::invalid_argument("WorkerPool: " + std::to_string(lanes_) +
+                                " lanes exceed the bound of " +
+                                std::to_string(kMaxThreads));
+  }
+}
 
 WorkerPool::~WorkerPool() {
   try {

@@ -29,8 +29,14 @@
 
 namespace fnda {
 
+/// Most lanes a pool may have, the calling thread's included.  Every
+/// `--threads` option is bounded by it, and the constructor rejects
+/// more, so no caller can ask the OS for thousands of threads by a typo.
+/// A constant, so `fnda help` reads the same on every host.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Worker count for a requested thread count: 0 means the hardware
-/// concurrency, and the result is at least 1.
+/// concurrency (at most kMaxThreads), and the result is at least 1.
 std::size_t resolve_threads(std::size_t requested);
 
 class WorkerPool {
@@ -38,6 +44,7 @@ class WorkerPool {
   using BlockFn = std::function<void(std::size_t block, std::size_t worker)>;
 
   /// `lanes` (at least 1) counts the calling thread; no thread starts here.
+  /// Throws std::invalid_argument above kMaxThreads.
   explicit WorkerPool(std::size_t lanes);
   /// Waits for launched blocks, dropping their error, and reaps the
   /// workers.

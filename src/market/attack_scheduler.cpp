@@ -1,7 +1,8 @@
 #include "market/attack_scheduler.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,6 +10,8 @@ namespace fnda {
 namespace {
 
 constexpr std::uint64_t kAccountGamma = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint32_t kNoAttacker = std::numeric_limits<std::uint32_t>::max();
+const std::vector<BidEntry> kNoEntries;
 
 /// Residual view of one ranked lane: its entries not owned by `account`,
 /// order preserved (erasing entries keeps a sorted lane sorted and the
@@ -49,9 +52,21 @@ void AttackScheduler::add_attacker(TradingClient client) {
     throw std::logic_error("add_attacker: searches in flight");
   }
   client.set_deferred(true);
+  const auto index = static_cast<std::uint32_t>(attackers_.size());
   Attacker& attacker = attackers_.emplace_back(client);
   attacker.shard = exchange_.shard_of(client.account());
   attacker.planned = Strategy::truthful(client.role(), client.true_value());
+  // A plan holds at most max_declarations entries of the attacker; sized
+  // here, so that no planning round allocates for them.
+  const std::size_t entries =
+      std::max<std::size_t>(config_.search.max_declarations, 1);
+  attacker.own.reserve(entries);
+  attacker.checked_own.reserve(entries);
+  const std::uint64_t account = client.account().value();
+  if (attacker_of_.size() <= account) {
+    attacker_of_.resize(account + 1, kNoAttacker);
+  }
+  attacker_of_[account] = index;
 }
 
 void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
@@ -60,31 +75,45 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
     throw std::invalid_argument("plan_from: one RoundId per shard required");
   }
   // Snapshot: copy the retained ranked lanes (already sorted, tie order
-  // frozen at clearing) and resolve each entry's owner account so every
-  // attacker can subtract its own declarations from the view.
+  // frozen at clearing), resolve each entry's owner account so every
+  // attacker can subtract its own declarations from the view, and note
+  // whether the shard's value lanes moved since the previous plan.
+  for (Attacker& attacker : attackers_) attacker.own.clear();
   for (std::size_t s = 0; s < snapshots_.size(); ++s) {
     ShardSnapshot& snap = snapshots_[s];
-    snap.buyers.clear();
-    snap.sellers.clear();
-    snap.buyer_owner.clear();
-    snap.seller_owner.clear();
+    // Bumped up front and put back once both lanes compared equal, so a
+    // snapshot cut short by an exception never vouches for its lanes.
+    const std::uint64_t seen = snap.generation++;
+    // Evicted/unknown rounds plan on an empty book.
     const SortedBook* ranked = exchange_.server(s).ranked_of(rounds[s]);
-    if (ranked == nullptr) continue;  // evicted/unknown: plan on empty book
-    const IdentityRegistry& registry = exchange_.registry(s);
-    snap.buyers = ranked->buyers();
-    snap.sellers = ranked->sellers();
-    snap.buyer_owner.reserve(snap.buyers.size());
-    for (const BidEntry& entry : snap.buyers) {
-      snap.buyer_owner.push_back(registry.owner(entry.identity));
-    }
-    snap.seller_owner.reserve(snap.sellers.size());
-    for (const BidEntry& entry : snap.sellers) {
-      snap.seller_owner.push_back(registry.owner(entry.identity));
-    }
+    const bool buyers_moved =
+        snapshot_lane(s, Side::kBuyer,
+                      ranked != nullptr ? ranked->buyers() : kNoEntries,
+                      snap.buyers, snap.buyer_owner);
+    const bool sellers_moved =
+        snapshot_lane(s, Side::kSeller,
+                      ranked != nullptr ? ranked->sellers() : kNoEntries,
+                      snap.sellers, snap.seller_owner);
+    if (!buyers_moved && !sellers_moved) snap.generation = seen;
+  }
+
+  // Size every lane's scratch for the largest lanes here, whichever
+  // worker ends up claiming which search.
+  std::size_t most_buyers = 0;
+  std::size_t most_sellers = 0;
+  for (const ShardSnapshot& snap : snapshots_) {
+    most_buyers = std::max(most_buyers, snap.buyers.size());
+    most_sellers = std::max(most_sellers, snap.sellers.size());
+  }
+  for (Scratch& scratch : scratch_) {
+    scratch.buyer_values.reserve(most_buyers);
+    scratch.seller_values.reserve(most_sellers);
   }
 
   // Deterministic shedding: a rotating budget window over the account-
   // ordered population, a pure function of the planning-round index.
+  // Each planned attacker whose inputs did not move is answered here;
+  // the rest go to the pool.
   plan_list_.clear();
   const std::size_t population = attackers_.size();
   for (Attacker& attacker : attackers_) attacker.selected = false;
@@ -97,29 +126,70 @@ void AttackScheduler::plan_from(const std::vector<RoundId>& rounds) {
     for (std::size_t k = 0; k < budget; ++k) {
       const std::size_t i = (start + k) % population;
       attackers_[i].selected = true;
-      plan_list_.push_back(i);
+      if (!repeat_on_driver(attackers_[i])) plan_list_.push_back(i);
     }
   }
   counters_.shed += population - budget;
   ++counters_.rounds;
   ++plan_rounds_;
 
-  // Size every worker's scratch for the largest lanes here, whichever
-  // worker ends up claiming which search.
-  std::size_t most_buyers = 0;
-  std::size_t most_sellers = 0;
-  for (const ShardSnapshot& snap : snapshots_) {
-    most_buyers = std::max(most_buyers, snap.buyers.size());
-    most_sellers = std::max(most_sellers, snap.sellers.size());
-  }
-  for (std::size_t w = 1; w < scratch_.size(); ++w) {
-    scratch_[w].buyer_values.reserve(most_buyers);
-    scratch_[w].seller_values.reserve(most_sellers);
-  }
   inflight_ = true;
+  if (plan_list_.empty()) return;  // an all-hit round wakes no worker
   pool_.launch(plan_list_.size(), [this](std::size_t slot, std::size_t w) {
     search_one(attackers_[plan_list_[slot]], scratch_[w]);
   });
+}
+
+bool AttackScheduler::snapshot_lane(std::size_t shard, Side side,
+                                    const std::vector<BidEntry>& lane,
+                                    std::vector<BidEntry>& copy,
+                                    std::vector<AccountId>& owner) {
+  const IdentityRegistry& registry = exchange_.registry(shard);
+  bool moved = lane.size() != copy.size();
+  copy.resize(lane.size());
+  owner.resize(lane.size());
+  for (std::size_t i = 0; i < lane.size(); ++i) {
+    const BidEntry& entry = lane[i];
+    moved |= copy[i].value != entry.value;
+    copy[i] = entry;
+    owner[i] = registry.owner(entry.identity);
+    const std::uint64_t account = owner[i].value();
+    if (account >= attacker_of_.size() ||
+        attacker_of_[account] == kNoAttacker) {
+      continue;
+    }
+    Attacker& attacker = attackers_[attacker_of_[account]];
+    if (attacker.shard == shard) {
+      attacker.own.push_back(Declaration{side, entry.value});
+    }
+  }
+  return moved;
+}
+
+bool AttackScheduler::repeat_on_driver(Attacker& attacker) {
+  // Same shard generation: the value lanes equal those of the last
+  // completed check.  Same own entries on top: so do the residual lanes,
+  // and with them the grid and config key (role, true value, seed,
+  // protocol and domain are fixed for the exchange's lifetime).
+  if (attacker.checked_generation != snapshots_[attacker.shard].generation ||
+      attacker.own != attacker.checked_own) {
+    return false;
+  }
+  const auto started = std::chrono::steady_clock::now();
+  const SearchResult* hit = warm_repeat_hit(attacker.state);
+  if (hit == nullptr) return false;
+#ifndef NDEBUG
+  const ShardSnapshot& snap = snapshots_[attacker.shard];
+  Scratch& scratch = scratch_.front();
+  residual_values(snap.buyers, snap.buyer_owner, attacker.client.account(),
+                  scratch.buyer_values);
+  residual_values(snap.sellers, snap.seller_owner, attacker.client.account(),
+                  scratch.seller_values);
+  assert(scratch.buyer_values == attacker.state.buyer_values);
+  assert(scratch.seller_values == attacker.state.seller_values);
+#endif
+  record(attacker, *hit, started);
+  return true;
 }
 
 void AttackScheduler::search_one(Attacker& attacker, Scratch& scratch) {
@@ -162,8 +232,13 @@ void AttackScheduler::search_one(Attacker& attacker, Scratch& scratch) {
       ++attacker.cold_runs;
     }
   }
-  const SearchResult& result = hit != nullptr ? *hit : searched;
+  record(attacker, hit != nullptr ? *hit : searched, started);
+  attacker.checked_generation = snap.generation;
+  attacker.checked_own = attacker.own;
+}
 
+void AttackScheduler::record(Attacker& attacker, const SearchResult& result,
+                             std::chrono::steady_clock::time_point started) {
   attacker.planned = result.best_strategy;
   attacker.gain =
       std::max(0.0, result.best_utility - result.truthful_utility);

@@ -10,9 +10,9 @@
 //     copies each shard's retained ranked lanes (AuctionServer::ranked_of
 //     — the SortedBook the round cleared from, tie order frozen; no
 //     re-sort) plus the owner account of every entry, and wakes the
-//     background worker pool to run the searches.  The exchange
-//     immediately proceeds to open and drive the next round; search and
-//     clearing overlap in wall-clock time.
+//     background worker pool to run the searches that need it.  The
+//     exchange immediately proceeds to open and drive the next round;
+//     search and clearing overlap in wall-clock time.
 //   * Parked pool.  The searches are the blocks of a WorkerPool
 //     `launch`: its workers start at the first `plan_from` and stay
 //     parked between rounds, `join` waits for the round's last search,
@@ -31,7 +31,18 @@
 //     account_position; only on a miss are the residual entry lanes and
 //     a DeviationEvaluator built, and `find_best_deviation_warm` seeds
 //     the prune floor with the prior best response's current utility.
-//     With a `grid_override`, a planning round in which every search hits
+//   * Unchanged attackers stay on the driver.  The snapshot pass also
+//     bumps a shard's generation whenever a value in its lanes moved, and
+//     collects each attacker's own (side, value) entries.  An attacker
+//     whose last completed check saw the same generation and the same
+//     own entries has the residual lanes, grid and config key behind its
+//     cached result; if that result also revalidated then,
+//     `warm_repeat_hit` hands it over inside `plan_from`, with no rebuild
+//     and no second revalidation (its result could not differ).  The
+//     first check after any change, or after a search, takes the pool
+//     path above, so every counter reads as if each check had run there.
+//     A round in which every attacker repeats wakes no worker, and with
+//     a `grid_override` a planning round in which every search hits
 //     allocates nothing.
 //   * Shedding.  An optional per-round search budget caps the number of
 //     searches; the rotating window (deterministic in the round index)
@@ -44,6 +55,7 @@
 // shrink the previously applied declaration set (`withdrawals`).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -87,7 +99,8 @@ class AttackScheduler {
   void add_attacker(TradingClient client);
 
   /// Snapshots each shard's cleared book for `rounds` (one RoundId per
-  /// shard) and wakes the parked pool to run this round's searches.
+  /// shard), plans the unchanged attackers on the calling thread and
+  /// wakes the parked pool for the rest of this round's searches.
   /// Returns immediately; overlap the next round's drive, then `join`.
   void plan_from(const std::vector<RoundId>& rounds);
 
@@ -123,6 +136,10 @@ class AttackScheduler {
     std::vector<BidEntry> sellers;  // ascending, tie order frozen
     std::vector<AccountId> buyer_owner;
     std::vector<AccountId> seller_owner;
+    /// Bumped by every `plan_from` whose value lanes differ from the
+    /// previous plan's, or that an exception cut short; starts at 1, so
+    /// 0 means "never checked" below.
+    std::uint64_t generation = 1;
   };
 
   struct Attacker {
@@ -140,6 +157,14 @@ class AttackScheduler {
     double gain = 0.0;              ///< this round's best - truthful
     bool profitable = false;
     std::uint64_t cold_runs = 0;    ///< warm=false mode bookkeeping
+    /// This plan's entries of the attacker in its shard's lanes, buyers
+    /// then sellers, each in rank order.
+    std::vector<Declaration> own;
+    /// `own` and the shard generation when the last check completed
+    /// (generation 0: none has).  Equal again, they prove the residual
+    /// value lanes, grid and config key behind `state` unchanged.
+    std::vector<Declaration> checked_own;
+    std::uint64_t checked_generation = 0;
   };
 
   /// What one pool worker keeps between rounds; cache-line aligned, as
@@ -149,13 +174,27 @@ class AttackScheduler {
     std::vector<Money> seller_values;  // attacker being searched
   };
 
+  /// Copies one ranked lane into the snapshot, resolves its owners and
+  /// hands each attacker's entries to its `own`.  Returns whether any
+  /// value differs from the lane it replaced.
+  bool snapshot_lane(std::size_t shard, Side side,
+                     const std::vector<BidEntry>& lane,
+                     std::vector<BidEntry>& copy,
+                     std::vector<AccountId>& owner);
+  /// The attacker's check on unchanged inputs, answered on the calling
+  /// thread; false when it needs a pool search.
+  bool repeat_on_driver(Attacker& attacker);
   void search_one(Attacker& attacker, Scratch& scratch);
+  static void record(Attacker& attacker, const SearchResult& result,
+                     std::chrono::steady_clock::time_point started);
 
   MultiServerExchange& exchange_;
   AttackSchedulerConfig config_;
   std::vector<Attacker> attackers_;  // account order
+  /// Attacker index per account id; kNoAttacker for the rest.
+  std::vector<std::uint32_t> attacker_of_;
   std::vector<ShardSnapshot> snapshots_;
-  std::vector<std::size_t> plan_list_;  // attacker indexes searched this round
+  std::vector<std::size_t> plan_list_;  // attackers searched on the pool
   std::size_t plan_rounds_ = 0;
   bool inflight_ = false;
 
@@ -166,7 +205,7 @@ class AttackScheduler {
   obs::Histogram* latency_hist_ = nullptr;
 
   /// Indexed by worker; lane 0 is the caller's, which runs no launched
-  /// search.
+  /// search (Debug builds rebuild a driver-side hit's lanes in it).
   std::vector<Scratch> scratch_;
   /// `pool_threads` background lanes plus the caller's.  Declared last,
   /// so it is destroyed first: a scheduler torn down with searches in

@@ -1004,6 +1004,7 @@ const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
                                    const EvalConfig& eval,
                                    const SearchConfig& config,
                                    SearchState& state) {
+  state.revalidated = false;
   if (!state.has_result ||
       state.config_key !=
           warm_config_key(eval, role, true_value, domain, config) ||
@@ -1026,6 +1027,13 @@ const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
                  state.residual_book, state.own_scratch, &fast);
   if (fast) ++state.fast_revalidations;
   if (revalidated != state.last.best_utility) return nullptr;
+  state.revalidated = true;
+  ++state.warm_hits;
+  return &state.last;
+}
+
+const SearchResult* warm_repeat_hit(SearchState& state) {
+  if (!state.revalidated) return nullptr;
   ++state.warm_hits;
   return &state.last;
 }

@@ -249,13 +249,19 @@ SearchResult find_best_deviation(const DeviationEvaluator& evaluator,
                                  const SearchConfig& config = {});
 
 /// Persistent per-account warm-start state carried across rounds of a
-/// live session.  `find_best_deviation_warm` owns every field; callers
-/// only construct one per manipulator account and keep it alive between
-/// calls.  Holding the state for account A and calling with account B's
-/// evaluator is safe (the cached lanes/grid/config key will not match and
-/// the search runs cold) but wastes the cache.
+/// live session.  `find_best_deviation_warm`, `warm_cache_hit` and
+/// `warm_repeat_hit` own every field; callers only construct one per
+/// manipulator account and keep it alive between calls.  Holding the
+/// state for account A and calling with account B's evaluator is safe
+/// (the cached lanes/grid/config key will not match and the search runs
+/// cold) but wastes the cache.
 struct SearchState {
   bool has_result = false;
+  /// The last call on this state was a `warm_cache_hit` (or
+  /// `warm_repeat_hit`) hit: `last` revalidated against that call's
+  /// inputs.  A search that stores a new result leaves it false, so the
+  /// first check after a search always revalidates.
+  bool revalidated = false;
   /// The previous search's full result (returned verbatim on a warm hit).
   SearchResult last;
   /// Ranked residual VALUE lanes of `last` — the invalidation rule: any
@@ -285,7 +291,9 @@ struct SearchState {
   std::size_t warm_hits = 0;    ///< unchanged book: cached result reused
   std::size_t warm_seeded = 0;  ///< engine runs seeded with the warm floor
   std::size_t cold_runs = 0;    ///< engine runs with no usable warm state
-  std::size_t fast_revalidations = 0;  ///< account_position hit revalidations
+  /// Revalidations priced through `account_position` alone.  A
+  /// `warm_repeat_hit` runs none, so it counts none.
+  std::size_t fast_revalidations = 0;
 };
 
 /// Tier 1 of `find_best_deviation_warm`, decided without building a
@@ -300,9 +308,10 @@ struct SearchState {
 /// `Rng(eval.seed + γt)` and clears with the second — through
 /// `account_position`, or a full `clear_sorted` when the protocol
 /// declines it.  Returns the cached result (owned by `state`, valid until
-/// its next miss), or nullptr on a miss; `state` changes only in the
-/// `warm_hits` / `fast_revalidations` counters.  Allocates nothing with a
-/// `grid_override` and a protocol that answers `account_position`.
+/// its next miss), or nullptr on a miss; `state` changes only in
+/// `revalidated` and the `warm_hits` / `fast_revalidations` counters.
+/// Allocates nothing with a `grid_override` and a protocol that answers
+/// `account_position`.
 const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
                                    const ValueDomain& domain, Side role,
                                    Money true_value,
@@ -311,6 +320,21 @@ const SearchResult* warm_cache_hit(const DoubleAuctionProtocol& protocol,
                                    const EvalConfig& eval,
                                    const SearchConfig& config,
                                    SearchState& state);
+
+/// Tier 1 again, for a caller that has proven every input of
+/// `warm_cache_hit` (protocol, domain, role, true value, both residual
+/// value lanes, `eval` and `config`) unchanged since its last call on
+/// `state`.  When that call was a hit (`state.revalidated`), returns the
+/// cached result and counts a warm hit without comparing the inputs or
+/// revalidating: a revalidation is a deterministic function of the
+/// retained `residual_book`, the cached best strategy, `eval` (seed,
+/// replicates, utility), role and true value, and the book is restored
+/// bit for bit after each one, so on unchanged inputs it would reproduce
+/// the utility it reproduced last time.  Returns nullptr, changing
+/// nothing, otherwise; the caller then takes the `warm_cache_hit` path.
+/// The protocol must be a pure function of its inputs, as every protocol
+/// in this library is.
+const SearchResult* warm_repeat_hit(SearchState& state);
 
 /// Warm-start wrapper around `find_best_deviation`.  Three tiers:
 ///   1. Cache hit — `warm_cache_hit` on the evaluator's residual value

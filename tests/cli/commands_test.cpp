@@ -490,6 +490,28 @@ TEST(CliTest, NegativeCountsAreUsageErrorsBeforeAnyWork) {
   }
 }
 
+TEST(CliTest, ThreadsAboveTheBoundAreUsageErrorsBeforeAnyWork) {
+  // Parsing only: a rejected option starts no thread.
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"simulate", "--threads", "1025"},
+           {"attack-search", "--manipulator", "buyer:0", "--threads", "1025"},
+           {"market-bench", "--threads", "1025"},
+           {"metrics-dump", "--threads", "1025"},
+           {"console", "--threads", "1025"}}) {
+    const CliRun result = run(args, kExample1Book);
+    EXPECT_EQ(result.exit_code, 2) << args[0];
+    EXPECT_TRUE(result.out.empty()) << args[0];
+    EXPECT_NE(result.err.find("--threads out of range [0, 1024]: 1025"),
+              std::string::npos)
+        << result.err;
+  }
+  const CliRun help = run({"help", "simulate"});
+  EXPECT_NE(help.out.find("--threads int [0, 1024] (default: 1)"),
+            std::string::npos)
+      << help.out;
+}
+
 TEST(CliTest, RepeatedAndValuelessOptionsAreUsageErrors) {
   EXPECT_EQ(run({"clear", "--seed", "1", "--seed", "2"}, kExample1Book)
                 .exit_code,

@@ -149,6 +149,14 @@ TEST(WorkerPoolTest, OneLanePoolStartsNoThread) {
   EXPECT_TRUE(settles_at(before));
 }
 
+TEST(WorkerPoolTest, LanesAreBounded) {
+  // A pool starts no thread until a call gives a lane a block, so these
+  // only construct.
+  EXPECT_EQ(kMaxThreads, 1024u);
+  EXPECT_EQ(WorkerPool(kMaxThreads).lanes(), kMaxThreads);
+  EXPECT_THROW(WorkerPool(1025), std::invalid_argument);
+}
+
 TEST(WorkerPoolTest, DestroyingWithALaunchInFlightDropsTheError) {
   std::atomic<std::size_t> started{0};
   std::atomic<std::size_t> finished{0};
