@@ -1,7 +1,6 @@
 #include "cli/commands.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -44,10 +43,16 @@ constexpr std::int64_t kMaxInt64 = std::numeric_limits<std::int64_t>::max();
 /// Money::from_double rounds value * 10^6 to int64 micros, so money flags
 /// stay well inside +-9.2e12.
 constexpr double kMoneyLimit = 9e12;
+/// Session-size ceilings shared by market-bench, metrics-dump and console,
+/// so one typo cannot ask for terabytes of trader state.
+constexpr std::int64_t kMaxShards = 4096;
+constexpr std::int64_t kMaxClients = 10'000'000;
+constexpr std::int64_t kMaxRounds = 1'000'000;
 
 ParamSpec count(std::string name, std::int64_t min_value,
-                std::int64_t fallback, std::string help) {
-  return ParamSpec::integer(std::move(name), min_value, kMaxInt64,
+                std::int64_t fallback, std::string help,
+                std::int64_t max_value = kMaxInt64) {
+  return ParamSpec::integer(std::move(name), min_value, max_value,
                             std::move(help))
       .optional(std::to_string(fallback));
 }
@@ -193,26 +198,12 @@ ManipulatorSpec parse_manipulator(const std::string& text) {
     throw std::invalid_argument("--manipulator side must be buyer or seller");
   }
   std::size_t index = 0;
-  const char* begin = text.data() + colon + 1;
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, index);
-  if (ec != std::errc{} || ptr != end) {
+  if (!ops::parse_number(std::string_view(text).substr(colon + 1), &index)) {
     throw std::invalid_argument("--manipulator index must be a "
                                 "non-negative integer, got '" +
                                 text.substr(colon + 1) + "'");
   }
   return {side == "buyer" ? Side::kBuyer : Side::kSeller, index};
-}
-
-/// The closing lines shared by `attack` and `attack-search`.
-void print_verdict(std::ostream& out, const SearchResult& result) {
-  out << "truthful utility: " << format_fixed(result.truthful_utility, 4)
-      << "\n"
-      << "best deviation:   " << format_fixed(result.best_utility, 4)
-      << "  via " << result.best_strategy.to_string() << "\n"
-      << (result.profitable()
-              ? "VERDICT: manipulable (profitable deviation found)\n"
-              : "VERDICT: truthful play is optimal here\n");
 }
 
 int cmd_clear(const Invocation& args, std::istream& in, std::ostream& out,
@@ -333,29 +324,6 @@ int cmd_simulate(const Invocation& args, std::istream&, std::ostream& out,
   return 0;
 }
 
-int cmd_attack(const Invocation& args, std::istream& in, std::ostream& out,
-               std::ostream& err) {
-  const ProtocolPtr protocol = make_protocol(args);
-  const ManipulatorSpec manipulator =
-      parse_manipulator(args.get("manipulator"));
-  SingleUnitInstance instance;
-  if (!read_instance(args, in, err, &instance)) return 1;
-
-  const DeviationEvaluator evaluator(*protocol, instance, manipulator);
-  SearchConfig search;
-  search.max_declarations = get_size(args, "max-declarations");
-  const SearchResult result = find_best_deviation(evaluator, search);
-
-  out << "protocol: " << protocol->name() << "\n"
-      << "manipulator: " << to_string(manipulator.role) << " #"
-      << manipulator.index << " (true value " << evaluator.true_value()
-      << ")\n"
-      << "strategies evaluated: " << result.strategies_evaluated
-      << (result.truncated ? " (truncated)" : "") << "\n";
-  print_verdict(out, result);
-  return 0;
-}
-
 int cmd_attack_search(const Invocation& args, std::istream& in,
                       std::ostream& out, std::ostream& err) {
   const ProtocolPtr protocol = make_protocol(args);
@@ -441,8 +409,14 @@ int cmd_attack_search(const Invocation& args, std::istream& in,
                           4)
           << "\n";
     }
-    out << "wall time: " << stats.wall_time_ns / 1000 << " us\n";
-    print_verdict(out, result);
+    out << "wall time: " << stats.wall_time_ns / 1000 << " us\n"
+        << "truthful utility: " << format_fixed(result.truthful_utility, 4)
+        << "\n"
+        << "best deviation:   " << format_fixed(result.best_utility, 4)
+        << "  via " << result.best_strategy.to_string() << "\n"
+        << (result.profitable()
+                ? "VERDICT: manipulable (profitable deviation found)\n"
+                : "VERDICT: truthful play is optimal here\n");
   }
 
   if (const std::string& metrics_out = args.get("metrics-out");
@@ -768,9 +742,11 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
   ops::CommandTable table;
   const auto add = [&](std::string name, std::string help,
                        std::vector<ParamSpec> options,
-                       std::vector<std::string> flags, Handler handler) {
+                       std::vector<std::string> flags, Handler handler,
+                       std::vector<std::string> aliases = {}) {
     ops::CommandSpec spec;
     spec.name = std::move(name);
+    spec.aliases = std::move(aliases);
     spec.help = std::move(help);
     spec.flags = std::move(flags);
     spec.options = std::move(options);
@@ -788,8 +764,6 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
   };
   const ParamSpec max_declarations =
       count("max-declarations", 0, 2, "declarations per deviation");
-  const ParamSpec manipulator = ParamSpec::string(
-      "manipulator", "audited trader as side:index, e.g. buyer:0 or seller:2");
 
   add("clear", "clear one book from CSV (side,identity,value)",
       protocol_options(
@@ -820,14 +794,16 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
            threads("workers (0 = hardware concurrency)"),
            seed_option(1)}),
       {}, cmd_simulate);
-  add("attack", "exhaustive deviation search for one participant",
-      protocol_options({book_option(), manipulator, max_declarations}), {},
-      cmd_attack);
   add("attack-search",
-      "the parallel pruned search engine with full coverage counters "
-      "(pruning, fast positions, slack); identical result at every --threads",
+      "exhaustive deviation search for one participant: the parallel "
+      "pruned engine with full coverage counters (pruning, fast positions, "
+      "slack); identical result at every --threads",
       protocol_options(
-          {book_option(), manipulator, max_declarations,
+          {book_option(),
+           ParamSpec::string("manipulator",
+                             "audited trader as side:index, e.g. buyer:0 "
+                             "or seller:2"),
+           max_declarations,
            threads("search workers (0 = hardware concurrency)"),
            count("replicates", 1, 1, "clears averaged per candidate"),
            seed_option(0x5eed),
@@ -835,7 +811,7 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
            toggle("serial", false, "run the serial reference oracle instead"),
            toggle("json", false, "machine-readable result, stats, timings"),
            path_option("metrics-out", "Prometheus text file")}),
-      {}, cmd_attack_search);
+      {}, cmd_attack_search, {"attack"});
   add("dynamics", "iterated best response over the book's traders",
       protocol_options({book_option(), count("sweeps", 0, 6, "sweep budget"),
                         max_declarations}),
@@ -862,8 +838,9 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       "ZI-trader session on the sharded exchange: live-book work counters "
       "and epoch barrier crossings (scaling gates live in "
       "bench/market_throughput)",
-      {count("clients", 1, 1000, "traders"), count("rounds", 1, 3, "rounds"),
-       count("shards", 1, 4, "shards"),
+      {count("clients", 1, 1000, "traders", kMaxClients),
+       count("rounds", 1, 3, "rounds", kMaxRounds),
+       count("shards", 1, 4, "shards", kMaxShards),
        threads("workers, <= --shards (0 = hardware concurrency)"),
        probability("drop", "message drop probability"),
        probability("duplicate", "message duplication probability"),
@@ -878,8 +855,9 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       "Prometheus file given by --in (exit 1 on missing/malformed input)",
       {ParamSpec::choice("format", {"prom", "json", "table"}, "output format")
            .optional("prom"),
-       count("clients", 1, 64, "traders"), count("rounds", 1, 2, "rounds"),
-       count("shards", 1, 2, "shards"),
+       count("clients", 1, 64, "traders", kMaxClients),
+       count("rounds", 1, 2, "rounds", kMaxRounds),
+       count("shards", 1, 2, "shards", kMaxShards),
        threads("workers (0 = hardware concurrency)"),
        money_option("threshold", "50", "TPD threshold price r"),
        seed_option(1),
@@ -891,10 +869,11 @@ int run_cli(const std::vector<std::string>& args, std::istream& in,
       "every --threads",
       protocol_options(
           {path_option("script", "command batch file"),
-           count("clients", 1, 64, "traders"),
-           count("shards", 1, 2, "shards"),
+           count("clients", 1, 64, "traders", kMaxClients),
+           count("shards", 1, 2, "shards", kMaxShards),
            threads("workers (0 = hardware concurrency)"), seed_option(42),
-           count("rounds-budget", 0, 1024, "rounds the session may run"),
+           count("rounds-budget", 0, 1024, "rounds the session may run",
+                 kMaxRounds),
            probability("drop", "message drop probability"),
            probability("duplicate", "message duplication probability"),
            path_option("slo-file", "SLO rules, one per line")}),

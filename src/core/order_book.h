@@ -29,6 +29,8 @@ namespace fnda {
 struct ValueDomain {
   Money lowest = Money::from_units(0);
   Money highest = Money::from_units(1'000'000'000);
+
+  bool operator==(const ValueDomain&) const = default;
 };
 
 /// Mutable collection of declarations for one clearing round.

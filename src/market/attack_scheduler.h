@@ -124,7 +124,6 @@ class AttackScheduler {
   double planned_gain_total() const { return planned_gain_total_; }
   /// Searches whose best response strictly beat truth-telling.
   std::uint64_t profitable_searches() const { return profitable_searches_; }
-  std::size_t attacker_count() const { return attackers_.size(); }
 
   /// Optional wall-clock search-latency histogram (microseconds),
   /// recorded at join() in account order.  Never digest-pin it.

@@ -261,13 +261,6 @@ class TradingClient {
   /// submitted.
   std::size_t submit_pending() { return population_->submit_pending(slot_); }
 
-  /// True when a round-open announcement is latched and unanswered.
-  bool has_pending_round() const {
-    const std::uint32_t custom = row().custom;
-    return custom != TraderPopulation::kNone &&
-           population_->customs_[custom].pending.has_value();
-  }
-
   AccountId account() const { return row().account; }
   Side role() const { return row().role; }
   Money true_value() const { return row().true_value; }

@@ -5,50 +5,41 @@
 // knobs on a *live* exchange without giving up the determinism contract.
 // RuntimeConfig wraps a ServerConfig in a staged/active pair:
 //
-//   * `stage(key, value)` parses and bounds-checks a typed key against a
-//     declared key table and records the change as *pending* — nothing
-//     the hot path reads has moved yet;
-//   * `apply_pending(stamp)` promotes every pending change into the
-//     active config in one step and bumps the generation, recording the
-//     stamp (the exchange passes its round-open index) at which the new
-//     generation took effect.
+//   * `stage(config)` records a whole typed ServerConfig as *pending* —
+//     nothing the hot path reads has moved yet.  Callers build it from
+//     `staged()`, so changes staged earlier in the same round carry over
+//     and the last value staged for a field wins;
+//   * `apply_pending(stamp)` promotes the staged config into the active
+//     one in one step and, when any value differs, bumps the generation
+//     and records the stamp (the exchange passes its round-open index) at
+//     which the new generation took effect.
 //
-// The exchange calls apply_pending only at round boundaries, on the
-// driver thread, while every shard is quiescent — so a command script
-// replayed against the same session produces bit-identical output for
-// any worker-thread count: the config a round clears under is a pure
-// function of the command sequence, never of thread timing.
+// Which fields an operator may stage, and their bounds, is the console's
+// business (ops/console.cpp declares them as typed commands); this class
+// parses nothing.  The exchange calls apply_pending only at round
+// boundaries, on the driver thread, while every shard is quiescent — so a
+// command script replayed against the same session produces bit-identical
+// output for any worker-thread count: the config a round clears under is
+// a pure function of the command sequence, never of thread timing.
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "market/server.h"
 
 namespace fnda {
 
-/// One runtime-settable key's reflection record (for `config show` and
-/// the docs table): name, type, bounds, and current/pending values.
-struct ConfigEntry {
-  std::string key;
-  std::string type;  ///< "int" for now; all knobs are integer-valued
-  std::int64_t min_value = 0;
-  std::int64_t max_value = 0;
-  std::int64_t active = 0;
-  bool has_pending = false;
-  std::int64_t pending = 0;
-  std::string help;
-};
-
 class RuntimeConfig {
  public:
-  explicit RuntimeConfig(ServerConfig initial);
+  explicit RuntimeConfig(ServerConfig initial)
+      : active_(initial), staged_(std::move(initial)) {}
 
   /// The config servers run with.  Stable address; re-read by the
   /// exchange at every round open.
   const ServerConfig& active() const { return active_; }
+  /// The config the next apply_pending installs: active() until
+  /// something is staged.
+  const ServerConfig& staged() const { return staged_; }
 
   /// Number of apply_pending calls that changed anything; generation 0 is
   /// the construction-time config.
@@ -57,38 +48,32 @@ class RuntimeConfig {
   /// generation (0 until the first runtime change lands).
   std::uint64_t applied_at() const { return applied_at_; }
 
-  /// Parses and bounds-checks `value` for `key`; stages it as pending.
-  /// Returns false and fills `error` on unknown key, parse failure, or a
-  /// value outside the key's declared bounds.
-  bool stage(std::string_view key, std::string_view value,
-             std::string* error);
+  /// Stages `next` for the next round boundary, replacing any config
+  /// staged before it.
+  void stage(const ServerConfig& next) {
+    staged_ = next;
+    pending_ = true;
+  }
 
-  bool has_pending() const { return !pending_.empty(); }
+  bool has_pending() const { return pending_; }
 
-  /// Promotes pending changes into the active config.  Returns true when
+  /// Promotes the staged config into the active one.  Returns true when
   /// the active config changed (the caller then pushes it to the
   /// servers); `stamp` is recorded as the generation's birth round.
-  bool apply_pending(std::uint64_t stamp);
-
-  /// Reflection over every runtime key, in declaration order.
-  std::vector<ConfigEntry> entries() const;
-
-  /// Reads one key's active value (the integer form `stage` accepts).
-  /// Returns false on unknown key.
-  bool read(std::string_view key, std::int64_t* value) const;
+  bool apply_pending(std::uint64_t stamp) {
+    if (!pending_) return false;
+    pending_ = false;
+    if (staged_ == active_) return false;
+    active_ = staged_;
+    ++generation_;
+    applied_at_ = stamp;
+    return true;
+  }
 
  private:
-  struct Key;  // declared key table row (see runtime_config.cpp)
-
-  struct Pending {
-    std::size_t key_index;
-    std::int64_t value;
-  };
-
-  static const std::vector<Key>& keys();
-
   ServerConfig active_;
-  std::vector<Pending> pending_;
+  ServerConfig staged_;  ///< equals active_ whenever nothing is pending
+  bool pending_ = false;
   std::uint64_t generation_ = 0;
   std::uint64_t applied_at_ = 0;
 };

@@ -47,6 +47,8 @@ struct ServerConfig {
   /// outcomes don't accumulate forever; the audit log keeps every round's
   /// entries regardless.
   std::size_t retained_rounds = 0;
+
+  bool operator==(const ServerConfig&) const = default;
 };
 
 class AuctionServer : public Endpoint {

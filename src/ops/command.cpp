@@ -10,16 +10,6 @@
 namespace fnda::ops {
 namespace {
 
-/// Parses the whole of `text` as a T (no sign prefix, no trailing bytes).
-template <typename T>
-bool parse_number(std::string_view text, T* out) {
-  if (text.empty()) return false;
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc{} && ptr == end;
-}
-
 bool parse_real(std::string_view text, double* out) {
   return parse_number(text, out) && std::isfinite(*out);
 }
@@ -36,8 +26,7 @@ std::string real_text(double value) {
 std::string check_value(const ParamSpec& param, const std::string& label,
                         const std::string& raw) {
   switch (param.type) {
-    case ParamType::kInt:
-    case ParamType::kUInt: {
+    case ParamType::kInt: {
       std::int64_t value = 0;
       if (!parse_number(raw, &value)) {
         return label + " expects an integer, got '" + raw + "'";
@@ -77,7 +66,7 @@ std::string check_value(const ParamSpec& param, const std::string& label,
 /// One help row: `label`, its type and bounds, default, and help text.
 std::string describe(const ParamSpec& param, const std::string& label) {
   std::string detail = "  " + label;
-  if (param.type == ParamType::kInt || param.type == ParamType::kUInt) {
+  if (param.type == ParamType::kInt) {
     detail += " int [" + std::to_string(param.min_value) + ", " +
               std::to_string(param.max_value) + "]";
   } else if (param.type == ParamType::kReal) {
@@ -342,8 +331,20 @@ Reply CommandTable::dispatch(const std::vector<std::string>& tokens) const {
   std::size_t consumed = 0;
   const CommandSpec* spec = match(tokens, &consumed);
   if (spec == nullptr) {
-    return Reply::error("unknown command: '" + tokens[0] +
-                        "' (try 'help')");
+    // Name the known leading words too: "config set nope", not "config".
+    std::size_t known = 0;
+    for (const CommandSpec& candidate : commands_) {
+      const std::vector<std::string> words = tokenize(candidate.name);
+      std::size_t shared = 0;
+      while (shared < words.size() && shared + 1 < tokens.size() &&
+             words[shared] == tokens[shared]) {
+        ++shared;
+      }
+      known = std::max(known, shared);
+    }
+    std::string name = tokens[0];
+    for (std::size_t i = 1; i <= known; ++i) name += ' ' + tokens[i];
+    return Reply::error("unknown command: '" + name + "' (try 'help')");
   }
   const std::string usage = " (usage: " + usage_line(*spec) + ")";
 

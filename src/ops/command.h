@@ -10,6 +10,7 @@
 // serves), built from the same fields so the two can never drift.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -19,10 +20,19 @@
 
 namespace fnda::ops {
 
-enum class ParamType { kInt, kUInt, kReal, kString, kChoice };
+/// The one parser of operator-typed numbers: the whole of `text` must be
+/// a decimal T (no "+" prefix, no spaces, no trailing bytes).
+template <typename T>
+bool parse_number(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc{} && ptr == end;
+}
+
+enum class ParamType { kInt, kReal, kString, kChoice };
 
 /// One parameter's descriptor, positional or a named `--name value`
-/// option.  kInt/kUInt/kReal validate bounds (kReal also finiteness);
+/// option.  kInt/kReal validate bounds (kReal also finiteness);
 /// kChoice validates membership; kString passes through.  Optional
 /// positional parameters must trail required ones; an optional
 /// parameter that is not given falls back to `fallback`.

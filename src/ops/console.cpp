@@ -1,6 +1,7 @@
 #include "ops/console.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,6 +25,46 @@ std::string micros_ratio_text(std::uint64_t micros) {
   std::string frac = std::to_string(micros % 1'000'000ull);
   while (frac.size() < 6) frac.insert(frac.begin(), '0');
   return std::to_string(micros / 1'000'000ull) + "." + frac;
+}
+
+/// One runtime-settable ServerConfig field: the parameter of its
+/// `config set <name>` command (name, type, bounds, help), declared once
+/// for parsing, `help` and `config show`, plus how to read and write it.
+struct ConfigKey {
+  ParamSpec param;
+  std::int64_t (*get)(const ServerConfig&);
+  void (*set)(ServerConfig&, std::int64_t);
+};
+
+const std::vector<ConfigKey>& config_keys() {
+  constexpr std::int64_t kMaxMicros =
+      std::numeric_limits<std::int64_t>::max() / 2;
+  static const std::vector<ConfigKey> keys = {
+      {ParamSpec::integer(
+           "retained_rounds", 0, std::numeric_limits<std::int32_t>::max(),
+           "completed rounds kept for replay/audit views (0 = unbounded)"),
+       [](const ServerConfig& c) {
+         return static_cast<std::int64_t>(c.retained_rounds);
+       },
+       [](ServerConfig& c, std::int64_t v) {
+         c.retained_rounds = static_cast<std::size_t>(v);
+       }},
+      {ParamSpec::integer("announce_interval_us", 0, kMaxMicros,
+                          "round-open re-announcement interval in sim "
+                          "microseconds (0 = off)"),
+       [](const ServerConfig& c) { return c.announce_interval.micros; },
+       [](ServerConfig& c, std::int64_t v) {
+         c.announce_interval = SimTime{v};
+       }},
+      {ParamSpec::integer(
+           "min_deposit_micros", 0, kMaxMicros,
+           "minimum escrowed deposit (micros) for a bid to be accepted"),
+       [](const ServerConfig& c) { return c.min_deposit.micros(); },
+       [](ServerConfig& c, std::int64_t v) {
+         c.min_deposit = Money::from_micros(v);
+       }},
+  };
+  return keys;
 }
 
 }  // namespace
@@ -174,15 +215,9 @@ Reply ConsoleSession::cmd_hist(const Invocation& invocation) {
 }
 
 Reply ConsoleSession::cmd_book_dump(const Invocation& invocation) {
-  const std::int64_t shard = invocation.get_int("shard");
+  const auto shard = static_cast<std::size_t>(invocation.get_int("shard"));
   const std::int64_t depth = invocation.get_int("depth");
-  if (shard < 0 ||
-      static_cast<std::size_t>(shard) >= exchange_->shard_count()) {
-    return Reply::error("shard out of range (have " +
-                        std::to_string(exchange_->shard_count()) + ")");
-  }
-  const AuctionServer& server = exchange_->server(
-      static_cast<std::size_t>(shard));
+  const AuctionServer& server = exchange_->server(shard);
   const std::optional<RoundId> round = server.latest_round();
   if (!round.has_value()) {
     return Reply::error("shard " + std::to_string(shard) +
@@ -272,13 +307,8 @@ Reply ConsoleSession::cmd_trace_export(const Invocation& invocation) {
 }
 
 Reply ConsoleSession::cmd_shard_pause(const Invocation& invocation) {
-  const std::int64_t shard = invocation.get_int("shard");
-  if (shard < 0 ||
-      static_cast<std::size_t>(shard) >= exchange_->shard_count()) {
-    return Reply::error("shard out of range (have " +
-                        std::to_string(exchange_->shard_count()) + ")");
-  }
-  exchange_->pause_shard(static_cast<std::size_t>(shard));
+  const auto shard = static_cast<std::size_t>(invocation.get_int("shard"));
+  exchange_->pause_shard(shard);
   return ReplyBuilder()
       .field("shard", static_cast<std::uint64_t>(shard))
       .field("paused", true)
@@ -286,13 +316,8 @@ Reply ConsoleSession::cmd_shard_pause(const Invocation& invocation) {
 }
 
 Reply ConsoleSession::cmd_shard_resume(const Invocation& invocation) {
-  const std::int64_t shard = invocation.get_int("shard");
-  if (shard < 0 ||
-      static_cast<std::size_t>(shard) >= exchange_->shard_count()) {
-    return Reply::error("shard out of range (have " +
-                        std::to_string(exchange_->shard_count()) + ")");
-  }
-  exchange_->resume_shard(static_cast<std::size_t>(shard));
+  const auto shard = static_cast<std::size_t>(invocation.get_int("shard"));
+  exchange_->resume_shard(shard);
   return ReplyBuilder()
       .field("shard", static_cast<std::uint64_t>(shard))
       .field("paused", false)
@@ -300,15 +325,10 @@ Reply ConsoleSession::cmd_shard_resume(const Invocation& invocation) {
 }
 
 Reply ConsoleSession::cmd_shard_drain(const Invocation& invocation) {
-  const std::int64_t shard = invocation.get_int("shard");
-  if (shard < 0 ||
-      static_cast<std::size_t>(shard) >= exchange_->shard_count()) {
-    return Reply::error("shard out of range (have " +
-                        std::to_string(exchange_->shard_count()) + ")");
-  }
+  const auto shard = static_cast<std::size_t>(invocation.get_int("shard"));
   // Drain = pause + run every shard to quiescence: the shard's
   // in-flight round (if any) clears and nothing new opens on it.
-  exchange_->pause_shard(static_cast<std::size_t>(shard));
+  exchange_->pause_shard(shard);
   exchange_->drive_to_quiescence();
   return ReplyBuilder()
       .field("shard", static_cast<std::uint64_t>(shard))
@@ -322,30 +342,18 @@ Reply ConsoleSession::cmd_config_show(const Invocation&) {
   ReplyBuilder builder;
   builder.field("generation", runtime.generation());
   builder.field("applied_at_round", runtime.applied_at());
-  for (const ConfigEntry& entry : runtime.entries()) {
-    std::string row = "  " + entry.key + " = " + std::to_string(entry.active);
-    if (entry.has_pending) {
-      row += " (pending: " + std::to_string(entry.pending) + ")";
+  for (const ConfigKey& key : config_keys()) {
+    const std::int64_t active = key.get(runtime.active());
+    const std::int64_t staged = key.get(runtime.staged());
+    std::string row = "  " + key.param.name + " = " + std::to_string(active);
+    if (staged != active) {
+      row += " (pending: " + std::to_string(staged) + ")";
     }
-    row += "  [" + std::to_string(entry.min_value) + ", " +
-           std::to_string(entry.max_value) + "] " + entry.help;
+    row += "  [" + std::to_string(key.param.min_value) + ", " +
+           std::to_string(key.param.max_value) + "] " + key.param.help;
     builder.row(std::move(row));
   }
   return builder.build();
-}
-
-Reply ConsoleSession::cmd_config_set(const Invocation& invocation) {
-  const std::string& key = invocation.get("key");
-  const std::string& value = invocation.get("value");
-  std::string error;
-  if (!exchange_->runtime_config().stage(key, value, &error)) {
-    return Reply::error(error);
-  }
-  return ReplyBuilder()
-      .field("key", key)
-      .field("pending", value)
-      .field("applies", "next round")
-      .build();
 }
 
 Reply ConsoleSession::cmd_health(const Invocation&) {
@@ -403,8 +411,11 @@ void ConsoleSession::register_commands() {
   add("hist", {}, "percentile readout of one histogram metric",
       {ParamSpec::string("name", "metric name")}, {},
       &ConsoleSession::cmd_hist);
+  const ParamSpec shard = ParamSpec::integer(
+      "shard", 0, static_cast<std::int64_t>(exchange_->shard_count()) - 1,
+      "shard index");
   add("book dump", {"bd"}, "ranked book lanes of a shard's latest round",
-      {ParamSpec::integer("shard", 0, 1 << 20, "shard index"),
+      {shard,
        ParamSpec::integer("depth", 1, 10'000, "entries per side")
            .optional("10")},
       {}, &ConsoleSession::cmd_book_dump);
@@ -432,24 +443,34 @@ void ConsoleSession::register_commands() {
       "write the Chrome trace collected so far to a file",
       {ParamSpec::string("file", "output path")}, {},
       &ConsoleSession::cmd_trace_export);
-  add("shard pause", {}, "stop opening rounds on a shard",
-      {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
+  add("shard pause", {}, "stop opening rounds on a shard", {shard}, {},
       &ConsoleSession::cmd_shard_pause);
-  add("shard resume", {}, "resume opening rounds on a shard",
-      {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
+  add("shard resume", {}, "resume opening rounds on a shard", {shard}, {},
       &ConsoleSession::cmd_shard_resume);
   add("shard drain", {},
-      "pause a shard and drive every shard to quiescence",
-      {ParamSpec::integer("shard", 0, 1 << 20, "shard index")}, {},
+      "pause a shard and drive every shard to quiescence", {shard}, {},
       &ConsoleSession::cmd_shard_drain);
   add("config show", {"cs"},
       "runtime config: active values, pending changes, bounds", {}, {},
       &ConsoleSession::cmd_config_show);
-  add("config set", {},
-      "stage a runtime config change (applies at the next round)",
-      {ParamSpec::string("key", "config key (see config show)"),
-       ParamSpec::string("value", "new value")},
-      {}, &ConsoleSession::cmd_config_set);
+  for (const ConfigKey& key : config_keys()) {
+    CommandSpec spec;
+    spec.name = "config set " + key.param.name;
+    spec.help = "stage a runtime config change (applies at the next round)";
+    spec.params = {key.param};
+    spec.handler = [this, &key](const Invocation& invocation) {
+      RuntimeConfig& runtime = exchange_->runtime_config();
+      ServerConfig next = runtime.staged();
+      key.set(next, invocation.get_int(key.param.name));
+      runtime.stage(next);
+      return ReplyBuilder()
+          .field("key", key.param.name)
+          .field("pending", invocation.get(key.param.name))
+          .field("applies", "next round")
+          .build();
+    };
+    commands_.add(std::move(spec));
+  }
   add("health", {"h"}, "SLO watchdog state and breach counters", {}, {},
       &ConsoleSession::cmd_health);
   add("digest", {}, "FNV-1a digest of every cleared round + ledger totals",

@@ -6,8 +6,9 @@
 // exchange is quiescent at every epoch barrier run_round leaves behind —
 // so every reply reads a deterministic snapshot and the whole transcript
 // (replies AND the exchange digest) is byte-identical for every worker
-// thread count.  Runtime config changes stage through RuntimeConfig and
-// land at the next `run`'s round boundary.
+// thread count.  Runtime config changes are typed `config set <key>`
+// commands that stage through RuntimeConfig and land at the next `run`'s
+// round boundary.
 //
 // This is the seam the future network gateway (ROADMAP item 1) serves:
 // the gateway will feed lines into execute() and stream Reply objects
@@ -84,7 +85,6 @@ class ConsoleSession {
   Reply cmd_shard_resume(const Invocation& invocation);
   Reply cmd_shard_drain(const Invocation& invocation);
   Reply cmd_config_show(const Invocation& invocation);
-  Reply cmd_config_set(const Invocation& invocation);
   Reply cmd_health(const Invocation& invocation);
   Reply cmd_digest(const Invocation& invocation);
 

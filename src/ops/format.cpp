@@ -1,26 +1,14 @@
 #include "ops/format.h"
 
 #include <algorithm>
-#include <charconv>
 #include <istream>
 #include <stdexcept>
 
 #include "obs/export.h"
+#include "ops/command.h"
 
 namespace fnda::ops {
 namespace {
-
-bool parse_i64(std::string_view text, std::int64_t* out) {
-  if (text.empty()) return false;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
 
 std::string pad(std::string text, std::size_t width) {
   while (text.size() < width) text += ' ';
@@ -218,7 +206,7 @@ obs::MetricsSnapshot parse_prometheus_text(std::istream& in) {
       obs::MetricValue* value = value_of(base);
       PendingHistogram& state = pending_of(base);
       std::uint64_t cumulative = 0;
-      if (!parse_u64(value_text, &cumulative)) {
+      if (!parse_number(value_text, &cumulative)) {
         malformed(line_number, "bad bucket count '" + value_text + "'");
       }
       if (le == "+Inf") {
@@ -227,7 +215,7 @@ obs::MetricsSnapshot parse_prometheus_text(std::istream& in) {
         continue;
       }
       std::uint64_t bound = 0;
-      if (!parse_u64(le, &bound)) {
+      if (!parse_number(le, &bound)) {
         malformed(line_number, "bad le bound '" + le + "'");
       }
       if (cumulative < state.last_cumulative) {
@@ -247,7 +235,7 @@ obs::MetricsSnapshot parse_prometheus_text(std::istream& in) {
     }
     if (strip_suffix("_sum", &base)) {
       obs::MetricValue* value = value_of(base);
-      if (!parse_u64(value_text, &value->hist_sum)) {
+      if (!parse_number(value_text, &value->hist_sum)) {
         malformed(line_number, "bad histogram sum '" + value_text + "'");
       }
       pending_of(base).saw_sum = true;
@@ -255,7 +243,7 @@ obs::MetricsSnapshot parse_prometheus_text(std::istream& in) {
     }
     if (strip_suffix("_count", &base)) {
       obs::MetricValue* value = value_of(base);
-      if (!parse_u64(value_text, &value->hist_count)) {
+      if (!parse_number(value_text, &value->hist_count)) {
         malformed(line_number, "bad histogram count '" + value_text + "'");
       }
       pending_of(base).saw_count = true;
@@ -269,12 +257,12 @@ obs::MetricsSnapshot parse_prometheus_text(std::istream& in) {
     obs::MetricValue* value = value_of(key);
     switch (*kind) {
       case obs::MetricKind::kCounter:
-        if (!parse_u64(value_text, &value->counter)) {
+        if (!parse_number(value_text, &value->counter)) {
           malformed(line_number, "bad counter value '" + value_text + "'");
         }
         break;
       case obs::MetricKind::kGauge:
-        if (!parse_i64(value_text, &value->gauge)) {
+        if (!parse_number(value_text, &value->gauge)) {
           malformed(line_number, "bad gauge value '" + value_text + "'");
         }
         break;

@@ -1,10 +1,10 @@
 #include "ops/health.h"
 
-#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
 #include "obs/export.h"
+#include "ops/command.h"
 
 namespace fnda::ops {
 namespace {
@@ -45,12 +45,6 @@ bool valid_metric_name(std::string_view name) {
   return true;
 }
 
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 /// Parses a non-negative decimal like "0.01" without strtod's locale
 /// dependence: integer part plus up to 9 fractional digits.
 bool parse_ratio(std::string_view text, double* out) {
@@ -61,11 +55,11 @@ bool parse_ratio(std::string_view text, double* out) {
   std::uint64_t scale = 1;
   const std::string_view whole_text =
       dot == std::string_view::npos ? text : text.substr(0, dot);
-  if (!parse_u64(whole_text, &whole)) return false;
+  if (!parse_number(whole_text, &whole)) return false;
   if (dot != std::string_view::npos) {
     const std::string_view frac_text = text.substr(dot + 1);
     if (frac_text.empty() || frac_text.size() > 9) return false;
-    if (!parse_u64(frac_text, &frac)) return false;
+    if (!parse_number(frac_text, &frac)) return false;
     for (std::size_t i = 0; i < frac_text.size(); ++i) scale *= 10;
   }
   *out = static_cast<double>(whole) +
@@ -169,7 +163,7 @@ bool SloRule::parse(std::string_view text, SloRule* out, std::string* error) {
       return fail("bad ratio threshold '" + std::string(threshold) + "'");
     }
   } else {
-    if (!parse_u64(threshold, &rule.threshold)) {
+    if (!parse_number(threshold, &rule.threshold)) {
       return fail("bad integer threshold '" + std::string(threshold) + "'");
     }
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -28,6 +29,26 @@ const char* kExample1Book =
     "side,identity,value\n"
     "buyer,1,9\nbuyer,2,8\nbuyer,3,7\nbuyer,4,4\n"
     "seller,11,2\nseller,12,3\nseller,13,4\nseller,14,5\n";
+
+/// Runs `attack` with `options` on the Example-1 book, checks that
+/// `attack-search` prints the same verdict, utilities and best strategy
+/// (`attack` is its alias), and returns the `attack` run.
+CliRun run_attack(const std::vector<std::string>& options) {
+  std::vector<std::string> attack = {"attack"};
+  std::vector<std::string> search = {"attack-search"};
+  attack.insert(attack.end(), options.begin(), options.end());
+  search.insert(search.end(), options.begin(), options.end());
+  const CliRun result = run(attack, kExample1Book);
+  const CliRun searched = run(search, kExample1Book);
+  EXPECT_EQ(searched.exit_code, result.exit_code);
+  const auto verdict = [](const std::string& out) {
+    const std::size_t from = out.find("truthful utility:");
+    return from == std::string::npos ? std::string() : out.substr(from);
+  };
+  EXPECT_FALSE(verdict(result.out).empty()) << result.out;
+  EXPECT_EQ(verdict(result.out), verdict(searched.out));
+  return result;
+}
 
 TEST(CliTest, HelpByDefaultAndExplicit) {
   EXPECT_EQ(run({}).exit_code, 0);
@@ -200,20 +221,23 @@ TEST(CliTest, SimulateBinomialWorkload) {
 }
 
 TEST(CliTest, AttackFindsPmdExample1Manipulation) {
-  const CliRun result = run({"attack", "--protocol", "pmd", "--manipulator",
-                             "seller:2"},
-                            kExample1Book);
+  const CliRun result =
+      run_attack({"--protocol", "pmd", "--manipulator", "seller:2"});
   EXPECT_EQ(result.exit_code, 0) << result.err;
   EXPECT_NE(result.out.find("VERDICT: manipulable"), std::string::npos);
   EXPECT_NE(result.out.find("truthful utility: 0.5"), std::string::npos);
 }
 
 TEST(CliTest, AttackConfirmsTpdRobustness) {
-  const CliRun result = run({"attack", "--protocol", "tpd", "--threshold",
-                             "4.5", "--manipulator", "seller:2"},
-                            kExample1Book);
-  EXPECT_EQ(result.exit_code, 0) << result.err;
-  EXPECT_NE(result.out.find("VERDICT: truthful play is optimal"),
+  for (const char* manipulator : {"buyer:0", "buyer:3", "seller:2"}) {
+    const CliRun result = run_attack({"--protocol", "tpd", "--threshold",
+                                      "4.5", "--manipulator", manipulator});
+    EXPECT_EQ(result.exit_code, 0) << result.err;
+    EXPECT_NE(result.out.find("VERDICT: truthful play is optimal"),
+              std::string::npos)
+        << manipulator;
+  }
+  EXPECT_NE(run({"help", "attack"}).out.find("command: attack-search"),
             std::string::npos);
 }
 
@@ -510,6 +534,42 @@ TEST(CliTest, ThreadsAboveTheBoundAreUsageErrorsBeforeAnyWork) {
   EXPECT_NE(help.out.find("--threads int [0, 1024] (default: 1)"),
             std::string::npos)
       << help.out;
+}
+
+TEST(CliTest, SessionSizesAreBoundedOnBothEdgesBeforeAnyWork) {
+  // Parsing only: min - 1 and max + 1 exit 2 with the bound diagnostic,
+  // and no session is built at either edge.
+  struct Bound {
+    const char* command;
+    const char* option;
+    std::int64_t min_value;
+    std::int64_t max_value;
+  };
+  for (const Bound& bound : {Bound{"market-bench", "shards", 1, 4096},
+                             Bound{"market-bench", "clients", 1, 10'000'000},
+                             Bound{"market-bench", "rounds", 1, 1'000'000},
+                             Bound{"metrics-dump", "shards", 1, 4096},
+                             Bound{"metrics-dump", "clients", 1, 10'000'000},
+                             Bound{"metrics-dump", "rounds", 1, 1'000'000},
+                             Bound{"console", "shards", 1, 4096},
+                             Bound{"console", "clients", 1, 10'000'000},
+                             Bound{"console", "rounds-budget", 0, 1'000'000}}) {
+    const std::string range = std::string("--") + bound.option +
+                              " out of range [" +
+                              std::to_string(bound.min_value) + ", " +
+                              std::to_string(bound.max_value) + "]: ";
+    for (const std::int64_t value : {bound.min_value - 1,
+                                     bound.max_value + 1}) {
+      const CliRun result = run({bound.command, std::string("--") +
+                                                    bound.option,
+                                 std::to_string(value)});
+      EXPECT_EQ(result.exit_code, 2) << bound.command << ' ' << value;
+      EXPECT_TRUE(result.out.empty()) << bound.command << ' ' << value;
+      EXPECT_NE(result.err.find(range + std::to_string(value)),
+                std::string::npos)
+          << result.err;
+    }
+  }
 }
 
 TEST(CliTest, RepeatedAndValuelessOptionsAreUsageErrors) {

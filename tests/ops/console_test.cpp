@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -149,11 +150,83 @@ TEST(ConsoleSession, ShardBoundsValidatedAtRuntime) {
   config.shards = 2;
   ConsoleSession session(tpd, std::move(config));
 
+  // The shard bound is the `shard` parameter's, set from the session's
+  // shard count, so every shard command reports it the same way.
+  for (const char* command : {"shard pause", "shard resume", "shard drain",
+                              "book dump"}) {
+    const Reply reply = session.execute(std::string(command) + " 2");
+    EXPECT_FALSE(reply.ok) << command;
+    EXPECT_EQ(reply.text(), "error: <shard> out of range [0, 1]: 2")
+        << command;
+  }
   EXPECT_FALSE(session.execute("shard pause 5").ok);
-  EXPECT_FALSE(session.execute("book dump 2").ok);
-  EXPECT_FALSE(session.execute("config set nope 1").ok);
+  EXPECT_EQ(session.execute("config set nope 1").text(),
+            "error: unknown command: 'config set nope' (try 'help')");
+  EXPECT_EQ(session.execute("config set retained_rounds -1").text(),
+            "error: <retained_rounds> out of range [0, 2147483647]: -1");
+  EXPECT_EQ(session.execute("config set min_deposit_micros 4611686018427387904")
+                .text(),
+            "error: <min_deposit_micros> out of range [0, "
+            "4611686018427387903]: 4611686018427387904");
+  EXPECT_EQ(session.execute("config set announce_interval_us 1x").text(),
+            "error: <announce_interval_us> expects an integer, got '1x'");
   EXPECT_FALSE(session.execute("hist not_a_metric").ok);
   EXPECT_FALSE(session.execute("unknowncmd").ok);
+}
+
+TEST(ConsoleSession, ConfigShowMarksChangedValuesPending) {
+  const TpdProtocol tpd(Money::from_units(50));
+  ConsoleSession session(tpd, ConsoleConfig{});
+  const auto retained_row = [&session] {
+    return session.execute("config show").lines.at(2);
+  };
+
+  EXPECT_TRUE(session.execute("config set retained_rounds 4").ok);
+  EXPECT_TRUE(session.execute("config set retained_rounds 6").ok);
+  EXPECT_EQ(retained_row().rfind("  retained_rounds = 0 (pending: 6)  [0, ", 0),
+            0u);
+  // Staging the active value is pending (status says so) but changes no
+  // row, and applying it starts no generation.
+  EXPECT_TRUE(session.execute("config set retained_rounds 0").ok);
+  EXPECT_TRUE(session.exchange().runtime_config().has_pending());
+  EXPECT_EQ(retained_row().rfind("  retained_rounds = 0  [0, ", 0), 0u);
+  EXPECT_TRUE(session.execute("run 1").ok);
+  EXPECT_EQ(session.exchange().runtime_config().generation(), 0u);
+}
+
+// docs/observability.md's runtime-config table must list exactly the
+// console's `config set <key>` commands, in order, with their bounds.
+TEST(ConsoleSession, RuntimeConfigDocTableMatchesDeclaredKeys) {
+  std::ifstream doc(FNDA_SOURCE_DIR "/docs/observability.md");
+  ASSERT_TRUE(doc) << "cannot open docs/observability.md";
+  std::vector<std::string> documented;
+  std::string line;
+  bool in_section = false;
+  while (std::getline(doc, line)) {
+    if (line.rfind("### ", 0) == 0) in_section = line == "### Runtime config";
+    if (!in_section || line.rfind("| `", 0) != 0) continue;
+    const std::size_t key_end = line.find('`', 3);
+    const std::size_t open = line.find('[', key_end);
+    const std::size_t close = line.find(']', open);
+    ASSERT_NE(close, std::string::npos) << line;
+    documented.push_back(line.substr(3, key_end - 3) + " " +
+                         line.substr(open, close - open + 1));
+  }
+
+  const TpdProtocol tpd(Money::from_units(50));
+  ConsoleSession session(tpd, ConsoleConfig{});
+  const std::string prefix = "config set ";
+  std::vector<std::string> declared;
+  for (const CommandSpec& spec : session.commands().commands()) {
+    if (spec.name.rfind(prefix, 0) != 0) continue;
+    ASSERT_EQ(spec.params.size(), 1u) << spec.name;
+    const ParamSpec& value = spec.params.front();
+    declared.push_back(spec.name.substr(prefix.size()) + " [" +
+                       std::to_string(value.min_value) + ", " +
+                       std::to_string(value.max_value) + "]");
+  }
+  EXPECT_EQ(declared.size(), 3u);
+  EXPECT_EQ(documented, declared);
 }
 
 TEST(ConsoleSession, CommentsAndBlanksAreNoops) {

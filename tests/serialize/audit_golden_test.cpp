@@ -79,8 +79,10 @@ AuditText run_session(std::size_t threads) {
   for (std::size_t r = 0; r < 4; ++r) {
     // The last round demands more deposit than any client posts.
     if (r == 3) {
-      EXPECT_TRUE(exchange.runtime_config().stage("min_deposit_micros",
-                                                  "20000000", nullptr));
+      RuntimeConfig& runtime = exchange.runtime_config();
+      ServerConfig next = runtime.staged();
+      next.min_deposit = Money::from_micros(20'000'000);
+      runtime.stage(next);
     }
     const std::vector<RoundId> rounds =
         exchange.open_rounds(SimTime::millis(100));
